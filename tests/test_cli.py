@@ -336,6 +336,22 @@ class TestRun:
         assert code == 1
         assert "cannot read" in err
 
+    def test_infeasible_link_exits_2_and_keeps_the_chain(self, capsys, scenario_dir, tmp_path):
+        doc = json.loads((scenario_dir / "fiber_2mub_single_photon.json").read_text())
+        doc["detector"]["e_det"] = 0.3
+        doc["chain"] = json.loads((scenario_dir / "repeater_chain.json").read_text())["chain"]
+        path = tmp_path / "infeasible.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, rec, _ = run_json(capsys, ["run", str(path)])
+        assert code == 2
+        assert set(rec["results"]) == {"feasible", "status", "infeasible_reason", "chain"}
+        assert rec["results"]["status"] == "infeasible"
+        assert "two-basis" in rec["results"]["infeasible_reason"]
+        assert rec["results"]["chain"]["p_max_min"] == 0.55
+        code, rec, _ = run_json(capsys, ["repeater", str(path)])
+        assert code == 0
+        assert list(rec["results"]) == ["chain"]
+
 
 class TestSweep:
     def test_csv_shape_and_values(self, capsys, scenario_dir):

@@ -1,0 +1,68 @@
+"""Golden CLI output: byte-identical stdout and exit codes.
+
+Each case runs ``qkdlimits.cli.main`` with ``--no-timestamp`` and
+compares stdout and the exit code with the copy stored in
+``golden/cli_outputs.json``. Refactors of the scenario and CLI layers
+must leave every stored output unchanged. After a deliberate change of
+output, rewrite the file with ``python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from qkdlimits import cli
+
+HERE = pathlib.Path(__file__).resolve().parent
+GOLDEN = HERE / "golden" / "cli_outputs.json"
+SCENARIOS = HERE.parent / "scenarios"
+
+_SWEEP = ["--param", "y0", "--from", "1e-10", "--to", "1e-4", "--points", "61", "--scale", "log"]
+
+
+def _cases() -> list[list[str]]:
+    cases = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        for fmt in ("json", "table", "csv"):
+            cases.append(["run", path.name, "--format", fmt])
+    cases.append(["repeater", "repeater_chain.json"])
+    for name in ("fiber_2mub_single_photon.json", "freespace_ground_2mub.json"):
+        cases.append(["sweep", name, *_SWEEP])
+    return [argv + ["--no-timestamp"] for argv in cases]
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([str(SCENARIOS / a) if a.endswith(".json") else a for a in argv])
+    return code, out.getvalue()
+
+
+def _key(argv: list[str]) -> str:
+    return " ".join(argv)
+
+
+def test_golden_file_covers_every_case():
+    stored = json.loads(GOLDEN.read_text())
+    assert sorted(stored) == sorted(_key(a) for a in _cases())
+
+
+@pytest.mark.parametrize("argv", _cases(), ids=_key)
+def test_cli_output_is_unchanged(argv):
+    want = json.loads(GOLDEN.read_text())[_key(argv)]
+    code, out = _run(argv)
+    assert code == want["exit"]
+    assert out == want["stdout"]
+
+
+if __name__ == "__main__":
+    stored = {}
+    for argv in _cases():
+        code, out = _run(argv)
+        stored[_key(argv)] = {"exit": code, "stdout": out}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(stored)} cases to {GOLDEN}")
