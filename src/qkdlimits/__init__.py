@@ -57,7 +57,6 @@ from .links import (
     SatellitePath,
     atmospheric_transmissivity,
     beam_spot_size,
-    composite_transmissivity,
     diffraction_transmissivity,
     fiber_transmissivity,
     satellite_slant_distance_km,
@@ -97,6 +96,7 @@ from .repeater import (
 from .scenario import (
     ResultRecord,
     Scenario,
+    ScenarioLink,
     parse_scenario,
     result_record_schema,
     run_scenario,

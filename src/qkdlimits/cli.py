@@ -40,8 +40,8 @@ from .scenario import (
     ResultRecord,
     Scenario,
     chain_analysis,
-    distance_analysis,
     parse_scenario,
+    run_scenario,
     scenario_from_file,
     sweep_scenario,
 )
@@ -326,31 +326,27 @@ def _scenario_from_max_distance_args(args) -> Scenario:
     return parse_scenario(doc)
 
 
-def _distance_record(sc: Scenario, command: str) -> ResultRecord:
+def _cmd_scenario(args) -> ResultRecord:
+    """run, repeater and max-distance: one scenario through run_scenario.
+
+    An infeasible link still yields a record, with the chain verdict if
+    the scenario has a chain; main turns it into exit code 2.
+    """
+    if args.command == "max-distance":
+        sc = _scenario_from_max_distance_args(args)
+    else:
+        sc = scenario_from_file(args.scenario)
+    if args.command == "repeater":
+        if sc.chain is None:
+            raise ValidationError(f"{args.scenario}: repeater command needs a chain section")
+        sc = dataclasses.replace(sc, link=None)
     try:
-        results = distance_analysis(sc)
+        return run_scenario(sc, args.command)
     except InfeasibleConfigurationError as exc:
         results = {"feasible": False, "status": "infeasible", "infeasible_reason": str(exc)}
-    return ResultRecord(command=command, inputs=sc.raw, results=results)
-
-
-def _cmd_run(args) -> ResultRecord:
-    sc = scenario_from_file(args.scenario)
-    results: dict = {}
-    if sc.link is not None:
-        results.update(_distance_record(sc, "run").results)
-    if sc.chain is not None:
-        results["chain"] = chain_analysis(sc.chain)
-    return ResultRecord(command="run", inputs=sc.raw, results=results)
-
-
-def _cmd_repeater(args) -> ResultRecord:
-    sc = scenario_from_file(args.scenario)
-    if sc.chain is None:
-        raise ValidationError(f"{args.scenario}: repeater command needs a chain section")
-    return ResultRecord(
-        command="repeater", inputs=sc.raw, results={"chain": chain_analysis(sc.chain)}
-    )
+        if sc.chain is not None:
+            results["chain"] = chain_analysis(sc.chain)
+        return ResultRecord(command=args.command, inputs=sc.raw, results=results)
 
 
 def _emit_sweep(rows) -> str:
@@ -376,12 +372,8 @@ def main(argv=None) -> int:
             record = _cmd_channel(args)
         elif args.command == "qber":
             record = _cmd_qber(args)
-        elif args.command == "max-distance":
-            record = _distance_record(_scenario_from_max_distance_args(args), "max-distance")
-        elif args.command == "repeater":
-            record = _cmd_repeater(args)
         else:
-            record = _cmd_run(args)
+            record = _cmd_scenario(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

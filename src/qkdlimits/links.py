@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from .errors import ValidationError
 
@@ -156,20 +155,3 @@ def diffraction_transmissivity(beam: BeamGeometry, d_m: float) -> float:
     """Fraction 1 - exp(-2 a_R^2 / w_d^2) of the beam caught by the aperture."""
     w = beam_spot_size(beam, d_m)
     return -math.expm1(-2.0 * beam.aperture_radius_m**2 / w**2)
-
-
-def composite_transmissivity(
-    parts: Sequence[Callable[[float], float]], d: float
-) -> float:
-    """Product of independent loss factors evaluated at the same distance.
-
-    All parts must use the same distance unit.
-    """
-    if not parts:
-        raise ValidationError("composite needs at least one transmissivity factor")
-    eta = 1.0
-    for f in parts:
-        eta *= f(d)
-    if not (0.0 <= eta <= 1.0):
-        raise ValidationError(f"composite transmissivity {eta!r} outside [0, 1]")
-    return eta

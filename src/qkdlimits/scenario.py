@@ -1,11 +1,12 @@
 """Scenario files: a single JSON document describing protocol, source,
 detector and link, plus an optional repeater chain.
 
-run_scenario dispatches to the closed-form distance bounds where they
-exist (fiber and far-field diffraction with single-photon, attenuated
-or decoy sources) and to the guarded bisection everywhere else. Results
-come back as a ResultRecord whose JSON form validates against
-schemas/result_record.schema.json.
+parse_scenario checks every field once and builds typed objects,
+including the link's transmissivity model. run_scenario dispatches to
+the closed-form distance bounds where they exist (fiber and far-field
+diffraction with single-photon, attenuated or decoy sources) and to the
+guarded bisection everywhere else. Results come back as a ResultRecord
+whose JSON form validates against schemas/result_record.schema.json.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
+from typing import Callable
 
 from . import __version__
 from .detection import Attenuated, Decoy, DetectorModel, SinglePhoton, SourceModel
 from .distance import (
     DistanceBound,
-    GammaThreshold,
     gamma_threshold,
     max_diffraction_distance,
     max_distance_numeric,
@@ -55,6 +56,42 @@ _DEFAULT_BRACKETS_KM = {
 
 
 @dataclass(frozen=True)
+class ScenarioLink:
+    """Parsed scenario link: its kind, the parameter objects that kind
+    uses and its transmissivity as a function of distance in km, built
+    once from them.
+
+    fiber uses ``fiber``, ground_atmosphere ``atmosphere``, diffraction
+    ``beam``, freespace ``beam`` and ``atmosphere``, satellite ``beam``
+    and ``satellite``.
+    """
+
+    kind: str
+    fiber: FiberLink | None = None
+    beam: BeamGeometry | None = None
+    atmosphere: GroundAtmosphere | None = None
+    satellite: SatellitePath | None = None
+    transmissivity: Callable[[float], float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        fiber, beam, atm = self.fiber, self.beam, self.atmosphere
+        if self.kind == "fiber":
+            model = lambda d: fiber_transmissivity(fiber, d)
+        elif self.kind == "ground_atmosphere":
+            model = lambda d: atmospheric_transmissivity(atm, d)
+        elif self.kind == "diffraction":
+            model = lambda d: diffraction_transmissivity(beam, d * 1000.0)
+        elif self.kind == "freespace":
+            model = lambda d: (
+                diffraction_transmissivity(beam, d * 1000.0) * atmospheric_transmissivity(atm, d)
+            )
+        else:
+            eta_atm = satellite_transmissivity(self.satellite)
+            model = lambda d: diffraction_transmissivity(beam, d * 1000.0) * eta_atm
+        object.__setattr__(self, "transmissivity", model)
+
+
+@dataclass(frozen=True)
 class Scenario:
     """Parsed scenario: protocol, hardware and exactly one link variant,
     optionally a repeater chain alongside."""
@@ -62,7 +99,7 @@ class Scenario:
     mub_count: int
     source: SourceModel | None
     detector: DetectorModel | None
-    link: dict | None
+    link: ScenarioLink | None
     solver: tuple[float, float] | None
     chain: ChainSpec | None
     raw: dict
@@ -108,149 +145,170 @@ def result_record_schema() -> dict:
     return json.loads(text)
 
 
+def _object(v, path: str) -> dict:
+    if not isinstance(v, dict):
+        raise ValidationError(f"scenario field {path}: expected an object, got {v!r}")
+    return v
+
+
+def _list(v, path: str) -> list:
+    if not isinstance(v, list):
+        raise ValidationError(f"scenario field {path}: expected a list, got {v!r}")
+    return v
+
+
 def _require(obj: dict, key: str, path: str):
     if key not in obj:
         raise ValidationError(f"scenario field {path}: missing required key {key!r}")
     return obj[key]
 
 
-def _number(obj: dict, key: str, path: str, default=None):
-    if key not in obj:
-        if default is None:
+def _number(obj, key, path: str, default=dataclasses.MISSING) -> float:
+    """obj[key] as a float, key being an object key or a list index.
+
+    A missing object key takes the default, or is an error without one.
+    """
+    if isinstance(obj, dict) and key not in obj:
+        if default is dataclasses.MISSING:
             raise ValidationError(f"scenario field {path}: missing required key {key!r}")
         return default
     v = obj[key]
-    if v is None:
-        return math.inf
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"scenario field {path}.{key}: expected a number, got {v!r}")
+        name = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+        raise ValidationError(f"scenario field {name}: expected a number, got {v!r}")
     return float(v)
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str):
-    if not isinstance(obj, dict):
-        raise ValidationError(f"scenario field {path}: expected an object, got {obj!r}")
-    unknown = set(obj) - allowed
+def _check_keys(obj, allowed, path: str):
+    unknown = _object(obj, path).keys() - allowed
     if unknown:
         raise ValidationError(f"scenario field {path}: unknown keys {sorted(unknown)}")
 
 
-def _parse_source(obj: dict) -> SourceModel:
-    kind = _require(obj, "kind", "source")
+def _record(cls, obj, path: str, **given):
+    """The dataclass cls with each field read from obj under its own name,
+    as a number unless it is given. A field with a default may be absent."""
+    fields = cls.__dataclass_fields__
+    _check_keys(obj, fields.keys(), path)
+    for name, f in fields.items():
+        if name not in given:
+            given[name] = _number(obj, name, path, f.default)
+    return cls(**given)
+
+
+def _kind(obj, kinds: tuple[str, ...], path: str) -> tuple[str, dict]:
+    """A tagged object's kind, one of kinds, and its other fields."""
+    kind = _require(_object(obj, path), "kind", path)
+    if kind not in kinds:
+        raise ValidationError(
+            f"scenario field {path}.kind: unknown {path} {kind!r}, expected one of {kinds}"
+        )
+    return kind, {k: v for k, v in obj.items() if k != "kind"}
+
+
+def _parse_source(obj) -> SourceModel:
+    kind, params = _kind(obj, ("single_photon", "attenuated", "decoy"), "source")
     if kind == "single_photon":
-        _check_keys(obj, {"kind", "k"}, "source")
-        k = obj.get("k", 1)
+        _check_keys(params, {"k"}, "source")
+        k = params.get("k", 1)
         if isinstance(k, bool) or not isinstance(k, int):
             raise ValidationError(f"scenario field source.k: expected an integer, got {k!r}")
         return SinglePhoton(k=k)
     if kind == "attenuated":
-        _check_keys(obj, {"kind", "mu"}, "source")
-        return Attenuated(mu=_number(obj, "mu", "source"))
-    if kind == "decoy":
-        _check_keys(
-            obj,
-            {"kind", "intensities", "probabilities", "rep_rate_hz", "dead_time_s"},
-            "source",
-        )
-        return Decoy(
-            intensities=tuple(_require(obj, "intensities", "source")),
-            probabilities=tuple(_require(obj, "probabilities", "source")),
-            rep_rate_hz=_number(obj, "rep_rate_hz", "source", default=0.0),
-            dead_time_s=_number(obj, "dead_time_s", "source", default=0.0),
-        )
-    raise ValidationError(f"scenario field source.kind: unknown source {kind!r}")
+        return _record(Attenuated, params, "source")
+    lists = {}
+    for key in ("intensities", "probabilities"):
+        xs = _list(_require(params, key, "source"), f"source.{key}")
+        lists[key] = tuple(_number(xs, i, f"source.{key}") for i in range(len(xs)))
+    return _record(Decoy, params, "source", **lists)
 
 
-def _parse_link(obj: dict) -> dict:
-    kind = _require(obj, "kind", "link")
-    if kind not in _LINK_KINDS:
-        raise ValidationError(
-            f"scenario field link.kind: unknown link {kind!r}, expected one of {_LINK_KINDS}"
-        )
-    allowed = {
-        "fiber": {"kind", "alpha_db_per_km"},
-        "ground_atmosphere": {"kind", "alpha0_per_km", "scale_height_km", "altitude_km"},
-        "diffraction": {"kind", "w0_m", "wavelength_m", "aperture_radius_m", "curvature_m"},
-        "freespace": {"kind", "beam", "atmosphere"},
-        "satellite": {"kind", "beam", "zenith_angle_rad", "eta_zenith"},
-    }[kind]
-    _check_keys(obj, allowed, "link")
-    return obj
+def _parse_beam(obj, path: str) -> BeamGeometry:
+    # curvature_m is the one field where null is a value: absent, which
+    # is a collimated beam (R = inf).
+    obj = {k: v for k, v in _object(obj, path).items() if not (k == "curvature_m" and v is None)}
+    return _record(BeamGeometry, obj, path)
 
 
-def _parse_beam(obj: dict, path: str) -> BeamGeometry:
-    _check_keys(obj, {"w0_m", "wavelength_m", "aperture_radius_m", "curvature_m"}, path)
-    return BeamGeometry(
-        w0_m=_number(obj, "w0_m", path),
-        wavelength_m=_number(obj, "wavelength_m", path),
-        aperture_radius_m=_number(obj, "aperture_radius_m", path),
-        curvature_m=_number(obj, "curvature_m", path, default=math.inf),
-    )
+def _parse_link(obj) -> ScenarioLink:
+    kind, params = _kind(obj, _LINK_KINDS, "link")
+    if kind == "fiber":
+        return ScenarioLink(kind, fiber=_record(FiberLink, params, "link"))
+    if kind == "ground_atmosphere":
+        return ScenarioLink(kind, atmosphere=_record(GroundAtmosphere, params, "link"))
+    if kind == "diffraction":
+        return ScenarioLink(kind, beam=_parse_beam(params, "link"))
+    beam = _parse_beam(_require(params, "beam", "link"), "link.beam")
+    params.pop("beam")
+    if kind == "satellite":
+        return ScenarioLink(kind, beam=beam, satellite=_record(SatellitePath, params, "link"))
+    _check_keys(params, {"atmosphere"}, "link")
+    atm = {} if params.get("atmosphere") is None else params["atmosphere"]
+    atmosphere = _record(GroundAtmosphere, atm, "link.atmosphere")
+    return ScenarioLink(kind, beam=beam, atmosphere=atmosphere)
 
 
-def _parse_chain(obj: dict) -> ChainSpec:
+def _parse_chain(obj) -> ChainSpec:
     _check_keys(obj, {"links", "qbers"}, "chain")
-    links_raw = _require(obj, "links", "chain")
-    if not isinstance(links_raw, list) or not links_raw:
-        raise ValidationError("scenario field chain.links: expected a nonempty list")
-    links = tuple(PauliDistribution(entry) for entry in links_raw)
-    qbers = None
-    if obj.get("qbers") is not None:
-        sets = []
-        for i, q in enumerate(obj["qbers"]):
-            _check_keys(q, {"e_x", "e_z", "e_y"}, f"chain.qbers[{i}]")
-            e_y = q.get("e_y")
-            sets.append(
-                QberSet(
-                    e_x=_number(q, "e_x", f"chain.qbers[{i}]"),
-                    e_z=_number(q, "e_z", f"chain.qbers[{i}]"),
-                    e_y=None if e_y is None else float(e_y),
-                )
-            )
-        qbers = tuple(sets)
-    return ChainSpec(links=links, qbers=qbers)
+    links = []
+    for i, p in enumerate(_list(_require(obj, "links", "chain"), "chain.links")):
+        path = f"chain.links[{i}]"
+        p = _list(p, path)
+        links.append(PauliDistribution([_number(p, j, path) for j in range(len(p))]))
+    qbers = obj.get("qbers")
+    if qbers is not None:
+        qbers = tuple(
+            _record(QberSet, q, f"chain.qbers[{i}]")
+            for i, q in enumerate(_list(qbers, "chain.qbers"))
+        )
+    return ChainSpec(links=tuple(links), qbers=qbers)
+
+
+def _parse_solver(obj) -> tuple[float, float]:
+    _check_keys(obj, {"d_lo_km", "d_hi_km"}, "solver")
+    lo, hi = _number(obj, "d_lo_km", "solver"), _number(obj, "d_hi_km", "solver")
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
+        raise ValidationError(
+            f"scenario field solver: need finite 0 <= d_lo_km < d_hi_km, got [{lo!r}, {hi!r}]"
+        )
+    return lo, hi
 
 
 def parse_scenario(doc: dict) -> Scenario:
-    """Validate a scenario document and build the model objects."""
+    """Validate a scenario document and build the model objects.
+
+    The one place scenario input is read and checked: running a parsed
+    scenario meets no malformed field.
+    """
     _check_keys(
         doc,
         {"schema_version", "protocol", "source", "detector", "link", "solver", "chain"},
         "<root>",
     )
     version = _require(doc, "schema_version", "<root>")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValidationError(
             f"scenario field schema_version: got {version!r}, this build reads {SCHEMA_VERSION}"
         )
     protocol = _require(doc, "protocol", "<root>")
     _check_keys(protocol, {"mub_count"}, "protocol")
     mub_count = _require(protocol, "mub_count", "protocol")
-    if mub_count not in (2, 3):
-        raise ValidationError(f"scenario field protocol.mub_count: must be 2 or 3, got {mub_count!r}")
+    if type(mub_count) is not int or mub_count not in (2, 3):
+        raise ValidationError(
+            f"scenario field protocol.mub_count: must be the integer 2 or 3, got {mub_count!r}"
+        )
 
     source = _parse_source(doc["source"]) if doc.get("source") is not None else None
     detector = None
     if doc.get("detector") is not None:
-        det = doc["detector"]
-        _check_keys(det, {"y0", "e_det", "eta_eff"}, "detector")
-        detector = DetectorModel(
-            y0=_number(det, "y0", "detector"),
-            e_det=_number(det, "e_det", "detector"),
-            eta_eff=_number(det, "eta_eff", "detector", default=1.0),
-        )
+        detector = _record(DetectorModel, doc["detector"], "detector")
     link = _parse_link(doc["link"]) if doc.get("link") is not None else None
     chain = _parse_chain(doc["chain"]) if doc.get("chain") is not None else None
     if link is None and chain is None:
         raise ValidationError("scenario needs a link, a chain, or both")
     if link is not None and (source is None or detector is None):
         raise ValidationError("scenario with a link needs source and detector too")
-
-    solver = None
-    if doc.get("solver") is not None:
-        s = doc["solver"]
-        _check_keys(s, {"d_lo_km", "d_hi_km"}, "solver")
-        solver = (_number(s, "d_lo_km", "solver"), _number(s, "d_hi_km", "solver"))
+    solver = _parse_solver(doc["solver"]) if doc.get("solver") is not None else None
 
     return Scenario(
         mub_count=mub_count,
@@ -284,44 +342,6 @@ def _closed_form_source(src: SourceModel) -> bool:
     )
 
 
-def _channel_model(sc: Scenario):
-    """Transmissivity as a function of distance in km, per link kind."""
-    link = sc.link
-    kind = link["kind"]
-    if kind == "fiber":
-        fiber = FiberLink(alpha_db_per_km=_number(link, "alpha_db_per_km", "link"))
-        return fiber, lambda d: fiber_transmissivity(fiber, d)
-    if kind == "ground_atmosphere":
-        atm = GroundAtmosphere(
-            alpha0_per_km=_number(link, "alpha0_per_km", "link", default=GroundAtmosphere.alpha0_per_km),
-            scale_height_km=_number(link, "scale_height_km", "link", default=GroundAtmosphere.scale_height_km),
-            altitude_km=_number(link, "altitude_km", "link", default=0.0),
-        )
-        return atm, lambda d: atmospheric_transmissivity(atm, d)
-    if kind == "diffraction":
-        beam = _parse_beam({k: v for k, v in link.items() if k != "kind"}, "link")
-        return beam, lambda d: diffraction_transmissivity(beam, d * 1000.0)
-    if kind == "freespace":
-        beam = _parse_beam(_require(link, "beam", "link"), "link.beam")
-        atm_obj = link.get("atmosphere") or {}
-        _check_keys(atm_obj, {"alpha0_per_km", "scale_height_km", "altitude_km"}, "link.atmosphere")
-        atm = GroundAtmosphere(
-            alpha0_per_km=_number(atm_obj, "alpha0_per_km", "link.atmosphere", default=GroundAtmosphere.alpha0_per_km),
-            scale_height_km=_number(atm_obj, "scale_height_km", "link.atmosphere", default=GroundAtmosphere.scale_height_km),
-            altitude_km=_number(atm_obj, "altitude_km", "link.atmosphere", default=0.0),
-        )
-        return (beam, atm), lambda d: diffraction_transmissivity(beam, d * 1000.0) * atmospheric_transmissivity(atm, d)
-    if kind == "satellite":
-        beam = _parse_beam(_require(link, "beam", "link"), "link.beam")
-        sat = SatellitePath(
-            zenith_angle_rad=_number(link, "zenith_angle_rad", "link", default=0.0),
-            eta_zenith=_number(link, "eta_zenith", "link", default=SatellitePath.eta_zenith),
-        )
-        eta_atm = satellite_transmissivity(sat)
-        return (beam, sat), lambda d: diffraction_transmissivity(beam, d * 1000.0) * eta_atm
-    raise ValidationError(f"unknown link kind {kind!r}")
-
-
 def _bound_to_results(bound: DistanceBound) -> dict:
     return {
         "d_max_km": None if math.isinf(bound.d_max_km) else bound.d_max_km,
@@ -347,33 +367,33 @@ def distance_analysis(sc: Scenario) -> dict:
         "qber_threshold": symmetric_threshold(sc.mub_count),
         "gamma_min": g.gamma_min,
     }
-    kind = sc.link["kind"]
-    obj, model = _channel_model(sc)
+    link = sc.link
+    model = link.transmissivity
 
     bound = None
-    if kind in ("fiber", "diffraction") and _closed_form_source(src):
+    if link.kind in ("fiber", "diffraction") and _closed_form_source(src):
         o = omega(det, src, g)
         results["omega"] = o.omega
         results["omega_prime"] = None if math.isinf(o.omega_prime) else o.omega_prime
         results["source_kind"] = o.source_kind
-        if kind == "fiber":
-            bound = max_fiber_distance(obj, o)
+        if link.kind == "fiber":
+            bound = max_fiber_distance(link.fiber, o)
         else:
-            bound = max_diffraction_distance(obj, o)
+            bound = max_diffraction_distance(link.beam, o)
     else:
-        lo, hi = sc.solver if sc.solver is not None else _DEFAULT_BRACKETS_KM[kind]
+        lo, hi = sc.solver if sc.solver is not None else _DEFAULT_BRACKETS_KM[link.kind]
         bound = max_distance_numeric(model, src, det, g, lo, hi)
 
     results.update(_bound_to_results(bound))
-    if kind == "satellite":
-        sat = obj[1]
+    if link.kind == "satellite":
+        sat = link.satellite
         results["eta_atmosphere"] = satellite_transmissivity(sat)
         if bound.status == "solved":
             results["altitude_km"] = bound.d_max_km * math.cos(sat.zenith_angle_rad)
     if bound.status == "solved" and math.isfinite(bound.d_max_km):
-        eta_tot = det.eta_eff * model(bound.d_max_km)
-        results["eta_channel_at_d_max"] = model(bound.d_max_km)
-        results["plob_bits_per_use_at_d_max"] = _plob_bits(eta_tot)
+        eta_ch = model(bound.d_max_km)
+        results["eta_channel_at_d_max"] = eta_ch
+        results["plob_bits_per_use_at_d_max"] = _plob_bits(det.eta_eff * eta_ch)
         results["plob_note"] = "informational repeaterless rate bound, not a verdict"
     if not bound.feasible:
         om = results.get("omega")
@@ -421,20 +441,17 @@ _SWEEP_PARAMS = ("y0", "e_det", "eta_eff", "mu", "alpha")
 
 
 def _with_param(sc: Scenario, param: str, value: float) -> Scenario:
-    det, src, link = sc.detector, sc.source, sc.link
+    """sc with param set to value; sweep_scenario has checked param."""
     if param in ("y0", "e_det", "eta_eff"):
-        det = DetectorModel(**{**dataclasses.asdict(det), param: value})
-    elif param == "mu":
-        if not isinstance(src, Attenuated):
+        return dataclasses.replace(sc, detector=dataclasses.replace(sc.detector, **{param: value}))
+    if param == "mu":
+        if not isinstance(sc.source, Attenuated):
             raise ValidationError("sweep over mu needs an attenuated source")
-        src = Attenuated(mu=value)
-    elif param == "alpha":
-        if link is None or link["kind"] != "fiber":
-            raise ValidationError("sweep over alpha needs a fiber link")
-        link = {**link, "alpha_db_per_km": value}
-    else:
-        raise ValidationError(f"unknown sweep parameter {param!r}, expected one of {_SWEEP_PARAMS}")
-    return dataclasses.replace(sc, detector=det, source=src, link=link)
+        return dataclasses.replace(sc, source=dataclasses.replace(sc.source, mu=value))
+    if sc.link.kind != "fiber":
+        raise ValidationError("sweep over alpha needs a fiber link")
+    fiber = dataclasses.replace(sc.link.fiber, alpha_db_per_km=value)
+    return dataclasses.replace(sc, link=dataclasses.replace(sc.link, fiber=fiber))
 
 
 def sweep_scenario(

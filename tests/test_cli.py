@@ -263,6 +263,18 @@ class TestMaxDistance:
         )
         assert code == 1
 
+    def test_bad_bracket_is_an_input_error(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            [
+                "max-distance", "freespace", "--mub", "2", "--y0", "1e-8", "--e-det", "0.01",
+                "--w0", "0.05", "--wavelength", "8e-7", "--aperture", "0.25",
+                "--d-lo", "-1.0", "--d-hi", "10.0",
+            ],
+        )
+        assert code == 1
+        assert "solver" in err
+
     def test_focused_beam_is_a_numeric_failure(self, capsys):
         code, _, err = run_cli(
             capsys,

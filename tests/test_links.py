@@ -14,7 +14,6 @@ from qkdlimits import (
     ValidationError,
     atmospheric_transmissivity,
     beam_spot_size,
-    composite_transmissivity,
     diffraction_transmissivity,
     fiber_transmissivity,
     satellite_slant_distance_km,
@@ -175,27 +174,3 @@ class TestDiffraction:
         beam = BeamGeometry(w0_m=w0, wavelength_m=wavelength, aperture_radius_m=aperture)
         assert 0.0 <= diffraction_transmissivity(beam, d) <= 1.0
 
-
-class TestComposite:
-    def test_single_part_identity(self):
-        link = FiberLink(alpha_db_per_km=0.2)
-        part = lambda d: fiber_transmissivity(link, d)
-        assert composite_transmissivity([part], 37.0) == fiber_transmissivity(link, 37.0)
-
-    def test_product_of_parts(self):
-        atm = GroundAtmosphere()
-        beam = BeamGeometry(w0_m=0.05, wavelength_m=8e-7, aperture_radius_m=0.25)
-        parts = [
-            lambda d: atmospheric_transmissivity(atm, d),
-            lambda d: diffraction_transmissivity(beam, d * 1000.0),
-        ]
-        expected = atmospheric_transmissivity(atm, 1.0) * diffraction_transmissivity(beam, 1000.0)
-        assert math.isclose(composite_transmissivity(parts, 1.0), expected, rel_tol=1e-15)
-
-    def test_empty_parts_rejected(self):
-        with pytest.raises(ValidationError):
-            composite_transmissivity([], 1.0)
-
-    def test_out_of_range_part_rejected(self):
-        with pytest.raises(ValidationError):
-            composite_transmissivity([lambda d: 1.5], 1.0)

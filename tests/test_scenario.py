@@ -7,6 +7,8 @@ import jsonschema
 import pytest
 
 from qkdlimits import (
+    FiberLink,
+    GroundAtmosphere,
     ResultRecord,
     ValidationError,
     parse_scenario,
@@ -135,7 +137,8 @@ class TestParsing:
     def test_minimal_document(self):
         sc = parse_scenario(FIBER_SINGLE)
         assert sc.mub_count == 2
-        assert sc.link["kind"] == "fiber"
+        assert sc.link.kind == "fiber"
+        assert sc.link.fiber == FiberLink(alpha_db_per_km=0.17)
         assert sc.chain is None
 
     def test_missing_schema_version(self):
@@ -196,6 +199,53 @@ class TestParsing:
         del doc["link"]
         with pytest.raises(ValidationError):
             parse_scenario(doc)
+
+    @pytest.mark.parametrize("mub_count", [2.0, 3.0, True])
+    def test_mub_count_must_be_the_integer_2_or_3(self, mub_count):
+        with pytest.raises(ValidationError, match="protocol.mub_count"):
+            parse_scenario(make(protocol={"mub_count": mub_count}))
+
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            {"d_lo_km": None, "d_hi_km": 10.0},
+            {"d_lo_km": 1.0, "d_hi_km": None},
+            {"d_lo_km": -1.0, "d_hi_km": 10.0},
+            {"d_lo_km": 1.0, "d_hi_km": float("inf")},
+            {"d_lo_km": float("nan"), "d_hi_km": 10.0},
+            {"d_lo_km": 10.0, "d_hi_km": 10.0},
+            {"d_lo_km": 10.0, "d_hi_km": 1.0},
+        ],
+    )
+    def test_solver_bracket_is_checked_at_parse(self, solver):
+        with pytest.raises(ValidationError, match="solver"):
+            parse_scenario(make(solver=solver))
+
+    def test_null_means_infinity_only_for_curvature(self):
+        beam = {"w0_m": 2.0, "wavelength_m": 8e-7, "aperture_radius_m": 0.5}
+        sc = parse_scenario(make(link={"kind": "diffraction", **beam, "curvature_m": None}))
+        assert sc.link.beam.curvature_m == math.inf
+        with pytest.raises(ValidationError, match="link.alpha_db_per_km"):
+            parse_scenario(make(link={"kind": "fiber", "alpha_db_per_km": None}))
+        with pytest.raises(ValidationError, match="link.w0_m"):
+            parse_scenario(make(link={"kind": "diffraction", **beam, "w0_m": None}))
+
+    @pytest.mark.parametrize("e_y", [None, "x", True, [0.1]])
+    def test_e_y_must_be_a_number(self, e_y):
+        qbers = [{"e_x": 0.1, "e_z": 0.1, "e_y": e_y}]
+        doc = make(chain={"links": [[0.9, 0.1, 0.0, 0.0]], "qbers": qbers})
+        with pytest.raises(ValidationError, match=r"chain.qbers\[0\].e_y"):
+            parse_scenario(doc)
+
+    def test_freespace_atmosphere_absent_or_null_is_the_default(self):
+        beam = {"w0_m": 0.05, "wavelength_m": 8e-7, "aperture_radius_m": 0.25}
+        for link in ({"kind": "freespace", "beam": beam},
+                     {"kind": "freespace", "beam": beam, "atmosphere": None}):
+            sc = parse_scenario(make(link=link))
+            assert sc.link.atmosphere == GroundAtmosphere()
+        for atm in ([], "x", 2.5):
+            with pytest.raises(ValidationError, match="link.atmosphere"):
+                parse_scenario(make(link={"kind": "freespace", "beam": beam, "atmosphere": atm}))
 
 
 class TestScenarioFromFile:
@@ -260,6 +310,22 @@ class TestSweep:
         )
         with pytest.raises(ValidationError, match="alpha"):
             sweep_scenario(parse_scenario(doc), "alpha", 0.1, 0.3, 3, "linear")
+
+    def test_alpha_sweep_rebuilds_the_link_model(self):
+        # A two-photon source goes through bisection on the link's
+        # transmissivity, so a stale model would show in d_max.
+        sc = parse_scenario(make(source={"kind": "single_photon", "k": 2}))
+        rows = sweep_scenario(sc, "alpha", 0.2, 0.2, 1, "linear")
+        alone = run_scenario(
+            parse_scenario(
+                make(
+                    source={"kind": "single_photon", "k": 2},
+                    link={"kind": "fiber", "alpha_db_per_km": 0.2},
+                )
+            )
+        )
+        assert rows == [("alpha", 0.2, alone.results["d_max_km"], True)]
+        assert rows[0][2] != run_scenario(sc).results["d_max_km"]
 
     def test_unknown_parameter(self):
         sc = parse_scenario(FIBER_SINGLE)
