@@ -36,6 +36,7 @@ from .distance import (
     dark_count_sweep,
     gamma_threshold,
     max_diffraction_distance,
+    max_distance_batch,
     max_distance_numeric,
     max_fiber_distance,
     omega,

@@ -167,49 +167,83 @@ def max_distance_numeric(
     64 log-spaced samples guard against non-monotone models (for
     example a focused beam measured past its waist), which raise
     NonMonotonicModelError. Converges to 1e-9 relative in d or 60
-    bisection steps, whichever comes first.
+    bisection steps, whichever comes first. A batch of one row of
+    max_distance_batch.
+    """
+    return max_distance_batch(model, [(src, det, g)], d_lo_km, d_hi_km)[0]
+
+
+def _transmissivity(model: Callable[[float], float], d: float) -> float:
+    eta_ch = model(d)
+    if not (math.isfinite(eta_ch) and 0.0 <= eta_ch <= 1.0):
+        raise BracketError(f"model returned transmissivity {eta_ch!r} at d={d}")
+    return eta_ch
+
+
+def max_distance_batch(
+    model: Callable[[float], float],
+    rows: Sequence[tuple[SourceModel, DetectorModel, GammaThreshold]],
+    d_lo_km: float,
+    d_hi_km: float,
+) -> list[DistanceBound]:
+    """max_distance_numeric for each (source, detector, Gamma) row on one link model.
+
+    The guard grid is built and the model evaluated on it once for the
+    whole batch, and the monotonicity guard runs once per distinct
+    (source, eta_eff): rows that differ only in Gamma, as in a sweep of
+    y0 or e_det, share it. Each row then gets its own cell scan and
+    bisection, so every bound equals the one a call for that row alone
+    gives, bit for bit. Rows run in order, and the first row that fails
+    raises.
     """
     if not (math.isfinite(d_lo_km) and math.isfinite(d_hi_km)) or d_lo_km < 0.0:
         raise BracketError(f"bad interval [{d_lo_km!r}, {d_hi_km!r}]")
     if d_lo_km >= d_hi_km:
         raise BracketError(f"empty interval [{d_lo_km}, {d_hi_km}]")
+    if not rows:
+        return []
 
-    def detect(d: float) -> float:
-        eta_ch = model(d)
-        if not (math.isfinite(eta_ch) and 0.0 <= eta_ch <= 1.0):
-            raise BracketError(f"model returned transmissivity {eta_ch!r} at d={d}")
-        return detection_probability(src, det.eta_eff * eta_ch)
+    # Python floats, not numpy scalars: the models are scalar math.
+    grid = np.geomspace(max(d_lo_km, d_hi_km * 1e-12), d_hi_km, MONOTONE_SAMPLES).tolist()
+    grid[0] = float(d_lo_km)
+    etas = [_transmissivity(model, d) for d in grid]
+    guards: dict = {}
+    bounds = []
+    for src, det, g in rows:
+        eta_eff = det.eta_eff
+        vals = guards.get((src, eta_eff))
+        if vals is None:
+            vals = [detection_probability(src, eta_eff * eta_ch) for eta_ch in etas]
+            for i in range(len(vals) - 1):
+                if vals[i + 1] > vals[i] + 1e-12:
+                    raise NonMonotonicModelError(
+                        f"detection probability rises from {vals[i]} to {vals[i + 1]} "
+                        f"between d={grid[i]} and d={grid[i + 1]} km; restrict the "
+                        "interval to the monotone side of the focus"
+                    )
+            guards[(src, eta_eff)] = vals
 
-    grid = np.geomspace(max(d_lo_km, d_hi_km * 1e-12), d_hi_km, MONOTONE_SAMPLES)
-    grid[0] = d_lo_km
-    vals = [detect(d) for d in grid]
-    for i in range(len(vals) - 1):
-        if vals[i + 1] > vals[i] + 1e-12:
-            raise NonMonotonicModelError(
-                f"detection probability rises from {vals[i]} to {vals[i + 1]} "
-                f"between d={grid[i]} and d={grid[i + 1]} km; restrict the "
-                "interval to the monotone side of the focus"
-            )
-
-    target = g.gamma_min
-    if vals[0] <= target:
-        return DistanceBound(0.0, False, "bisection", "infeasible")
-    if vals[-1] > target:
-        return DistanceBound(d_hi_km, True, "bisection", "feasible-everywhere")
-
-    # Narrow to the grid cell holding the crossing; otherwise a wide
-    # default bracket cannot reach the relative tolerance in 60 steps.
-    idx = next(i for i in range(1, len(vals)) if vals[i] <= target)
-    lo, hi = float(grid[idx - 1]), float(grid[idx])
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_REL_TOL * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if detect(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return DistanceBound(0.5 * (lo + hi), True, "bisection", "solved")
+        target = g.gamma_min
+        if vals[0] <= target:
+            bounds.append(DistanceBound(0.0, False, "bisection", "infeasible"))
+            continue
+        if vals[-1] > target:
+            bounds.append(DistanceBound(d_hi_km, True, "bisection", "feasible-everywhere"))
+            continue
+        # Narrow to the grid cell holding the crossing; otherwise a wide
+        # default bracket cannot reach the relative tolerance in 60 steps.
+        idx = next(i for i in range(1, len(vals)) if vals[i] <= target)
+        lo, hi = grid[idx - 1], grid[idx]
+        for _ in range(BISECT_MAX_ITER):
+            if hi - lo <= BISECT_REL_TOL * hi:
+                break
+            mid = 0.5 * (lo + hi)
+            if detection_probability(src, eta_eff * _transmissivity(model, mid)) > target:
+                lo = mid
+            else:
+                hi = mid
+        bounds.append(DistanceBound(0.5 * (lo + hi), True, "bisection", "solved"))
+    return bounds
 
 
 @dataclass(frozen=True)

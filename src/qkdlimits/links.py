@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError
 
@@ -58,7 +59,7 @@ class GroundAtmosphere:
         if not (math.isfinite(self.altitude_km) and self.altitude_km >= 0.0):
             raise ValidationError(f"altitude {self.altitude_km!r} must be >= 0")
 
-    @property
+    @cached_property
     def extinction_per_km(self) -> float:
         return self.alpha0_per_km * math.exp(-self.altitude_km / self.scale_height_km)
 
@@ -134,7 +135,7 @@ class BeamGeometry:
         if math.isnan(self.curvature_m) or self.curvature_m == 0.0:
             raise ValidationError(f"curvature {self.curvature_m!r} must be nonzero")
 
-    @property
+    @cached_property
     def rayleigh_range_m(self) -> float:
         return math.pi * self.w0_m**2 / self.wavelength_m
 

@@ -22,8 +22,10 @@ from . import __version__
 from .detection import Attenuated, Decoy, DetectorModel, SinglePhoton, SourceModel
 from .distance import (
     DistanceBound,
+    OmegaValue,
     gamma_threshold,
     max_diffraction_distance,
+    max_distance_batch,
     max_distance_numeric,
     max_fiber_distance,
     omega,
@@ -248,7 +250,7 @@ def _parse_link(obj) -> ScenarioLink:
     return ScenarioLink(kind, beam=beam, atmosphere=atmosphere)
 
 
-def _parse_chain(obj) -> ChainSpec:
+def _parse_chain(obj, mub_count: int) -> ChainSpec:
     _check_keys(obj, {"links", "qbers"}, "chain")
     links = []
     for i, p in enumerate(_list(_require(obj, "links", "chain"), "chain.links")):
@@ -261,6 +263,12 @@ def _parse_chain(obj) -> ChainSpec:
             _record(QberSet, q, f"chain.qbers[{i}]")
             for i, q in enumerate(_list(qbers, "chain.qbers"))
         )
+        for i, q in enumerate(qbers):
+            if q.mub_count != mub_count:
+                raise ValidationError(
+                    f"scenario field chain.qbers[{i}]: a {q.mub_count}-basis QBER set "
+                    f"under protocol.mub_count {mub_count}; e_y is present iff three bases"
+                )
     return ChainSpec(links=tuple(links), qbers=qbers)
 
 
@@ -303,7 +311,7 @@ def parse_scenario(doc: dict) -> Scenario:
     if doc.get("detector") is not None:
         detector = _record(DetectorModel, doc["detector"], "detector")
     link = _parse_link(doc["link"]) if doc.get("link") is not None else None
-    chain = _parse_chain(doc["chain"]) if doc.get("chain") is not None else None
+    chain = _parse_chain(doc["chain"], mub_count) if doc.get("chain") is not None else None
     if link is None and chain is None:
         raise ValidationError("scenario needs a link, a chain, or both")
     if link is not None and (source is None or detector is None):
@@ -336,10 +344,20 @@ def scenario_from_file(path: str) -> Scenario:
     return parse_scenario(doc)
 
 
-def _closed_form_source(src: SourceModel) -> bool:
-    return isinstance(src, (Attenuated, Decoy)) or (
-        isinstance(src, SinglePhoton) and src.k == 1
+def _has_closed_form(link: ScenarioLink, src: SourceModel) -> bool:
+    return link.kind in ("fiber", "diffraction") and (
+        isinstance(src, (Attenuated, Decoy)) or (isinstance(src, SinglePhoton) and src.k == 1)
     )
+
+
+def _closed_form_bound(link: ScenarioLink, o: OmegaValue) -> DistanceBound:
+    if link.kind == "fiber":
+        return max_fiber_distance(link.fiber, o)
+    return max_diffraction_distance(link.beam, o)
+
+
+def _bracket(sc: Scenario) -> tuple[float, float]:
+    return sc.solver if sc.solver is not None else _DEFAULT_BRACKETS_KM[sc.link.kind]
 
 
 def _bound_to_results(bound: DistanceBound) -> dict:
@@ -370,19 +388,14 @@ def distance_analysis(sc: Scenario) -> dict:
     link = sc.link
     model = link.transmissivity
 
-    bound = None
-    if link.kind in ("fiber", "diffraction") and _closed_form_source(src):
+    if _has_closed_form(link, src):
         o = omega(det, src, g)
         results["omega"] = o.omega
         results["omega_prime"] = None if math.isinf(o.omega_prime) else o.omega_prime
         results["source_kind"] = o.source_kind
-        if link.kind == "fiber":
-            bound = max_fiber_distance(link.fiber, o)
-        else:
-            bound = max_diffraction_distance(link.beam, o)
+        bound = _closed_form_bound(link, o)
     else:
-        lo, hi = sc.solver if sc.solver is not None else _DEFAULT_BRACKETS_KM[link.kind]
-        bound = max_distance_numeric(model, src, det, g, lo, hi)
+        bound = max_distance_numeric(model, src, det, g, *_bracket(sc))
 
     results.update(_bound_to_results(bound))
     if link.kind == "satellite":
@@ -483,12 +496,34 @@ def sweep_scenario(
     else:
         raise ValidationError(f"scale must be 'log' or 'linear', got {scale!r}")
 
-    rows = []
-    for v in values:
-        try:
-            res = distance_analysis(_with_param(sc, param, v))
-            d = res["d_max_km"]
-            rows.append((param, v, math.inf if d is None else d, bool(res["feasible"])))
-        except InfeasibleConfigurationError:
-            rows.append((param, v, 0.0, False))
+    # A row is (param, value, d_max_km, feasible), or (param, value,
+    # source, detector, Gamma) while it waits for bisection on its link.
+    rows: list[tuple] = []
+    batches: list[tuple[ScenarioLink, list[int]]] = []
+    try:
+        for v in values:
+            point = _with_param(sc, param, v)
+            try:
+                g = gamma_threshold(point.detector, sc.mub_count)
+            except InfeasibleConfigurationError:
+                rows.append((param, v, 0.0, False))
+                continue
+            if _has_closed_form(point.link, point.source):
+                bound = _closed_form_bound(point.link, omega(point.detector, point.source, g))
+                rows.append((param, v, bound.d_max_km, bound.feasible))
+                continue
+            # Only an alpha sweep changes the link, so only it has one batch per row.
+            if not batches or batches[-1][0] is not point.link:
+                batches.append((point.link, []))
+            batches[-1][1].append(len(rows))
+            rows.append((param, v, point.source, point.detector, g))
+    finally:
+        # Bisect the waiting rows even if a later point failed: a
+        # point-by-point loop would have met their errors first.
+        for link, indices in batches:
+            bounds = max_distance_batch(
+                link.transmissivity, [rows[i][2:] for i in indices], *_bracket(sc)
+            )
+            for i, bound in zip(indices, bounds):
+                rows[i] = (param, rows[i][1], bound.d_max_km, bound.feasible)
     return rows

@@ -6,7 +6,7 @@ import math
 import jsonschema
 import pytest
 
-from qkdlimits import result_record_schema
+from qkdlimits import cli, result_record_schema
 from qkdlimits.cli import main
 
 
@@ -302,6 +302,69 @@ class TestRepeater:
         )
         assert code == 1
         assert "chain" in err
+
+
+    def test_chain_qbers_must_match_the_protocol(self, capsys, tmp_path):
+        doc = {
+            "schema_version": 1,
+            "protocol": {"mub_count": 3},
+            "chain": {
+                "links": [[0.6, 0.4, 0.0, 0.0]],
+                "qbers": [{"e_x": 0.0, "e_z": 0.4}],
+            },
+        }
+        path = tmp_path / "two_basis_qbers_three_basis_protocol.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["repeater", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "chain.qbers[0]" in err
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no value may carry
+    from one call into the next."""
+
+    FREESPACE = [
+        "max-distance", "freespace", "--mub", "2", "--y0", "1e-8", "--e-det", "0.01",
+        "--w0", "0.05", "--wavelength", "8e-7", "--aperture", "0.25",
+        "--format", "json", "--no-timestamp",
+    ]
+
+    def test_calls_in_one_process_do_not_leak(self, capsys, scenario_dir):
+        scenario = str(scenario_dir / "fiber_2mub_single_photon.json")
+        code, out, _ = run_cli(capsys, ["run", scenario, "--format", "json", "--no-timestamp"])
+        assert code == 0
+        assert json.loads(out)["timestamp"] is None
+        code, out, _ = run_cli(capsys, ["run", scenario])
+        assert code == 0
+        assert out.startswith("# qkdlimits run (")
+
+        code, out, _ = run_cli(capsys, self.FREESPACE + ["--d-lo", "0.1", "--d-hi", "10.0"])
+        assert code == 0
+        bracketed = json.loads(out)
+        assert bracketed["inputs"]["solver"] == {"d_lo_km": 0.1, "d_hi_km": 10.0}
+        assert bracketed["results"]["status"] == "feasible-everywhere"
+
+        code, _, err = run_cli(capsys, ["qber", "--ex", "0.1"])
+        assert code == 2
+        assert "--ez" in err
+
+        code, out, _ = run_cli(capsys, self.FREESPACE)
+        assert code == 0
+        default = json.loads(out)
+        assert "solver" not in default["inputs"]
+        assert default["results"]["status"] == "solved"
+
+        code, out, _ = run_cli(capsys, ["thresholds", "--mub", "3", "--format", "json", "--no-timestamp"])
+        assert list(json.loads(out)["results"]) == ["mub_3"]
+        code, out, _ = run_cli(capsys, ["thresholds", "--format", "json", "--no-timestamp"])
+        assert list(json.loads(out)["results"]) == ["mub_2", "mub_3"]
+
+        assert cli._build_parser() is cli._build_parser()
+        cli._build_parser.cache_clear()
+        code, out, _ = run_cli(capsys, self.FREESPACE)
+        assert json.loads(out) == default
 
 
 class TestRun:

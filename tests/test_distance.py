@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qkdlimits import distance
 from qkdlimits import (
     Attenuated,
     BeamGeometry,
@@ -17,10 +18,12 @@ from qkdlimits import (
     SinglePhoton,
     ValidationError,
     dark_count_sweep,
+    detection_probability,
     diffraction_transmissivity,
     fiber_transmissivity,
     gamma_threshold,
     max_diffraction_distance,
+    max_distance_batch,
     max_distance_numeric,
     max_fiber_distance,
     omega,
@@ -248,6 +251,92 @@ class TestNumericSolver:
             max_distance_numeric(lambda d: 1.5, SinglePhoton(), DET, g, 1.0, 10.0)
         with pytest.raises(BracketError):
             max_distance_numeric(lambda d: float("nan"), SinglePhoton(), DET, g, 1.0, 10.0)
+
+
+class TestBatch:
+    """max_distance_batch: one guard grid per batch, one guard per (source, eta_eff)."""
+
+    BEAM = BeamGeometry(w0_m=0.05, wavelength_m=8e-7, aperture_radius_m=0.25)
+
+    def model(self, d):
+        return diffraction_transmissivity(self.BEAM, d * 1000.0) * math.exp(-0.005 * d)
+
+    def rows(self):
+        out = []
+        for src in (SinglePhoton(), SinglePhoton(k=3), Attenuated(0.5)):
+            for eta_eff in (0.05, 1.0):
+                for y0 in (0.0, 1e-9, 1e-6, 1e-3, 0.3, 0.9):
+                    det = DetectorModel(y0=y0, e_det=0.02, eta_eff=eta_eff)
+                    out.append((src, det, gamma_threshold(det, 2)))
+        return out
+
+    def test_a_scalar_call_is_a_batch_of_one(self):
+        statuses = set()
+        for bracket in ((1e-3, 1e7), (0.1, 10.0)):
+            for row in self.rows():
+                alone = max_distance_numeric(self.model, *row, *bracket)
+                assert alone == max_distance_batch(self.model, [row], *bracket)[0]
+                statuses.add(alone.status)
+        assert statuses == {"solved", "infeasible", "feasible-everywhere"}
+
+    def test_rows_equal_their_own_calls(self):
+        rows = self.rows()
+        batch = max_distance_batch(self.model, rows, 1e-3, 1e7)
+        assert batch == [max_distance_numeric(self.model, *row, 1e-3, 1e7) for row in rows]
+
+    def test_grid_and_guard_are_evaluated_once_per_batch(self, monkeypatch):
+        model_calls, detect_calls = [], []
+
+        def counted(d):
+            model_calls.append(type(d))
+            return self.model(d)
+
+        def counted_detection(src, eta):
+            detect_calls.append(eta)
+            return detection_probability(src, eta)
+
+        monkeypatch.setattr(distance, "detection_probability", counted_detection)
+        # Rows that differ only in Gamma share one guard.
+        rows = [r for r in self.rows() if r[0] == SinglePhoton() and r[1].eta_eff == 1.0]
+        alone = []
+        for row in rows:
+            model_calls.clear()
+            detect_calls.clear()
+            max_distance_numeric(counted, *row, 1e-3, 1e7)
+            alone.append((len(model_calls), len(detect_calls)))
+        model_calls.clear()
+        detect_calls.clear()
+        max_distance_batch(counted, rows, 1e-3, 1e7)
+        assert len(model_calls) == 64 + sum(m - 64 for m, _ in alone)
+        assert len(detect_calls) == 64 + sum(n - 64 for _, n in alone)
+        assert set(model_calls) == {float}
+
+    def test_the_guard_runs_per_source_and_efficiency(self):
+        # A 5e-12 rise in transmissivity trips the 1e-12 guard at
+        # eta_eff = 1 but not at eta_eff = 0.1.
+        def model(d):
+            return 0.5 + (5e-12 if d >= 3.0 else 0.0) if d < 6.0 else 0.1
+
+        dim = DetectorModel(y0=0.03, e_det=0.02, eta_eff=0.1)
+        bright = DetectorModel(y0=0.03, e_det=0.02, eta_eff=1.0)
+        rows = [(SinglePhoton(), det, gamma_threshold(det, 2)) for det in (dim, bright)]
+        assert max_distance_batch(model, rows[:1], 1.0, 10.0)[0].status == "solved"
+        with pytest.raises(NonMonotonicModelError):
+            max_distance_batch(model, rows, 1.0, 10.0)
+        with pytest.raises(NonMonotonicModelError):
+            max_distance_batch(model, rows[::-1], 1.0, 10.0)
+
+    def test_an_empty_batch_checks_the_bracket_only(self):
+        def model(d):
+            raise AssertionError("an empty batch evaluates no model")
+
+        assert max_distance_batch(model, [], 1.0, 10.0) == []
+        with pytest.raises(BracketError):
+            max_distance_batch(model, [], 10.0, 1.0)
+
+    def test_a_bad_transmissivity_fails_the_batch(self):
+        with pytest.raises(BracketError, match="transmissivity"):
+            max_distance_batch(lambda d: 1.5, self.rows(), 1.0, 10.0)
 
 
 class TestParameterMonotonicity:

@@ -174,3 +174,27 @@ class TestDiffraction:
         beam = BeamGeometry(w0_m=w0, wavelength_m=wavelength, aperture_radius_m=aperture)
         assert 0.0 <= diffraction_transmissivity(beam, d) <= 1.0
 
+
+
+@pytest.mark.parametrize(
+    "make, name, expected",
+    [
+        (
+            lambda: BeamGeometry(w0_m=0.05, wavelength_m=8e-7, aperture_radius_m=0.25),
+            "rayleigh_range_m",
+            lambda b: math.pi * b.w0_m**2 / b.wavelength_m,
+        ),
+        (
+            lambda: GroundAtmosphere(altitude_km=2.0),
+            "extinction_per_km",
+            lambda a: a.alpha0_per_km * math.exp(-a.altitude_km / a.scale_height_km),
+        ),
+    ],
+)
+def test_cached_link_constants_leave_identity_to_the_fields(make, name, expected):
+    used, fresh = make(), make()
+    assert getattr(used, name) == expected(used)
+    assert getattr(used, name) is getattr(used, name)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)

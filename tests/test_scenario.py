@@ -9,6 +9,8 @@ import pytest
 from qkdlimits import (
     FiberLink,
     GroundAtmosphere,
+    InfeasibleConfigurationError,
+    NonMonotonicModelError,
     ResultRecord,
     ValidationError,
     parse_scenario,
@@ -17,6 +19,7 @@ from qkdlimits import (
     scenario_from_file,
     sweep_scenario,
 )
+from qkdlimits.scenario import _with_param, distance_analysis
 
 FIBER_SINGLE = {
     "schema_version": 1,
@@ -237,6 +240,21 @@ class TestParsing:
         with pytest.raises(ValidationError, match=r"chain.qbers\[0\].e_y"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "mub_count, qbers",
+        [
+            (2, [{"e_x": 0.1, "e_z": 0.1}, {"e_x": 0.1, "e_z": 0.1, "e_y": 0.1}]),
+            (3, [{"e_x": 0.1, "e_z": 0.1, "e_y": 0.1}, {"e_x": 0.1, "e_z": 0.1}]),
+        ],
+    )
+    def test_chain_qber_sets_must_match_the_protocol(self, mub_count, qbers):
+        links = [[0.9, 0.1, 0.0, 0.0]] * 2
+        ok = make(protocol={"mub_count": mub_count}, chain={"links": links, "qbers": qbers[:1] * 2})
+        assert parse_scenario(ok).chain.qbers[0].mub_count == mub_count
+        bad = make(protocol={"mub_count": mub_count}, chain={"links": links, "qbers": qbers})
+        with pytest.raises(ValidationError, match=r"chain.qbers\[1\]"):
+            parse_scenario(bad)
+
     def test_freespace_atmosphere_absent_or_null_is_the_default(self):
         beam = {"w0_m": 0.05, "wavelength_m": 8e-7, "aperture_radius_m": 0.25}
         for link in ({"kind": "freespace", "beam": beam},
@@ -346,3 +364,114 @@ class TestSweep:
         sc = parse_scenario(FIBER_SINGLE)
         with pytest.raises(ValidationError):
             sweep_scenario(sc, "y0", 1e-8, 1e-5, 3, "quadratic")
+
+
+def pointwise(sc, param, values):
+    """Rows and statuses of the point-by-point loop that sweep_scenario
+    batches: distance_analysis at each point, infeasible Gamma flagged."""
+    rows, statuses = [], []
+    for v in values:
+        try:
+            res = distance_analysis(_with_param(sc, param, v))
+        except InfeasibleConfigurationError:
+            rows.append((param, v, 0.0, False))
+            statuses.append("flagged")
+            continue
+        d = res["d_max_km"]
+        rows.append((param, v, math.inf if d is None else d, res["feasible"]))
+        statuses.append(res["status"])
+    return rows, statuses
+
+
+def linear(start, stop, points):
+    return [start + (stop - start) * i / (points - 1) for i in range(points)]
+
+
+BEAM = {"w0_m": 0.05, "wavelength_m": 8e-7, "aperture_radius_m": 0.25}
+FOCUSED_BEAM = {"w0_m": 0.2, "wavelength_m": 1e-6, "aperture_radius_m": 0.1, "curvature_m": 1e4}
+
+
+class TestSweepBatch:
+    """sweep_scenario bisects its rows as one batch; rows must equal the
+    point-by-point results, and errors must be the ones that loop meets first."""
+
+    LINKS = {
+        "freespace": ({"kind": "freespace", "beam": BEAM}, (0.1, 10.0)),
+        "satellite": ({"kind": "satellite", "beam": BEAM, "zenith_angle_rad": 0.5}, (10.0, 200.0)),
+        "ground_atmosphere": ({"kind": "ground_atmosphere", "alpha0_per_km": 0.05}, (0.1, 5.0)),
+        "fiber": ({"kind": "fiber", "alpha_db_per_km": 0.2}, (1.0, 30.0)),
+    }
+    SWEEPS = {
+        "y0": (0.0, 0.99, "linear"),
+        "e_det": (0.0, 0.3, "linear"),
+        "eta_eff": (1e-5, 1.0, "log"),
+        "mu": (0.01, 5.0, "log"),
+        # An alpha point changes the link, so it is a batch of its own.
+        "alpha": (0.01, 2.0, "log"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(LINKS))
+    def test_rows_equal_point_by_point_analysis(self, kind):
+        link, (lo, hi) = self.LINKS[kind]
+        # A two-photon source has no closed form on fiber either.
+        sources = (
+            [{"kind": "single_photon", "k": 2}]
+            if kind == "fiber"
+            else [{"kind": "single_photon"}, {"kind": "attenuated", "mu": 0.5}]
+        )
+        seen = set()
+        for source in sources:
+            for solver in (None, {"d_lo_km": lo, "d_hi_km": hi}):
+                doc = make(
+                    source=source,
+                    detector={"y0": 1e-4, "e_det": 0.02, "eta_eff": 0.3},
+                    link=link,
+                )
+                if solver is not None:
+                    doc["solver"] = solver
+                sc = parse_scenario(doc)
+                for param, (start, stop, scale) in self.SWEEPS.items():
+                    if param == "mu" and source["kind"] != "attenuated":
+                        continue
+                    if param == "alpha" and kind != "fiber":
+                        continue
+                    rows = sweep_scenario(sc, param, start, stop, 25, scale)
+                    expected, statuses = pointwise(sc, param, [r[1] for r in rows])
+                    assert rows == expected, (source, solver, param)
+                    seen.update(statuses)
+        assert seen == {"solved", "infeasible", "feasible-everywhere", "flagged"}
+
+    def test_sweep_across_the_misalignment_threshold_keeps_flagged_rows(self):
+        sc = parse_scenario(make(link=self.LINKS["freespace"][0]))
+        rows = sweep_scenario(sc, "e_det", 0.0, 0.4, 9, "linear")
+        assert [r[3] for r in rows] == [True] * 5 + [False] * 4
+        assert all(r[2] == 0.0 for r in rows[5:])
+        assert rows == pointwise(sc, "e_det", linear(0.0, 0.4, 9))[0]
+
+    def test_focused_beam_past_its_waist_is_not_monotone(self):
+        link = {"kind": "freespace", "beam": FOCUSED_BEAM}
+        sc = parse_scenario(make(link=link, solver={"d_lo_km": 0.01, "d_hi_km": 50.0}))
+        with pytest.raises(NonMonotonicModelError):
+            sweep_scenario(sc, "y0", 1e-9, 1e-5, 5, "log")
+
+    @pytest.mark.parametrize(
+        "beam, param, start, stop, error",
+        [
+            # Bisection rows fail before a later point's detector does.
+            (FOCUSED_BEAM, "eta_eff", 0.5, 1.5, NonMonotonicModelError),
+            (FOCUSED_BEAM, "e_det", 0.0, 0.6, NonMonotonicModelError),
+            # Flagged rows, then an invalid detector.
+            (FOCUSED_BEAM, "e_det", 0.3, 0.6, ValidationError),
+            # Solved rows, then an invalid detector.
+            (BEAM, "eta_eff", 0.5, 1.5, ValidationError),
+            (BEAM, "y0", 0.5, 1.5, ValidationError),
+        ],
+    )
+    def test_the_first_failing_point_raises(self, beam, param, start, stop, error):
+        link = {"kind": "freespace", "beam": beam}
+        sc = parse_scenario(make(link=link, solver={"d_lo_km": 0.01, "d_hi_km": 50.0}))
+        with pytest.raises(error) as batched:
+            sweep_scenario(sc, param, start, stop, 7, "linear")
+        with pytest.raises(error) as alone:
+            pointwise(sc, param, linear(start, stop, 7))
+        assert str(batched.value) == str(alone.value)
