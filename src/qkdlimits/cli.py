@@ -38,6 +38,7 @@ from .qber import (
     symmetric_threshold,
 )
 from .scenario import (
+    _SWEEP_PARAMS,
     ResultRecord,
     Scenario,
     chain_analysis,
@@ -116,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one parameter of a scenario, CSV output")
     p.add_argument("scenario", help="base scenario JSON file")
-    p.add_argument("--param", required=True, choices=("y0", "e_det", "eta_eff", "mu", "alpha"))
+    p.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--points", type=int, required=True)

@@ -219,11 +219,19 @@ def best_case_intensity(src: Decoy, eta: float, det: DetectorModel) -> tuple[int
     return best, src.intensities[best]
 
 
+def largest_intensity(src: Decoy) -> float:
+    """The decoy intensity that bounds the detection probability and the
+    distance: the largest, the best case for any detector with e_det < 1/2."""
+    mu = max(src.intensities)
+    if mu <= 0.0:
+        raise ValidationError("decoy source has no nonvacuum intensity")
+    return mu
+
+
 def detection_probability(src: SourceModel, eta: float) -> float:
     """Signal detection probability gamma for a source at transmissivity eta.
 
-    Decoy sources evaluate at their largest intensity, which is the
-    best-case intensity for any detector with e_det < 1/2.
+    Decoy sources evaluate at their largest intensity.
     """
     if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
         raise ValidationError(f"eta={eta!r} outside [0, 1]")
@@ -232,8 +240,5 @@ def detection_probability(src: SourceModel, eta: float) -> float:
     if isinstance(src, Attenuated):
         return -math.expm1(-eta * src.mu)
     if isinstance(src, Decoy):
-        mu = max(src.intensities)
-        if mu <= 0.0:
-            raise ValidationError("decoy source has no nonvacuum intensity")
-        return -math.expm1(-eta * mu)
+        return -math.expm1(-eta * largest_intensity(src))
     raise ValidationError(f"unknown source model {src!r}")

@@ -16,14 +16,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .detection import Attenuated, Decoy, DetectorModel, SinglePhoton, SourceModel, detection_probability
+from .detection import (
+    Attenuated,
+    Decoy,
+    DetectorModel,
+    SinglePhoton,
+    SourceModel,
+    detection_probability,
+    largest_intensity,
+)
 from .errors import (
     BracketError,
     InfeasibleConfigurationError,
     NonMonotonicModelError,
     ValidationError,
 )
-from .links import BeamGeometry, FiberLink, fiber_transmissivity
+from .links import BeamGeometry, FiberLink
 
 BISECT_REL_TOL = 1e-9
 BISECT_MAX_ITER = 60
@@ -93,13 +101,6 @@ def gamma_threshold(det: DetectorModel, mub_count: int) -> GammaThreshold:
     return GammaThreshold(gamma_min=g, mub_count=mub_count)
 
 
-def _best_mu(src: Decoy) -> float:
-    mu = max(src.intensities)
-    if mu <= 0.0:
-        raise ValidationError("decoy source has no nonvacuum intensity")
-    return mu
-
-
 def omega(det: DetectorModel, src: SourceModel, g: GammaThreshold) -> OmegaValue:
     """Minimum channel transmissivity for the detection threshold g.
 
@@ -116,7 +117,7 @@ def omega(det: DetectorModel, src: SourceModel, g: GammaThreshold) -> OmegaValue
         om = g.gamma_min / det.eta_eff
         kind = "single-photon"
     elif isinstance(src, (Attenuated, Decoy)):
-        mu = src.mu if isinstance(src, Attenuated) else _best_mu(src)
+        mu = src.mu if isinstance(src, Attenuated) else largest_intensity(src)
         om = -math.log1p(-g.gamma_min) / (det.eta_eff * mu)
         kind = "attenuated"
     else:
@@ -260,16 +261,24 @@ def dark_count_sweep(
     link: FiberLink,
     mub_count: int,
 ) -> list[SweepRow]:
-    """Fiber distance bound for each dark-count probability.
+    """Fiber distance bound for each dark-count probability: a y0 sweep
+    of scenario.sweep_scenario's engine on that fiber scenario.
 
     Rows keep the input order; infeasible configurations come back
     flagged rather than raising, so a sweep can cross the feasibility
     boundary. Misalignment infeasibility does raise, since it kills
     every row at once.
     """
-    rows = []
-    for y0 in y0_values:
-        det = DetectorModel(y0=float(y0), e_det=det_template.e_det, eta_eff=det_template.eta_eff)
-        bound = max_fiber_distance(link, omega(det, src, gamma_threshold(det, mub_count)))
-        rows.append(SweepRow(y0=float(y0), d_max_km=bound.d_max_km, feasible=bound.feasible))
-    return rows
+    # scenario imports this module, so the engine is imported here.
+    from .scenario import Scenario, ScenarioLink, _sweep_rows
+
+    values = [float(y0) for y0 in y0_values]
+    if not values:
+        return []
+    det = DetectorModel(values[0], det_template.e_det, det_template.eta_eff)
+    # Hopeless misalignment raises here: it is the same at every y0, and
+    # the engine would flag each row.
+    gamma_threshold(det, mub_count)
+    sc = Scenario(mub_count, src, det, ScenarioLink("fiber", fiber=link), None, None, {})
+    rows = _sweep_rows(sc, "y0", values)
+    return [SweepRow(y0, d_max, feasible) for _, y0, d_max, feasible in rows]

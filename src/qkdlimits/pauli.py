@@ -156,12 +156,10 @@ def partial_transpose(c: ChoiState) -> np.ndarray:
     return m.transpose(0, 3, 2, 1).reshape(4, 4).copy()
 
 
-def symmetric_eigenvalues(matrix, with_vectors: bool = False):
+def symmetric_eigenvalues(matrix):
     """Eigenvalues of a real symmetric matrix, ascending.
 
-    Thin wrapper over LAPACK's symmetric solver. With ``with_vectors``
-    the orthonormal eigenvector matrix is returned as well and the
-    reconstruction residual is checked to 1e-10.
+    Thin wrapper over LAPACK's symmetric solver.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -169,18 +167,9 @@ def symmetric_eigenvalues(matrix, with_vectors: bool = False):
     if not np.allclose(m, m.T, atol=1e-10, rtol=0):
         raise ValidationError("matrix is not symmetric within 1e-10")
     try:
-        if with_vectors:
-            w, v = np.linalg.eigh(m)
-        else:
-            w = np.linalg.eigvalsh(m)
+        return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-    if with_vectors:
-        residual = np.abs(v @ np.diag(w) @ v.T - m).max()
-        if residual > 1e-10:
-            raise NumericError(f"eigendecomposition residual {residual:.3e} > 1e-10")
-        return w, v
-    return w
 
 
 def binary_entropy(x: float) -> float:

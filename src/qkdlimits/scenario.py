@@ -47,7 +47,6 @@ from .repeater import ChainSpec, chain_qber_verdict, chain_verdict
 
 SCHEMA_VERSION = 1
 
-_LINK_KINDS = ("fiber", "ground_atmosphere", "diffraction", "freespace", "satellite")
 _DEFAULT_BRACKETS_KM = {
     "fiber": (1e-6, 1e5),
     "ground_atmosphere": (1e-6, 1e7),
@@ -55,6 +54,8 @@ _DEFAULT_BRACKETS_KM = {
     "freespace": (1e-3, 1e7),
     "satellite": (1e-3, 1e10),
 }
+_LINK_KINDS = tuple(_DEFAULT_BRACKETS_KM)
+_SWEEP_PARAMS = ("y0", "e_det", "eta_eff", "mu", "alpha")
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,8 @@ class ResultRecord:
 
 
 def result_record_schema() -> dict:
-    text = resources.files("qkdlimits").joinpath("schemas/result_record.schema.json").read_text()
+    schema = resources.files("qkdlimits").joinpath("schemas/result_record.schema.json")
+    text = schema.read_text(encoding="utf-8")
     return json.loads(text)
 
 
@@ -175,10 +177,13 @@ def _number(obj, key, path: str, default=dataclasses.MISSING) -> float:
             raise ValidationError(f"scenario field {path}: missing required key {key!r}")
         return default
     v = obj[key]
+    name = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        name = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
         raise ValidationError(f"scenario field {name}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValidationError(f"scenario field {name}: integer beyond float range") from None
 
 
 def _check_keys(obj, allowed, path: str):
@@ -215,6 +220,7 @@ def _parse_source(obj) -> SourceModel:
         k = params.get("k", 1)
         if isinstance(k, bool) or not isinstance(k, int):
             raise ValidationError(f"scenario field source.k: expected an integer, got {k!r}")
+        _number(params, "k", "source", 1)  # k enters the models as a float
         return SinglePhoton(k=k)
     if kind == "attenuated":
         return _record(Attenuated, params, "source")
@@ -331,7 +337,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
 def scenario_from_file(path: str) -> Scenario:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read scenario {path}: {exc}") from exc
@@ -339,6 +345,10 @@ def scenario_from_file(path: str) -> Scenario:
         raise ValidationError(
             f"{path}:{exc.lineno}:{exc.colno}: not valid JSON ({exc.msg})"
         ) from exc
+    except (RecursionError, ValueError) as exc:
+        # Bytes that are not UTF-8, nesting past the recursion limit, an
+        # integer literal past the int conversion limit.
+        raise ValidationError(f"cannot read scenario {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: scenario must be a JSON object")
     return parse_scenario(doc)
@@ -450,21 +460,25 @@ def run_scenario(sc: Scenario, command: str = "run") -> ResultRecord:
     return ResultRecord(command=command, inputs=sc.raw, results=results)
 
 
-_SWEEP_PARAMS = ("y0", "e_det", "eta_eff", "mu", "alpha")
-
-
-def _with_param(sc: Scenario, param: str, value: float) -> Scenario:
-    """sc with param set to value; sweep_scenario has checked param."""
-    if param in ("y0", "e_det", "eta_eff"):
-        return dataclasses.replace(sc, detector=dataclasses.replace(sc.detector, **{param: value}))
+def _with_param(
+    sc: Scenario, param: str, value: float
+) -> tuple[SourceModel, DetectorModel, ScenarioLink]:
+    """The source, detector and link of sc with param set to value;
+    sweep_scenario has checked param."""
+    src, det, link = sc.source, sc.detector, sc.link
+    if param == "y0":
+        return src, DetectorModel(value, det.e_det, det.eta_eff), link
+    if param == "e_det":
+        return src, DetectorModel(det.y0, value, det.eta_eff), link
+    if param == "eta_eff":
+        return src, DetectorModel(det.y0, det.e_det, value), link
     if param == "mu":
-        if not isinstance(sc.source, Attenuated):
+        if not isinstance(src, Attenuated):
             raise ValidationError("sweep over mu needs an attenuated source")
-        return dataclasses.replace(sc, source=dataclasses.replace(sc.source, mu=value))
-    if sc.link.kind != "fiber":
+        return Attenuated(value), det, link
+    if link.kind != "fiber":
         raise ValidationError("sweep over alpha needs a fiber link")
-    fiber = dataclasses.replace(sc.link.fiber, alpha_db_per_km=value)
-    return dataclasses.replace(sc, link=dataclasses.replace(sc.link, fiber=fiber))
+    return src, det, ScenarioLink("fiber", fiber=FiberLink(value))
 
 
 def sweep_scenario(
@@ -495,28 +509,41 @@ def sweep_scenario(
         ]
     else:
         raise ValidationError(f"scale must be 'log' or 'linear', got {scale!r}")
+    return _sweep_rows(sc, param, values)
 
+
+def _sweep_rows(
+    sc: Scenario, param: str, values: list[float]
+) -> list[tuple[str, float, float, bool]]:
+    """sweep_scenario's rows for explicit values of a checked param.
+
+    A point whose misalignment is hopeless is a flagged row. Closed-form
+    points are solved on the spot; the others wait and are bisected as
+    one batch per link.
+    """
     # A row is (param, value, d_max_km, feasible), or (param, value,
     # source, detector, Gamma) while it waits for bisection on its link.
     rows: list[tuple] = []
     batches: list[tuple[ScenarioLink, list[int]]] = []
+    # A point changes neither the link kind nor the source type.
+    closed_form = _has_closed_form(sc.link, sc.source)
     try:
         for v in values:
-            point = _with_param(sc, param, v)
+            src, det, link = _with_param(sc, param, v)
             try:
-                g = gamma_threshold(point.detector, sc.mub_count)
+                g = gamma_threshold(det, sc.mub_count)
             except InfeasibleConfigurationError:
                 rows.append((param, v, 0.0, False))
                 continue
-            if _has_closed_form(point.link, point.source):
-                bound = _closed_form_bound(point.link, omega(point.detector, point.source, g))
+            if closed_form:
+                bound = _closed_form_bound(link, omega(det, src, g))
                 rows.append((param, v, bound.d_max_km, bound.feasible))
                 continue
             # Only an alpha sweep changes the link, so only it has one batch per row.
-            if not batches or batches[-1][0] is not point.link:
-                batches.append((point.link, []))
+            if not batches or batches[-1][0] is not link:
+                batches.append((link, []))
             batches[-1][1].append(len(rows))
-            rows.append((param, v, point.source, point.detector, g))
+            rows.append((param, v, src, det, g))
     finally:
         # Bisect the waiting rows even if a later point failed: a
         # point-by-point loop would have met their errors first.

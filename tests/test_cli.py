@@ -406,6 +406,23 @@ class TestRun:
         assert code == 1
         assert ":1:" in err and "not valid JSON" in err
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"schema_version": 1, "protocol": "\xff\xfe"}',  # not UTF-8
+            b"[" * 100000,  # nested past the recursion limit
+            b'{"schema_version": ' + b"9" * 5000 + b"}",  # past the int conversion limit
+        ],
+        ids=["bad-bytes", "deep-nesting", "long-literal"],
+    )
+    def test_unreadable_scenario_is_an_input_error(self, capsys, tmp_path, raw):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, ["run", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+
     def test_missing_scenario_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["run", str(tmp_path / "absent.json")])
         assert code == 1

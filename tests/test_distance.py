@@ -27,8 +27,10 @@ from qkdlimits import (
     max_distance_numeric,
     max_fiber_distance,
     omega,
+    parse_scenario,
     qber_attenuated,
     qber_k_photon,
+    sweep_scenario,
     symmetric_threshold,
 )
 
@@ -406,3 +408,44 @@ class TestDarkCountSweep:
         det = DetectorModel(y0=1e-8, e_det=0.3, eta_eff=1.0)
         with pytest.raises(InfeasibleConfigurationError):
             dark_count_sweep([1e-8], det, SinglePhoton(), FIBER, 2)
+
+    @pytest.mark.parametrize("mub_count", [2, 3])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            {"kind": "single_photon", "k": 1},
+            {"kind": "attenuated", "mu": 0.5},
+            {"kind": "decoy", "intensities": [0.6, 0.1, 0.0], "probabilities": [0.5, 0.3, 0.2]},
+            # No closed form: bisected, as sweep_scenario does.
+            {"kind": "single_photon", "k": 2},
+        ],
+    )
+    def test_rows_equal_the_y0_rows_of_sweep_scenario(self, source, mub_count):
+        sc = parse_scenario(
+            {
+                "schema_version": 1,
+                "protocol": {"mub_count": mub_count},
+                "source": source,
+                "detector": {"y0": 1e-8, "e_det": 0.02, "eta_eff": 0.1},
+                "link": {"kind": "fiber", "alpha_db_per_km": 0.17},
+            }
+        )
+        rows = sweep_scenario(sc, "y0", 1e-10, 0.9, 25, "log")
+        got = dark_count_sweep(
+            [r[1] for r in rows], sc.detector, sc.source, sc.link.fiber, mub_count
+        )
+        assert got == [distance.SweepRow(v, d, f) for _, v, d, f in rows]
+        assert {r.feasible for r in got} == {True, False}
+
+    def test_empty_input_returns_no_rows_whatever_the_misalignment(self):
+        det = DetectorModel(y0=1e-8, e_det=0.3, eta_eff=1.0)
+        assert dark_count_sweep([], det, SinglePhoton(), FIBER, 2) == []
+
+    @pytest.mark.parametrize(
+        "y0_values, error",
+        [([1.5, 1e-8], ValidationError), ([1e-8, 1.5], InfeasibleConfigurationError)],
+    )
+    def test_errors_come_in_point_by_point_order(self, y0_values, error):
+        det = DetectorModel(y0=1e-8, e_det=0.3, eta_eff=1.0)
+        with pytest.raises(error):
+            dark_count_sweep(y0_values, det, SinglePhoton(), FIBER, 2)

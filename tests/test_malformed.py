@@ -19,7 +19,7 @@ from qkdlimits import QkdLimitError, ValidationError, parse_scenario, run_scenar
 from qkdlimits.cli import main
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
-VALUES = (None, "x", -1.0, math.nan, [], {}, True, 2.5)
+VALUES = (None, "x", -1.0, math.nan, [], {}, True, 2.5, 10**400)
 
 
 def _sites(node, path=()):

@@ -1,5 +1,6 @@
 """Scenario files: parsing, execution, result records, sweeps."""
 
+import dataclasses
 import json
 import math
 
@@ -7,18 +8,23 @@ import jsonschema
 import pytest
 
 from qkdlimits import (
+    Attenuated,
     FiberLink,
     GroundAtmosphere,
     InfeasibleConfigurationError,
     NonMonotonicModelError,
     ResultRecord,
+    SinglePhoton,
     ValidationError,
     parse_scenario,
+    qber_attenuated,
+    qber_k_photon,
     result_record_schema,
     run_scenario,
     scenario_from_file,
     sweep_scenario,
 )
+from qkdlimits.detection import largest_intensity
 from qkdlimits.scenario import _with_param, distance_analysis
 
 FIBER_SINGLE = {
@@ -107,6 +113,32 @@ class TestShippedScenarios:
         assert chain["converse_known"] is False
         assert chain["all_links_pass"] is True
         assert chain["worst_link_index"] == 1
+
+    def test_exact_qber_at_d_max_is_the_threshold(self, scenario_dir):
+        # Cross-route check: the Gamma/Omega closed forms and the bisection
+        # against the exact E = P / Y model of the detection module.
+        checked = set()
+        for path in sorted(scenario_dir.glob("*.json")):
+            sc = scenario_from_file(str(path))
+            if sc.link is None:
+                continue
+            r = run_scenario(sc).results
+            assert r["status"] == "solved", path.name
+            eta = sc.detector.eta_eff * sc.link.transmissivity(r["d_max_km"])
+            src = sc.source
+            if isinstance(src, SinglePhoton):
+                e = qber_k_photon(eta, src.k, sc.detector).qber
+            else:
+                mu = src.mu if isinstance(src, Attenuated) else largest_intensity(src)
+                e = qber_attenuated(eta, mu, sc.detector).qber
+            gap = e - r["qber_threshold"]
+            if sc.link.kind == "diffraction":
+                # The far-field envelope overestimates the crossing.
+                assert 0.0 <= gap <= 1e-8, (path.name, gap)
+            else:
+                assert abs(gap) <= 1e-9, (path.name, gap)
+            checked.add(sc.link.kind)
+        assert checked == {"fiber", "diffraction", "freespace", "satellite"}
 
     def test_solved_records_carry_context_fields(self, scenario_dir):
         r = run_scenario(
@@ -371,8 +403,9 @@ def pointwise(sc, param, values):
     batches: distance_analysis at each point, infeasible Gamma flagged."""
     rows, statuses = [], []
     for v in values:
+        src, det, link = _with_param(sc, param, v)
         try:
-            res = distance_analysis(_with_param(sc, param, v))
+            res = distance_analysis(dataclasses.replace(sc, source=src, detector=det, link=link))
         except InfeasibleConfigurationError:
             rows.append((param, v, 0.0, False))
             statuses.append("flagged")
