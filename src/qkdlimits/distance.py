@@ -3,16 +3,18 @@
 The chain of reasoning: the per-basis QBER threshold translates into a
 minimum signal detection probability Gamma, Gamma translates into a
 minimum channel transmissivity Omega, and Omega translates into a
-distance through the loss model. Fiber and far-field diffraction have
-closed forms; every other model goes through a monotonicity-guarded
-bisection.
+distance through the loss model. distance_bounds is the one place that
+chooses the route for a (source, detector, link) point: fiber and
+far-field diffraction have closed forms; every other link goes through
+a monotonicity-guarded bisection.
+run_scenario, sweep_scenario and dark_count_sweep all call it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,11 +33,19 @@ from .errors import (
     NonMonotonicModelError,
     ValidationError,
 )
-from .links import BeamGeometry, FiberLink
+from .links import BeamGeometry, FiberLink, ScenarioLink
 
 BISECT_REL_TOL = 1e-9
 BISECT_MAX_ITER = 60
 MONOTONE_SAMPLES = 64
+# Bisection bracket in km for each link kind when a scenario sets none.
+DEFAULT_BRACKETS_KM = {
+    "fiber": (1e-6, 1e5),
+    "ground_atmosphere": (1e-6, 1e7),
+    "diffraction": (1e-3, 1e12),
+    "freespace": (1e-3, 1e7),
+    "satellite": (1e-3, 1e10),
+}
 
 
 @dataclass(frozen=True)
@@ -247,6 +257,55 @@ def max_distance_batch(
     return bounds
 
 
+def distance_bounds(
+    points: Iterable[tuple[SourceModel, DetectorModel, ScenarioLink]],
+    mub_count: int,
+    d_lo_km: float,
+    d_hi_km: float,
+) -> list[DistanceBound | None]:
+    """The distance bound of each (source, detector, link) point, in order;
+    None where the misalignment alone breaks the threshold.
+
+    A point has a closed form when its link is fiber or far-field
+    diffraction and its source is single-photon with k=1, attenuated or
+    decoy; such points are solved on the spot. Every other point is bisected on [d_lo_km, d_hi_km] by
+    max_distance_batch, one batch per run of points sharing a link.
+    Errors are the ones a point-by-point loop meets first.
+    """
+    # A point waiting for bisection holds its (source, detector, Gamma) row.
+    bounds: list = []
+    batches: list[tuple[ScenarioLink, list[int]]] = []
+    try:
+        for src, det, link in points:
+            try:
+                g = gamma_threshold(det, mub_count)
+            except InfeasibleConfigurationError:
+                bounds.append(None)
+                continue
+            has_omega = isinstance(src, (Attenuated, Decoy)) or (
+                isinstance(src, SinglePhoton) and src.k == 1
+            )
+            if has_omega and link.kind == "fiber":
+                bounds.append(max_fiber_distance(link.fiber, omega(det, src, g)))
+            elif has_omega and link.kind == "diffraction":
+                bounds.append(max_diffraction_distance(link.beam, omega(det, src, g)))
+            else:
+                if not batches or batches[-1][0] is not link:
+                    batches.append((link, []))
+                batches[-1][1].append(len(bounds))
+                bounds.append((src, det, g))
+    finally:
+        # Bisect the waiting points even if a later point failed: a
+        # point-by-point loop would have met their errors first.
+        for link, indices in batches:
+            rows = max_distance_batch(
+                link.transmissivity, [bounds[i] for i in indices], d_lo_km, d_hi_km
+            )
+            for i, bound in zip(indices, rows):
+                bounds[i] = bound
+    return bounds
+
+
 @dataclass(frozen=True)
 class SweepRow:
     y0: float
@@ -261,24 +320,25 @@ def dark_count_sweep(
     link: FiberLink,
     mub_count: int,
 ) -> list[SweepRow]:
-    """Fiber distance bound for each dark-count probability: a y0 sweep
-    of scenario.sweep_scenario's engine on that fiber scenario.
+    """Fiber distance bound for each dark-count probability, through
+    distance_bounds, as sweep_scenario's y0 sweep of that fiber scenario.
 
     Rows keep the input order; infeasible configurations come back
     flagged rather than raising, so a sweep can cross the feasibility
     boundary. Misalignment infeasibility does raise, since it kills
     every row at once.
     """
-    # scenario imports this module, so the engine is imported here.
-    from .scenario import Scenario, ScenarioLink, _sweep_rows
-
     values = [float(y0) for y0 in y0_values]
     if not values:
         return []
-    det = DetectorModel(values[0], det_template.e_det, det_template.eta_eff)
+    e_det, eta_eff = det_template.e_det, det_template.eta_eff
     # Hopeless misalignment raises here: it is the same at every y0, and
     # the engine would flag each row.
-    gamma_threshold(det, mub_count)
-    sc = Scenario(mub_count, src, det, ScenarioLink("fiber", fiber=link), None, None, {})
-    rows = _sweep_rows(sc, "y0", values)
-    return [SweepRow(y0, d_max, feasible) for _, y0, d_max, feasible in rows]
+    gamma_threshold(DetectorModel(values[0], e_det, eta_eff), mub_count)
+    fiber = ScenarioLink("fiber", fiber=link)
+    points = ((src, DetectorModel(y0, e_det, eta_eff), fiber) for y0 in values)
+    bounds = distance_bounds(points, mub_count, *DEFAULT_BRACKETS_KM["fiber"])
+    return [
+        SweepRow(y0, 0.0, False) if b is None else SweepRow(y0, b.d_max_km, b.feasible)
+        for y0, b in zip(values, bounds)
+    ]

@@ -2,14 +2,16 @@
 
 Distance units follow the conventions of each setting: km for fiber and
 atmospheric extinction, meters for beam propagation. Composite models
-multiply independent loss factors; the caller keeps the units straight.
+multiply independent loss factors; ScenarioLink pairs a link kind with
+its parameter objects and builds its transmissivity in km from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from .errors import ValidationError
 
@@ -156,3 +158,38 @@ def diffraction_transmissivity(beam: BeamGeometry, d_m: float) -> float:
     """Fraction 1 - exp(-2 a_R^2 / w_d^2) of the beam caught by the aperture."""
     w = beam_spot_size(beam, d_m)
     return -math.expm1(-2.0 * beam.aperture_radius_m**2 / w**2)
+
+
+@dataclass(frozen=True)
+class ScenarioLink:
+    """A link of one kind: the parameter objects that kind uses and its
+    transmissivity as a function of distance in km, built once from them.
+
+    fiber uses ``fiber``, ground_atmosphere ``atmosphere``, diffraction
+    ``beam``, freespace ``beam`` and ``atmosphere``, satellite ``beam``
+    and ``satellite``.
+    """
+
+    kind: str
+    fiber: FiberLink | None = None
+    beam: BeamGeometry | None = None
+    atmosphere: GroundAtmosphere | None = None
+    satellite: SatellitePath | None = None
+    transmissivity: Callable[[float], float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        fiber, beam, atm = self.fiber, self.beam, self.atmosphere
+        if self.kind == "fiber":
+            model = lambda d: fiber_transmissivity(fiber, d)
+        elif self.kind == "ground_atmosphere":
+            model = lambda d: atmospheric_transmissivity(atm, d)
+        elif self.kind == "diffraction":
+            model = lambda d: diffraction_transmissivity(beam, d * 1000.0)
+        elif self.kind == "freespace":
+            model = lambda d: (
+                diffraction_transmissivity(beam, d * 1000.0) * atmospheric_transmissivity(atm, d)
+            )
+        else:
+            eta_atm = satellite_transmissivity(self.satellite)
+            model = lambda d: diffraction_transmissivity(beam, d * 1000.0) * eta_atm
+        object.__setattr__(self, "transmissivity", model)

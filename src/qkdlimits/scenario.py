@@ -2,11 +2,11 @@
 detector and link, plus an optional repeater chain.
 
 parse_scenario checks every field once and builds typed objects,
-including the link's transmissivity model. run_scenario dispatches to
-the closed-form distance bounds where they exist (fiber and far-field
-diffraction with single-photon, attenuated or decoy sources) and to the
-guarded bisection everywhere else. Results come back as a ResultRecord
-whose JSON form validates against schemas/result_record.schema.json.
+including the link's transmissivity model. run_scenario and
+sweep_scenario hand their (source, detector, link) points to
+distance.distance_bounds, which chooses between the closed forms and
+the guarded bisection. Results come back as a ResultRecord whose JSON
+form validates against schemas/result_record.schema.json.
 """
 
 from __future__ import annotations
@@ -14,31 +14,25 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
 
 from . import __version__
 from .detection import Attenuated, Decoy, DetectorModel, SinglePhoton, SourceModel
 from .distance import (
+    DEFAULT_BRACKETS_KM,
     DistanceBound,
-    OmegaValue,
+    distance_bounds,
     gamma_threshold,
-    max_diffraction_distance,
-    max_distance_batch,
-    max_distance_numeric,
-    max_fiber_distance,
     omega,
 )
-from .errors import InfeasibleConfigurationError, ValidationError
+from .errors import ValidationError
 from .links import (
     BeamGeometry,
     FiberLink,
     GroundAtmosphere,
     SatellitePath,
-    atmospheric_transmissivity,
-    diffraction_transmissivity,
-    fiber_transmissivity,
+    ScenarioLink,
     satellite_transmissivity,
 )
 from .pauli import PauliDistribution
@@ -47,51 +41,8 @@ from .repeater import ChainSpec, chain_qber_verdict, chain_verdict
 
 SCHEMA_VERSION = 1
 
-_DEFAULT_BRACKETS_KM = {
-    "fiber": (1e-6, 1e5),
-    "ground_atmosphere": (1e-6, 1e7),
-    "diffraction": (1e-3, 1e12),
-    "freespace": (1e-3, 1e7),
-    "satellite": (1e-3, 1e10),
-}
-_LINK_KINDS = tuple(_DEFAULT_BRACKETS_KM)
+_LINK_KINDS = tuple(DEFAULT_BRACKETS_KM)
 _SWEEP_PARAMS = ("y0", "e_det", "eta_eff", "mu", "alpha")
-
-
-@dataclass(frozen=True)
-class ScenarioLink:
-    """Parsed scenario link: its kind, the parameter objects that kind
-    uses and its transmissivity as a function of distance in km, built
-    once from them.
-
-    fiber uses ``fiber``, ground_atmosphere ``atmosphere``, diffraction
-    ``beam``, freespace ``beam`` and ``atmosphere``, satellite ``beam``
-    and ``satellite``.
-    """
-
-    kind: str
-    fiber: FiberLink | None = None
-    beam: BeamGeometry | None = None
-    atmosphere: GroundAtmosphere | None = None
-    satellite: SatellitePath | None = None
-    transmissivity: Callable[[float], float] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        fiber, beam, atm = self.fiber, self.beam, self.atmosphere
-        if self.kind == "fiber":
-            model = lambda d: fiber_transmissivity(fiber, d)
-        elif self.kind == "ground_atmosphere":
-            model = lambda d: atmospheric_transmissivity(atm, d)
-        elif self.kind == "diffraction":
-            model = lambda d: diffraction_transmissivity(beam, d * 1000.0)
-        elif self.kind == "freespace":
-            model = lambda d: (
-                diffraction_transmissivity(beam, d * 1000.0) * atmospheric_transmissivity(atm, d)
-            )
-        else:
-            eta_atm = satellite_transmissivity(self.satellite)
-            model = lambda d: diffraction_transmissivity(beam, d * 1000.0) * eta_atm
-        object.__setattr__(self, "transmissivity", model)
 
 
 @dataclass(frozen=True)
@@ -354,20 +305,8 @@ def scenario_from_file(path: str) -> Scenario:
     return parse_scenario(doc)
 
 
-def _has_closed_form(link: ScenarioLink, src: SourceModel) -> bool:
-    return link.kind in ("fiber", "diffraction") and (
-        isinstance(src, (Attenuated, Decoy)) or (isinstance(src, SinglePhoton) and src.k == 1)
-    )
-
-
-def _closed_form_bound(link: ScenarioLink, o: OmegaValue) -> DistanceBound:
-    if link.kind == "fiber":
-        return max_fiber_distance(link.fiber, o)
-    return max_diffraction_distance(link.beam, o)
-
-
 def _bracket(sc: Scenario) -> tuple[float, float]:
-    return sc.solver if sc.solver is not None else _DEFAULT_BRACKETS_KM[sc.link.kind]
+    return sc.solver if sc.solver is not None else DEFAULT_BRACKETS_KM[sc.link.kind]
 
 
 def _bound_to_results(bound: DistanceBound) -> dict:
@@ -397,16 +336,12 @@ def distance_analysis(sc: Scenario) -> dict:
     }
     link = sc.link
     model = link.transmissivity
-
-    if _has_closed_form(link, src):
+    [bound] = distance_bounds([(src, det, link)], sc.mub_count, *_bracket(sc))
+    if bound.method == "closed-form":
         o = omega(det, src, g)
         results["omega"] = o.omega
         results["omega_prime"] = None if math.isinf(o.omega_prime) else o.omega_prime
         results["source_kind"] = o.source_kind
-        bound = _closed_form_bound(link, o)
-    else:
-        bound = max_distance_numeric(model, src, det, g, *_bracket(sc))
-
     results.update(_bound_to_results(bound))
     if link.kind == "satellite":
         sat = link.satellite
@@ -509,48 +444,11 @@ def sweep_scenario(
         ]
     else:
         raise ValidationError(f"scale must be 'log' or 'linear', got {scale!r}")
-    return _sweep_rows(sc, param, values)
+    points = (_with_param(sc, param, v) for v in values)
+    bounds = distance_bounds(points, sc.mub_count, *_bracket(sc))
+    # A point whose misalignment is hopeless is a flagged row.
+    return [
+        (param, v, 0.0, False) if b is None else (param, v, b.d_max_km, b.feasible)
+        for v, b in zip(values, bounds)
+    ]
 
-
-def _sweep_rows(
-    sc: Scenario, param: str, values: list[float]
-) -> list[tuple[str, float, float, bool]]:
-    """sweep_scenario's rows for explicit values of a checked param.
-
-    A point whose misalignment is hopeless is a flagged row. Closed-form
-    points are solved on the spot; the others wait and are bisected as
-    one batch per link.
-    """
-    # A row is (param, value, d_max_km, feasible), or (param, value,
-    # source, detector, Gamma) while it waits for bisection on its link.
-    rows: list[tuple] = []
-    batches: list[tuple[ScenarioLink, list[int]]] = []
-    # A point changes neither the link kind nor the source type.
-    closed_form = _has_closed_form(sc.link, sc.source)
-    try:
-        for v in values:
-            src, det, link = _with_param(sc, param, v)
-            try:
-                g = gamma_threshold(det, sc.mub_count)
-            except InfeasibleConfigurationError:
-                rows.append((param, v, 0.0, False))
-                continue
-            if closed_form:
-                bound = _closed_form_bound(link, omega(det, src, g))
-                rows.append((param, v, bound.d_max_km, bound.feasible))
-                continue
-            # Only an alpha sweep changes the link, so only it has one batch per row.
-            if not batches or batches[-1][0] is not link:
-                batches.append((link, []))
-            batches[-1][1].append(len(rows))
-            rows.append((param, v, src, det, g))
-    finally:
-        # Bisect the waiting rows even if a later point failed: a
-        # point-by-point loop would have met their errors first.
-        for link, indices in batches:
-            bounds = max_distance_batch(
-                link.transmissivity, [rows[i][2:] for i in indices], *_bracket(sc)
-            )
-            for i, bound in zip(indices, bounds):
-                rows[i] = (param, rows[i][1], bound.d_max_km, bound.feasible)
-    return rows
