@@ -204,7 +204,8 @@ def _cmd_thresholds(args) -> ResultRecord:
             "qber_threshold_symmetric": symmetric_threshold(mub),
             "intercept_resend_qber": intercept_resend_qber_analytic(mub),
         }
-        if args.mc_trials > 0:
+        # AttackConfig rejects a trial count below 1.
+        if args.mc_trials:
             est, se = intercept_resend_qber_montecarlo(
                 AttackConfig(mub_count=mub, trials=args.mc_trials, seed=args.seed)
             )

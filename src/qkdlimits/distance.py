@@ -5,8 +5,8 @@ minimum signal detection probability Gamma, Gamma translates into a
 minimum channel transmissivity Omega, and Omega translates into a
 distance through the loss model. distance_bounds is the one place that
 chooses the route for a (source, detector, link) point: fiber and
-far-field diffraction have closed forms; every other link goes through
-a monotonicity-guarded bisection.
+far-field diffraction of a collimated beam have closed forms; every
+other link goes through a monotonicity-guarded bisection.
 run_scenario, sweep_scenario and dark_count_sweep all call it.
 """
 
@@ -266,9 +266,11 @@ def distance_bounds(
     """The distance bound of each (source, detector, link) point, in order;
     None where the misalignment alone breaks the threshold.
 
-    A point has a closed form when its link is fiber or far-field
-    diffraction and its source is single-photon with k=1, attenuated or
-    decoy; such points are solved on the spot. Every other point is bisected on [d_lo_km, d_hi_km] by
+    A point has a closed form when its link is fiber, or diffraction of a
+    collimated beam (infinite curvature_m: the far-field envelope does
+    not bound a focused or diverging one), and its source is
+    single-photon with k=1, attenuated or decoy; such points are solved
+    on the spot. Every other point is bisected on [d_lo_km, d_hi_km] by
     max_distance_batch, one batch per run of points sharing a link.
     Errors are the ones a point-by-point loop meets first.
     """
@@ -287,7 +289,7 @@ def distance_bounds(
             )
             if has_omega and link.kind == "fiber":
                 bounds.append(max_fiber_distance(link.fiber, omega(det, src, g)))
-            elif has_omega and link.kind == "diffraction":
+            elif has_omega and link.kind == "diffraction" and math.isinf(link.beam.curvature_m):
                 bounds.append(max_diffraction_distance(link.beam, omega(det, src, g)))
             else:
                 if not batches or batches[-1][0] is not link:

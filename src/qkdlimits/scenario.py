@@ -12,8 +12,10 @@ form validates against schemas/result_record.schema.json.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from importlib import resources
 
@@ -100,15 +102,34 @@ def result_record_schema() -> dict:
     return json.loads(text)
 
 
+class _ValueRepr(reprlib.Repr):
+    """Abbreviates the wrong input value a ValidationError quotes. A value
+    within the limits prints as repr prints it, dict key order included."""
+
+    def repr_dict(self, x, level):
+        if not x or level <= 0:
+            return "{...}" if x else "{}"
+        pieces = [
+            f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}"
+            for k, v in itertools.islice(x.items(), self.maxdict)
+        ]
+        return "{" + ", ".join(pieces + ["..."] * (len(x) > self.maxdict)) + "}"
+
+
+_REPR = _ValueRepr()
+_REPR.maxlevel = 3
+_REPR.maxstring = _REPR.maxother = 40
+
+
 def _object(v, path: str) -> dict:
     if not isinstance(v, dict):
-        raise ValidationError(f"scenario field {path}: expected an object, got {v!r}")
+        raise ValidationError(f"scenario field {path}: expected an object, got {_REPR.repr(v)}")
     return v
 
 
 def _list(v, path: str) -> list:
     if not isinstance(v, list):
-        raise ValidationError(f"scenario field {path}: expected a list, got {v!r}")
+        raise ValidationError(f"scenario field {path}: expected a list, got {_REPR.repr(v)}")
     return v
 
 
@@ -130,7 +151,7 @@ def _number(obj, key, path: str, default=dataclasses.MISSING) -> float:
     v = obj[key]
     name = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"scenario field {name}: expected a number, got {v!r}")
+        raise ValidationError(f"scenario field {name}: expected a number, got {_REPR.repr(v)}")
     try:
         return float(v)
     except OverflowError:
@@ -159,7 +180,8 @@ def _kind(obj, kinds: tuple[str, ...], path: str) -> tuple[str, dict]:
     kind = _require(_object(obj, path), "kind", path)
     if kind not in kinds:
         raise ValidationError(
-            f"scenario field {path}.kind: unknown {path} {kind!r}, expected one of {kinds}"
+            f"scenario field {path}.kind: unknown {path} {_REPR.repr(kind)}, "
+            f"expected one of {kinds}"
         )
     return kind, {k: v for k, v in obj.items() if k != "kind"}
 
@@ -170,7 +192,9 @@ def _parse_source(obj) -> SourceModel:
         _check_keys(params, {"k"}, "source")
         k = params.get("k", 1)
         if isinstance(k, bool) or not isinstance(k, int):
-            raise ValidationError(f"scenario field source.k: expected an integer, got {k!r}")
+            raise ValidationError(
+                f"scenario field source.k: expected an integer, got {_REPR.repr(k)}"
+            )
         _number(params, "k", "source", 1)  # k enters the models as a float
         return SinglePhoton(k=k)
     if kind == "attenuated":
@@ -253,14 +277,16 @@ def parse_scenario(doc: dict) -> Scenario:
     version = _require(doc, "schema_version", "<root>")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValidationError(
-            f"scenario field schema_version: got {version!r}, this build reads {SCHEMA_VERSION}"
+            f"scenario field schema_version: got {_REPR.repr(version)}, "
+            f"this build reads {SCHEMA_VERSION}"
         )
     protocol = _require(doc, "protocol", "<root>")
     _check_keys(protocol, {"mub_count"}, "protocol")
     mub_count = _require(protocol, "mub_count", "protocol")
     if type(mub_count) is not int or mub_count not in (2, 3):
         raise ValidationError(
-            f"scenario field protocol.mub_count: must be the integer 2 or 3, got {mub_count!r}"
+            "scenario field protocol.mub_count: must be the integer 2 or 3, "
+            f"got {_REPR.repr(mub_count)}"
         )
 
     source = _parse_source(doc["source"]) if doc.get("source") is not None else None

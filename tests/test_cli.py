@@ -80,6 +80,13 @@ class TestThresholds:
         assert code == 2
         assert rec["results"]["mub_2"]["feasible"] is False
 
+    @pytest.mark.parametrize("trials", ["-5", "-1"])
+    def test_negative_monte_carlo_trials_is_an_input_error(self, capsys, trials):
+        code, out, err = run_cli(capsys, ["thresholds", "--mc-trials", trials])
+        assert code == 1
+        assert out == ""
+        assert f"trials={trials}" in err
+
     def test_monte_carlo_columns(self, capsys):
         code, rec, _ = run_json(
             capsys, ["thresholds", "--mc-trials", "20000", "--seed", "7"]
@@ -213,6 +220,19 @@ class TestMaxDistance:
         )
         assert code == 0
         assert math.isclose(rec["results"]["d_max_km"], 77352748.39061429, rel_tol=1e-12)
+
+    def test_deepspace_curvature_is_not_ignored(self, capsys):
+        argv = [
+            "max-distance", "deepspace", "--mub", "3", "--y0", "1e-8", "--e-det", "0.01",
+            "--w0", "2.0", "--wavelength", "8e-7", "--aperture", "0.5",
+        ]
+        code, rec, _ = run_json(capsys, argv + ["--curvature=-1e6"])
+        assert code == 0
+        assert rec["results"]["method"] == "bisection"
+        assert rec["results"]["d_max_km"] < 77352748.39061429 / 10.0
+        code, _, err = run_cli(capsys, argv + ["--curvature", "1e6"])
+        assert code == 3
+        assert "numeric failure" in err
 
     def test_deepspace_needs_beam_parameters(self, capsys):
         code, _, err = run_cli(
@@ -422,6 +442,18 @@ class TestRun:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and str(path) in err
+
+    def test_a_huge_wrong_value_is_quoted_short(self, capsys, scenario_dir, tmp_path):
+        doc = json.loads((scenario_dir / "fiber_2mub_single_photon.json").read_text())
+        doc["link"]["alpha_db_per_km"] = [0] * 10**6
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["run", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+        assert "link.alpha_db_per_km" in err
 
     def test_missing_scenario_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["run", str(tmp_path / "absent.json")])

@@ -1,0 +1,74 @@
+"""Module structure: the relative imports between the package's modules
+form no cycle, and each module uses every name it imports.
+
+An AST scan of the source files, since no linter is a test dependency.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qkdlimits"
+# __init__ re-exports names it does not use itself; __main__ is the entry point.
+MODULES = sorted(p for p in SRC.glob("*.py") if p.stem not in ("__init__", "__main__"))
+
+
+def parse(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def relative_imports(tree: ast.Module) -> set[str]:
+    """The sibling modules a module imports relatively, at any nesting level."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    # "from . import __version__" names the package, not a module.
+    return out & {p.stem for p in MODULES}
+
+
+def test_the_scan_sees_the_package():
+    names = {p.stem for p in MODULES}
+    assert {"cli", "distance", "links", "scenario"} <= names
+    assert "links" in relative_imports(parse(SRC / "distance.py"))
+
+
+def test_relative_imports_form_no_cycle():
+    graph = {p.stem: relative_imports(parse(p)) for p in MODULES}
+    done: set[str] = set()
+    path: list[str] = []
+
+    def visit(module: str):
+        if module in path:
+            cycle = path[path.index(module):] + [module]
+            pytest.fail("import cycle: " + " -> ".join(cycle))
+        if module in done:
+            return
+        path.append(module)
+        for target in sorted(graph[module]):
+            visit(target)
+        path.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = parse(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert not unused, f"{path.name}: imported and never used (name: line) {unused}"

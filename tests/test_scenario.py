@@ -16,6 +16,11 @@ from qkdlimits import (
     ResultRecord,
     SinglePhoton,
     ValidationError,
+    gamma_threshold,
+    max_diffraction_distance,
+    max_distance_numeric,
+    max_fiber_distance,
+    omega,
     parse_scenario,
     qber_attenuated,
     qber_k_photon,
@@ -25,6 +30,7 @@ from qkdlimits import (
     sweep_scenario,
 )
 from qkdlimits.detection import largest_intensity
+from qkdlimits.distance import DEFAULT_BRACKETS_KM
 from qkdlimits.scenario import _with_param, distance_analysis
 
 FIBER_SINGLE = {
@@ -151,6 +157,88 @@ class TestShippedScenarios:
         assert r["omega_prime"] >= r["omega"] > 0.0
 
 
+def route_reference(sc):
+    """The bound of sc's link from a direct call of the public route:
+    the closed form for fiber, and for diffraction of a collimated beam,
+    with a k=1, attenuated or decoy source; bisection on the default
+    bracket otherwise."""
+    src, det, link = sc.source, sc.detector, sc.link
+    g = gamma_threshold(det, sc.mub_count)
+    if not (isinstance(src, SinglePhoton) and src.k != 1):
+        if link.kind == "fiber":
+            return max_fiber_distance(link.fiber, omega(det, src, g))
+        if link.kind == "diffraction" and link.beam.curvature_m == math.inf:
+            return max_diffraction_distance(link.beam, omega(det, src, g))
+    return max_distance_numeric(link.transmissivity, src, det, g, *DEFAULT_BRACKETS_KM[link.kind])
+
+
+class TestRoute:
+    """run_scenario against route_reference, which chooses the route
+    without the engine that run_scenario goes through."""
+
+    SOURCES = [
+        {"kind": "attenuated", "mu": 0.5},
+        {"kind": "decoy", "intensities": [0.6, 0.1, 0.0], "probabilities": [0.5, 0.3, 0.2]},
+        {"kind": "single_photon", "k": 2},
+    ]
+
+    def variants(self, scenario_dir):
+        for path in sorted(scenario_dir.glob("*.json")):
+            doc = json.loads(path.read_text())
+            if "link" not in doc:
+                continue
+            yield path.name, doc
+            if path.name not in (
+                "fiber_2mub_single_photon.json",
+                "deepspace_3mub_single_photon.json",
+            ):
+                continue
+            for source in self.SOURCES:
+                yield f"{path.name} {source}", {**doc, "source": source}
+            if doc["link"]["kind"] == "diffraction":
+                diverging = {**doc, "link": {**doc["link"], "curvature_m": -1e6}}
+                for source in [doc["source"]] + self.SOURCES:
+                    yield f"{path.name} diverging {source}", {**diverging, "source": source}
+
+    def test_run_takes_the_documented_route(self, scenario_dir):
+        seen = set()
+        for name, doc in self.variants(scenario_dir):
+            sc = parse_scenario(doc)
+            r = run_scenario(sc).results
+            want = route_reference(sc)
+            d_max = None if math.isinf(want.d_max_km) else want.d_max_km
+            got = (r["method"], r["status"], r["d_max_km"])
+            assert got == (want.method, want.status, d_max), name
+            seen.add((sc.link.kind, want.method))
+        assert seen == {
+            ("fiber", "closed-form"),
+            ("fiber", "bisection"),
+            ("diffraction", "closed-form"),
+            ("diffraction", "bisection"),
+            ("freespace", "bisection"),
+            ("satellite", "bisection"),
+        }
+
+    def test_diverging_diffraction_beam_is_bisected(self, scenario_dir):
+        doc = json.loads((scenario_dir / "deepspace_3mub_single_photon.json").read_text())
+        collimated = run_scenario(parse_scenario(doc)).results["d_max_km"]
+        doc["link"]["curvature_m"] = -1e6
+        sc = parse_scenario(doc)
+        r = run_scenario(sc).results
+        g = gamma_threshold(sc.detector, 3)
+        want = max_distance_numeric(sc.link.transmissivity, sc.source, sc.detector, g, 1e-3, 1e12)
+        assert r["method"] == "bisection"
+        assert r["d_max_km"] == want.d_max_km
+        # The far-field envelope bounds a collimated beam only.
+        assert r["d_max_km"] < collimated / 10.0
+
+    def test_focused_diffraction_beam_is_not_monotone(self, scenario_dir):
+        doc = json.loads((scenario_dir / "deepspace_3mub_single_photon.json").read_text())
+        doc["link"]["curvature_m"] = 1e6
+        with pytest.raises(NonMonotonicModelError):
+            run_scenario(parse_scenario(doc))
+
+
 class TestResultRecord:
     def test_round_trip(self):
         rec = ResultRecord(command="run", inputs={"a": 1}, results={"b": 2.5})
@@ -264,6 +352,24 @@ class TestParsing:
             parse_scenario(make(link={"kind": "fiber", "alpha_db_per_km": None}))
         with pytest.raises(ValidationError, match="link.w0_m"):
             parse_scenario(make(link={"kind": "diffraction", **beam, "w0_m": None}))
+
+    @pytest.mark.parametrize("value", [{"b": 1, "a": [0.5, "x"]}, [0, 1, 2, 3, 4, 5], "abc", None])
+    def test_short_wrong_values_are_quoted_in_full(self, value):
+        decoy = {"kind": "decoy", "intensities": {"v": value}, "probabilities": []}
+        # (document, the value its error quotes) for each place that quotes one.
+        cases = [
+            (make(link={"kind": "fiber", "alpha_db_per_km": value}), value),
+            (make(detector=[value]), [value]),
+            (make(source=decoy), {"v": value}),
+            (make(link={"kind": value}), value),
+            (make(source={"kind": "single_photon", "k": value}), value),
+            (make(schema_version=value), value),
+            (make(protocol={"mub_count": value}), value),
+        ]
+        for doc, quoted in cases:
+            with pytest.raises(ValidationError) as exc:
+                parse_scenario(doc)
+            assert repr(quoted) in str(exc.value)
 
     @pytest.mark.parametrize("e_y", [None, "x", True, [0.1]])
     def test_e_y_must_be_a_number(self, e_y):
