@@ -113,7 +113,9 @@ class _ValueRepr(reprlib.Repr):
             f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}"
             for k, v in itertools.islice(x.items(), self.maxdict)
         ]
-        return "{" + ", ".join(pieces + ["..."] * (len(x) > self.maxdict)) + "}"
+        if len(x) > self.maxdict:
+            pieces.append("...")
+        return "{" + ", ".join(pieces) + "}"
 
 
 _REPR = _ValueRepr()
