@@ -81,6 +81,7 @@ from .pauli import (
 from .qber import (
     QberSet,
     SecurityVerdict,
+    pauli_from_qbers,
     pauli_from_qbers_2mub_worstcase,
     pauli_from_qbers_3mub,
     qbers_from_pauli,

@@ -32,8 +32,7 @@ from .errors import (
 from .pauli import PauliDistribution, capacity_verdict
 from .qber import (
     QberSet,
-    pauli_from_qbers_2mub_worstcase,
-    pauli_from_qbers_3mub,
+    pauli_from_qbers,
     security_verdict,
     symmetric_threshold,
 )
@@ -263,10 +262,7 @@ def _cmd_qber(args) -> ResultRecord:
         "regime_warning": v.regime_warning,
     }
     try:
-        if q.mub_count == 3:
-            rec = pauli_from_qbers_3mub(q)
-        else:
-            rec = pauli_from_qbers_2mub_worstcase(q, assumed_p2=args.assumed_p2)
+        rec = pauli_from_qbers(q, args.assumed_p2)
         results["channel_consistent"] = True
         results["reconstructed_pauli"] = list(rec.p)
         results["phi_upper_bound_bits"] = capacity_verdict(rec).phi_upper_bound

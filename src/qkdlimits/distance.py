@@ -58,7 +58,7 @@ class GammaThreshold:
 
 @dataclass(frozen=True)
 class OmegaValue:
-    """Minimum channel transmissivity Omega and its log form.
+    """Minimum channel transmissivity Omega, its log form and its Gamma.
 
     omega_prime = -ln(1 - omega); both are set to inf when omega >= 1,
     meaning even a lossless channel cannot beat the threshold.
@@ -67,6 +67,7 @@ class OmegaValue:
     omega: float
     omega_prime: float
     source_kind: str
+    gamma: GammaThreshold | None = None
 
 
 @dataclass(frozen=True)
@@ -76,13 +77,16 @@ class DistanceBound:
     status is "solved" (d_max is the threshold crossing), "infeasible"
     (no distance works, d_max = 0), "unbounded" (threshold holds at any
     loss, d_max = inf) or "feasible-everywhere" (numeric search), where
-    d_max is only the bracket end that was still feasible.
+    d_max is only the bracket end that was still feasible. gamma (and
+    omega, on a closed-form route) are the thresholds behind the bound.
     """
 
     d_max_km: float
     feasible: bool
     method: str
     status: str = "solved"
+    gamma: GammaThreshold | None = None
+    omega: OmegaValue | None = None
 
 
 def gamma_threshold(det: DetectorModel, mub_count: int) -> GammaThreshold:
@@ -133,19 +137,19 @@ def omega(det: DetectorModel, src: SourceModel, g: GammaThreshold) -> OmegaValue
     else:
         raise ValidationError(f"unknown source model {src!r}")
     prime = -math.log1p(-om) if om < 1.0 else math.inf
-    return OmegaValue(omega=om, omega_prime=prime, source_kind=kind)
+    return OmegaValue(omega=om, omega_prime=prime, source_kind=kind, gamma=g)
 
 
 def max_fiber_distance(link: FiberLink, o: OmegaValue) -> DistanceBound:
     """Closed form d_max = -(10 / alpha) log10(Omega) for fiber loss."""
     if o.omega >= 1.0:
-        return DistanceBound(0.0, False, "closed-form", "infeasible")
+        return DistanceBound(0.0, False, "closed-form", "infeasible", o.gamma, o)
     if o.omega <= 0.0:
-        return DistanceBound(math.inf, True, "closed-form", "unbounded")
+        return DistanceBound(math.inf, True, "closed-form", "unbounded", o.gamma, o)
     d = -(10.0 / link.alpha_db_per_km) * math.log10(o.omega)
     if d <= 0.0:
-        return DistanceBound(0.0, False, "closed-form", "infeasible")
-    return DistanceBound(d, True, "closed-form", "solved")
+        return DistanceBound(0.0, False, "closed-form", "infeasible", o.gamma, o)
+    return DistanceBound(d, True, "closed-form", "solved", o.gamma, o)
 
 
 def max_diffraction_distance(beam: BeamGeometry, o: OmegaValue) -> DistanceBound:
@@ -155,13 +159,13 @@ def max_diffraction_distance(beam: BeamGeometry, o: OmegaValue) -> DistanceBound
     overestimates the exact crossing; reported in km.
     """
     if o.omega_prime <= 0.0:
-        return DistanceBound(math.inf, True, "closed-form", "unbounded")
+        return DistanceBound(math.inf, True, "closed-form", "unbounded", o.gamma, o)
     if math.isinf(o.omega_prime):
-        return DistanceBound(0.0, False, "closed-form", "infeasible")
+        return DistanceBound(0.0, False, "closed-form", "infeasible", o.gamma, o)
     d_m = (
         math.pi * beam.w0_m * beam.aperture_radius_m / beam.wavelength_m
     ) * math.sqrt(2.0 / o.omega_prime)
-    return DistanceBound(d_m / 1000.0, True, "closed-form", "solved")
+    return DistanceBound(d_m / 1000.0, True, "closed-form", "solved", o.gamma, o)
 
 
 def max_distance_numeric(
@@ -236,10 +240,10 @@ def max_distance_batch(
 
         target = g.gamma_min
         if vals[0] <= target:
-            bounds.append(DistanceBound(0.0, False, "bisection", "infeasible"))
+            bounds.append(DistanceBound(0.0, False, "bisection", "infeasible", g))
             continue
         if vals[-1] > target:
-            bounds.append(DistanceBound(d_hi_km, True, "bisection", "feasible-everywhere"))
+            bounds.append(DistanceBound(d_hi_km, True, "bisection", "feasible-everywhere", g))
             continue
         # Narrow to the grid cell holding the crossing; otherwise a wide
         # default bracket cannot reach the relative tolerance in 60 steps.
@@ -253,7 +257,7 @@ def max_distance_batch(
                 lo = mid
             else:
                 hi = mid
-        bounds.append(DistanceBound(0.5 * (lo + hi), True, "bisection", "solved"))
+        bounds.append(DistanceBound(0.5 * (lo + hi), True, "bisection", "solved", g))
     return bounds
 
 

@@ -28,6 +28,12 @@ PAULI_MATRICES = (
 )
 
 
+def _check_self_adjoint(m: np.ndarray, tol: float, message: str) -> None:
+    # NaN and inf entries fail; np.allclose counts inf as close to inf.
+    if not (np.isfinite(m).all() and (np.abs(m - m.conj().T) <= tol).all()):
+        raise ValidationError(message)
+
+
 @dataclass(frozen=True)
 class PauliDistribution:
     """Probability 4-vector over the Pauli operators (I, X, Y, Z).
@@ -68,15 +74,13 @@ class QubitState:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValidationError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=1e-12, rtol=0):
-            raise ValidationError("density matrix is not Hermitian")
+        _check_self_adjoint(m, 1e-12, "density matrix is not Hermitian")
         if abs(m.trace().real - 1.0) > 1e-12 or abs(m.trace().imag) > 1e-12:
             raise ValidationError(f"density matrix trace is {m.trace()}, not 1")
         if np.linalg.eigvalsh(m).min() < -1e-12:
             raise ValidationError("density matrix has a negative eigenvalue")
-        m = m.copy()
-        m.flags.writeable = False
-        self.matrix = m
+        self.matrix = m.copy()
+        self.matrix.flags.writeable = False
 
     @classmethod
     def from_ket(cls, amplitudes) -> "QubitState":
@@ -107,17 +111,9 @@ def depolarizing(strength: float) -> PauliDistribution:
     return PauliDistribution((1.0 - 0.75 * s, s / 4.0, s / 4.0, s / 4.0))
 
 
-def _bell_projectors() -> tuple[np.ndarray, ...]:
-    # (I tensor P_k) |phi+> for k = 0..3, projectors are all real.
-    phi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
-    projs = []
-    for sigma in PAULI_MATRICES:
-        v = np.kron(np.eye(2), sigma) @ phi
-        projs.append(np.real(np.outer(v, v.conj())) / 2.0)
-    return tuple(projs)
-
-
-BELL_PROJECTORS = _bell_projectors()
+# (I tensor P_k) |phi+> for k = 0..3; the projectors are all real.
+_BELL_KETS = [np.kron(np.eye(2), sigma) @ np.array([1, 0, 0, 1]) for sigma in PAULI_MATRICES]
+BELL_PROJECTORS = tuple(np.real(np.outer(v, v.conj())) / 2.0 for v in _BELL_KETS)
 
 
 class ChoiState:
@@ -127,23 +123,26 @@ class ChoiState:
         m = np.asarray(matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.allclose(m, m.T, atol=1e-12, rtol=0):
-            raise ValidationError("Choi matrix is not symmetric")
+        _check_self_adjoint(m, 1e-12, "Choi matrix is not symmetric")
         if abs(np.trace(m) - 1.0) > 1e-12:
-            raise ValidationError(f"Choi matrix trace is {np.trace(m)!r}, not 1")
+            raise ValidationError(f"Choi matrix trace is {float(np.trace(m))!r}, not 1")
         if np.linalg.eigvalsh(m).min() < -1e-10:
             raise ValidationError("Choi matrix is not positive semidefinite")
-        m = m.copy()
-        m.flags.writeable = False
-        self.matrix = m
+        self.matrix = m.copy()
+        self.matrix.flags.writeable = False
 
 
 def choi_state(p: PauliDistribution) -> ChoiState:
-    """Choi state sum_k p_k |bell_k><bell_k| of the channel."""
+    """Choi state sum_k p_k |bell_k><bell_k| of the channel, built without
+    ChoiState's checks: it is exactly symmetric, with unit trace and
+    spectrum p."""
     m = np.zeros((4, 4))
     for prob, proj in zip(p.p, BELL_PROJECTORS):
         m += prob * proj
-    return ChoiState(m)
+    m.flags.writeable = False
+    choi = object.__new__(ChoiState)
+    choi.matrix = m
+    return choi
 
 
 def partial_transpose(c: ChoiState) -> np.ndarray:
@@ -164,8 +163,7 @@ def symmetric_eigenvalues(matrix):
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if not np.allclose(m, m.T, atol=1e-10, rtol=0):
-        raise ValidationError("matrix is not symmetric within 1e-10")
+    _check_self_adjoint(m, 1e-10, "matrix is not symmetric within 1e-10")
     try:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:

@@ -106,6 +106,14 @@ def pauli_from_qbers_2mub_worstcase(q: QberSet, assumed_p2: float = 0.0) -> Paul
     return PauliDistribution((max(p0, 0.0), q.e_z - p2, p2, q.e_x - p2))
 
 
+def pauli_from_qbers(q: QberSet, assumed_p2: float = 0.0) -> PauliDistribution:
+    """The Pauli channel a QBER set reconstructs to: the three-basis
+    inversion, or the two-basis reconstruction at assumed_p2."""
+    if q.mub_count == 3:
+        return pauli_from_qbers_3mub(q)
+    return pauli_from_qbers_2mub_worstcase(q, assumed_p2)
+
+
 def symmetric_threshold(mub_count: int) -> float:
     """Per-basis QBER threshold when all bases see the same rate."""
     if mub_count == 2:
@@ -117,10 +125,7 @@ def symmetric_threshold(mub_count: int) -> float:
 
 def _regime_warning(q: QberSet, assumed_p2: float) -> bool:
     try:
-        if q.mub_count == 3:
-            rec = pauli_from_qbers_3mub(q)
-        else:
-            rec = pauli_from_qbers_2mub_worstcase(q, assumed_p2)
+        rec = pauli_from_qbers(q, assumed_p2)
     except ValidationError:
         return True
     return rec.p[0] < max(rec.p[1:])

@@ -21,13 +21,7 @@ from importlib import resources
 
 from . import __version__
 from .detection import Attenuated, Decoy, DetectorModel, SinglePhoton, SourceModel
-from .distance import (
-    DEFAULT_BRACKETS_KM,
-    DistanceBound,
-    distance_bounds,
-    gamma_threshold,
-    omega,
-)
+from .distance import DEFAULT_BRACKETS_KM, DistanceBound, distance_bounds, gamma_threshold
 from .errors import ValidationError
 from .links import (
     BeamGeometry,
@@ -161,9 +155,12 @@ def _number(obj, key, path: str, default=dataclasses.MISSING) -> float:
 
 
 def _check_keys(obj, allowed, path: str):
-    unknown = _object(obj, path).keys() - allowed
+    unknown = sorted(_object(obj, path).keys() - allowed)
     if unknown:
-        raise ValidationError(f"scenario field {path}: unknown keys {sorted(unknown)}")
+        shown = [_REPR.repr(k) for k in unknown[: _REPR.maxlist]]
+        if len(unknown) > _REPR.maxlist:
+            shown.append(f"... and {len(unknown) - _REPR.maxlist} more")
+        raise ValidationError(f"scenario field {path}: unknown keys [{', '.join(shown)}]")
 
 
 def _record(cls, obj, path: str, **given):
@@ -352,21 +349,21 @@ def _plob_bits(eta: float) -> float:
 
 
 def distance_analysis(sc: Scenario) -> dict:
-    """Gamma/Omega thresholds and the distance bound for the scenario link."""
+    """Gamma/Omega thresholds and the distance bound for the scenario link,
+    as distance_bounds computed them."""
     if sc.link is None:
         raise ValidationError("scenario has no link to analyze")
-    det, src = sc.detector, sc.source
-    g = gamma_threshold(det, sc.mub_count)
+    det, link = sc.detector, sc.link
+    [bound] = distance_bounds([(sc.source, det, link)], sc.mub_count, *_bracket(sc))
+    if bound is None:  # the misalignment alone breaks the threshold
+        gamma_threshold(det, sc.mub_count)  # raises InfeasibleConfigurationError
+    g, o = bound.gamma, bound.omega
     results = {
         "mub_count": sc.mub_count,
         "qber_threshold": symmetric_threshold(sc.mub_count),
         "gamma_min": g.gamma_min,
     }
-    link = sc.link
-    model = link.transmissivity
-    [bound] = distance_bounds([(src, det, link)], sc.mub_count, *_bracket(sc))
-    if bound.method == "closed-form":
-        o = omega(det, src, g)
+    if o is not None:
         results["omega"] = o.omega
         results["omega_prime"] = None if math.isinf(o.omega_prime) else o.omega_prime
         results["source_kind"] = o.source_kind
@@ -377,15 +374,14 @@ def distance_analysis(sc: Scenario) -> dict:
         if bound.status == "solved":
             results["altitude_km"] = bound.d_max_km * math.cos(sat.zenith_angle_rad)
     if bound.status == "solved" and math.isfinite(bound.d_max_km):
-        eta_ch = model(bound.d_max_km)
+        eta_ch = link.transmissivity(bound.d_max_km)
         results["eta_channel_at_d_max"] = eta_ch
         results["plob_bits_per_use_at_d_max"] = _plob_bits(det.eta_eff * eta_ch)
         results["plob_note"] = "informational repeaterless rate bound, not a verdict"
     if not bound.feasible:
-        om = results.get("omega")
-        if om is not None and om >= 1.0:
+        if o is not None and o.omega >= 1.0:
             results["infeasible_reason"] = (
-                f"required channel transmissivity omega={om} is at or above 1; "
+                f"required channel transmissivity omega={o.omega} is at or above 1; "
                 "even a lossless channel cannot bring the QBER under the threshold"
             )
         else:

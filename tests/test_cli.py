@@ -412,6 +412,21 @@ class TestRun:
         assert first.startswith("# qkdlimits run (")
         assert "+00:00" in first
 
+    def test_a_hundred_thousand_unknown_keys_make_one_short_error_line(
+        self, capsys, scenario_dir, tmp_path
+    ):
+        doc = json.loads((scenario_dir / "fiber_2mub_single_photon.json").read_text())
+        doc["link"].update({f"unknown_{i:06d}": 0 for i in range(100_000)})
+        path = tmp_path / "many_keys.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["run", str(path)])
+        assert code == 1
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: scenario field link: unknown keys ['unknown_000000'")
+        assert line.endswith("... and 99994 more]")
+        assert len(line.encode()) < 300
+
     def test_no_timestamp_strips_it(self, capsys, scenario_dir):
         _, out, _ = run_cli(
             capsys,

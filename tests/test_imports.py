@@ -1,5 +1,6 @@
 """Module structure: the relative imports between the package's modules
-form no cycle, and each module uses every name it imports.
+form no cycle, each module uses every name it imports, and no module
+calls numpy's closeness tests.
 
 An AST scan of the source files, since no linter is a test dependency.
 """
@@ -72,3 +73,36 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, f"{path.name}: imported and never used (name: line) {unused}"
+
+
+def numpy_closeness_calls(tree: ast.AST) -> list[int]:
+    """Lines that name np.allclose or np.isclose, or import them from numpy."""
+    names = ("allclose", "isclose")
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in names
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "numpy"
+            and any(alias.name in names for alias in node.names)
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_closeness_scan_sees_a_call():
+    assert numpy_closeness_calls(ast.parse("np.allclose(a, b)\nnp.isclose(a, b)")) == [1, 2]
+    assert numpy_closeness_calls(ast.parse("from numpy import isclose")) == [1]
+    assert numpy_closeness_calls(ast.parse("math.isclose(a, b)")) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_closeness_test(path):
+    # Both count inf as close to inf, so a check built on them lets
+    # non-finite input through; compare elementwise instead.
+    lines = numpy_closeness_calls(parse(path))
+    assert not lines, f"{path.name}: np.allclose/np.isclose on lines {lines}"

@@ -12,6 +12,7 @@ from qkdlimits import (
     PAULI_MATRICES,
     CapacityVerdict,
     ChoiState,
+    NumericError,
     PauliDistribution,
     QubitState,
     ValidationError,
@@ -103,6 +104,12 @@ class TestStatesAndChannels:
         with pytest.raises(ValidationError):
             QubitState(np.array([[2.0, 0.0], [0.0, -1.0]]))
 
+    def test_qubit_state_rejects_non_finite_entries(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            QubitState([[1.0, math.inf], [math.inf, 0.0]])
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            QubitState([[math.nan, 0.0], [0.0, 1.0]])
+
     def test_from_ket_rejects_zero_vector(self):
         with pytest.raises(ValidationError):
             QubitState.from_ket([0.0, 0.0])
@@ -176,6 +183,23 @@ class TestChoi:
         with pytest.raises(ValidationError):
             ChoiState(negative)
 
+    def test_choi_state_rejects_non_finite_entries(self):
+        m = np.eye(4) / 4
+        m[0, 1] = m[1, 0] = math.inf
+        with pytest.raises(ValidationError, match="not symmetric"):
+            ChoiState(m)
+
+    def test_trace_message_prints_a_plain_float(self):
+        with pytest.raises(ValidationError) as err:
+            ChoiState(np.ones((4, 4)))
+        assert str(err.value) == "Choi matrix trace is 4.0, not 1"
+
+    def test_choi_state_of_a_distribution_is_read_only(self):
+        choi = choi_state(PauliDistribution((0.4, 0.3, 0.2, 0.1)))
+        assert isinstance(choi, ChoiState)
+        assert not choi.matrix.flags.writeable
+        np.testing.assert_array_equal(choi.matrix, ChoiState(choi.matrix).matrix)
+
 
 class TestEigensolver:
     def test_diagonal_matrix(self):
@@ -191,6 +215,22 @@ class TestEigensolver:
             symmetric_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValidationError):
             symmetric_eigenvalues(np.ones((2, 3)))
+
+    def test_rejects_non_finite_entries(self):
+        for bad in ([[1.0, math.inf], [math.inf, 1.0]], [[math.nan, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ValidationError, match="not symmetric"):
+                symmetric_eigenvalues(bad)
+
+    def test_empty_matrix_has_no_eigenvalues(self):
+        assert symmetric_eigenvalues(np.zeros((0, 0))).shape == (0,)
+
+    def test_solver_failure_is_a_numeric_error(self, monkeypatch):
+        def failing(m):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(NumericError, match="eigensolver failed to converge: no convergence"):
+            symmetric_eigenvalues(np.eye(2))
 
 
 class TestBinaryEntropy:
@@ -250,6 +290,39 @@ class TestCapacityVerdict:
         just_above = capacity_verdict(PauliDistribution((0.5 + eps, 0.5 - eps, 0.0, 0.0)))
         assert not just_above.zero_capacity
         assert 0.0 <= just_above.phi_upper_bound < 1e-11
+
+    def test_one_eigensolve_per_verdict(self, monkeypatch):
+        solve = np.linalg.eigvalsh
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return solve(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        capacity_verdict(PauliDistribution((0.4, 0.3, 0.2, 0.1)))
+        assert len(calls) == 1
+
+    def test_solver_failure_on_the_transpose_is_a_numeric_error(self, monkeypatch):
+        p = PauliDistribution((1.0, 0.0, 0.0, 0.0))
+        pt = partial_transpose(choi_state(p))
+        solve = np.linalg.eigvalsh
+
+        def failing_on_pt(m):
+            if np.array_equal(m, pt):
+                raise np.linalg.LinAlgError("no convergence")
+            return solve(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_on_pt)
+        with pytest.raises(NumericError, match="eigensolver failed to converge"):
+            capacity_verdict(p)
+
+    def test_routes_that_disagree_are_a_numeric_error(self, monkeypatch):
+        solve = np.linalg.eigvalsh
+        # Shifted up, so a positivity check on the way still passes.
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solve(m) + 2e-10)
+        with pytest.raises(NumericError, match="PT spectrum route gives"):
+            capacity_verdict(PauliDistribution((0.75, 0.25, 0.0, 0.0)))
 
     @given(simplex_points)
     @settings(max_examples=300)

@@ -13,6 +13,7 @@ from qkdlimits import (
     ValidationError,
     capacity_verdict,
     depolarizing,
+    pauli_from_qbers,
     pauli_from_qbers_2mub_worstcase,
     pauli_from_qbers_3mub,
     qbers_from_pauli,
@@ -136,6 +137,18 @@ class TestTwoBasisWorstCase:
         q = qbers_from_pauli(p)
         assert abs(q.e_x - e_x) <= 1e-12
         assert abs(q.e_z - e_z) <= 1e-12
+
+
+def test_reconstruction_dispatches_on_the_basis_count():
+    three = QberSet(e_x=0.1, e_z=0.2, e_y=0.15)
+    two = QberSet(e_x=0.1, e_z=0.2)
+    assert pauli_from_qbers(three) == pauli_from_qbers_3mub(three)
+    assert pauli_from_qbers(two) == pauli_from_qbers_2mub_worstcase(two)
+    assert pauli_from_qbers(two, 0.05) == pauli_from_qbers_2mub_worstcase(two, 0.05)
+    with pytest.raises(InconsistentQberError):
+        pauli_from_qbers(QberSet(e_x=0.9, e_z=0.9))
+    with pytest.raises(ValidationError):
+        pauli_from_qbers(two, 0.5)
 
 
 def test_symmetric_threshold_values():

@@ -7,6 +7,7 @@ import math
 import jsonschema
 import pytest
 
+from qkdlimits import distance
 from qkdlimits import (
     Attenuated,
     FiberLink,
@@ -31,6 +32,7 @@ from qkdlimits import (
 )
 from qkdlimits.detection import largest_intensity
 from qkdlimits.distance import DEFAULT_BRACKETS_KM
+from qkdlimits import scenario as scenario_module
 from qkdlimits.scenario import _with_param, distance_analysis
 
 FIBER_SINGLE = {
@@ -232,6 +234,36 @@ class TestRoute:
         # The far-field envelope bounds a collimated beam only.
         assert r["d_max_km"] < collimated / 10.0
 
+    def test_a_fiber_run_computes_gamma_and_omega_once(self, monkeypatch):
+        sc = parse_scenario(FIBER_SINGLE)
+        g = gamma_threshold(sc.detector, 2)
+        o = omega(sc.detector, sc.source, g)
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+
+            return wrapper
+
+        for module in (distance, scenario_module):
+            monkeypatch.setattr(module, "gamma_threshold", counted(gamma_threshold))
+        monkeypatch.setattr(distance, "omega", counted(omega))
+        r = run_scenario(sc).results
+        assert sorted(calls) == ["gamma_threshold", "omega"]
+        assert (r["gamma_min"], r["omega"], r["omega_prime"]) == (
+            g.gamma_min, o.omega, o.omega_prime
+        )
+
+    def test_hopeless_misalignment_raises_the_threshold_error(self):
+        sc = parse_scenario(make(detector={"y0": 1e-8, "e_det": 0.3, "eta_eff": 1.0}))
+        with pytest.raises(InfeasibleConfigurationError) as want:
+            gamma_threshold(sc.detector, 2)
+        with pytest.raises(InfeasibleConfigurationError) as got:
+            run_scenario(sc)
+        assert str(got.value) == str(want.value)
+
     def test_focused_diffraction_beam_is_not_monotone(self, scenario_dir):
         doc = json.loads((scenario_dir / "deepspace_3mub_single_photon.json").read_text())
         doc["link"]["curvature_m"] = 1e6
@@ -287,6 +319,23 @@ class TestParsing:
     def test_unknown_keys_are_reported_with_their_path(self):
         with pytest.raises(ValidationError, match="alpha_db_per_kmm"):
             parse_scenario(make(link={"kind": "fiber", "alpha_db_per_kmm": 0.17}))
+
+    def test_a_few_unknown_keys_are_listed_in_full(self):
+        link = {"kind": "fiber", "alpha_db_per_km": 0.17, **{k: 1 for k in "fedcba"}}
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(make(link=link))
+        assert str(err.value) == (
+            "scenario field link: unknown keys ['a', 'b', 'c', 'd', 'e', 'f']"
+        )
+
+    def test_many_unknown_keys_are_counted(self):
+        link = {"kind": "fiber", "alpha_db_per_km": 0.17, **{f"k{i}": 1 for i in range(7)}}
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(make(link=link))
+        assert str(err.value) == (
+            "scenario field link: unknown keys "
+            "['k0', 'k1', 'k2', 'k3', 'k4', 'k5', ... and 1 more]"
+        )
 
     def test_unknown_source_kind(self):
         with pytest.raises(ValidationError, match="source"):
