@@ -21,6 +21,20 @@ GOLDEN = HERE / "golden" / "cli_outputs.json"
 SCENARIOS = HERE.parent / "scenarios"
 
 _SWEEP = ["--param", "y0", "--from", "1e-10", "--to", "1e-4", "--points", "61", "--scale", "log"]
+_BEAM = ["--w0", "0.05", "--wavelength", "8e-7", "--aperture", "0.25"]
+# The beam and atmosphere flags left out take the CLI defaults, which the
+# stored outputs pin.
+_FLAG_CASES = [
+    ["max-distance", "fiber", "--mub", "2", "--y0", "1e-6", "--e-det", "0.01", "--mu", "0.3"],
+    ["max-distance", "freespace", "--mub", "2", "--y0", "1e-8", "--e-det", "0.01", "--eta-eff", "0.6", *_BEAM],
+    ["max-distance", "deepspace", "--mub", "3", "--y0", "1e-8", "--e-det", "0.01",
+     "--w0", "2.0", "--wavelength", "8e-7", "--aperture", "0.5"],
+    ["max-distance", "satellite", "--mub", "2", "--y0", "1e-7", "--e-det", "0.02", "--mu", "0.5",
+     "--zenith-angle", "0.5", *_BEAM],
+    ["thresholds", "--y0", "1e-5", "--e-det", "0.01"],
+    ["channel", "--p", "0.9", "0.05", "0.03", "0.02"],
+    ["qber", "--ex", "0.05", "--ez", "0.04"],
+]
 
 
 def _cases() -> list[list[str]]:
@@ -31,6 +45,7 @@ def _cases() -> list[list[str]]:
     cases.append(["repeater", "repeater_chain.json"])
     for name in ("fiber_2mub_single_photon.json", "freespace_ground_2mub.json"):
         cases.append(["sweep", name, *_SWEEP])
+    cases.extend(argv + ["--format", "json"] for argv in _FLAG_CASES)
     return [argv + ["--no-timestamp"] for argv in cases]
 
 
