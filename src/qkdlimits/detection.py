@@ -123,6 +123,9 @@ def k_photon_transmissivity(eta: float, k: int) -> float:
         raise ValidationError(f"eta={eta!r} outside [0, 1]")
     if not (isinstance(k, int) and k >= 0):
         raise ValidationError(f"photon number k={k!r} must be an integer >= 0")
+    # A pulse with no photon is never detected, even over a lossless channel.
+    if k == 0:
+        return 0.0
     if k == 1:
         return eta
     # expm1/log1p form: the naive 1 - (1 - eta)**k rounds eta to the double

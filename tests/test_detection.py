@@ -28,6 +28,7 @@ class TestKPhotonTransmissivity:
         assert k_photon_transmissivity(0.3, 1) == 0.3
         assert k_photon_transmissivity(0.5, 2) == 0.75
         assert k_photon_transmissivity(0.7, 0) == 0.0
+        assert k_photon_transmissivity(1.0, 0) == 0.0
         assert k_photon_transmissivity(1.0, 3) == 1.0
         assert k_photon_transmissivity(0.0, 5) == 0.0
 
