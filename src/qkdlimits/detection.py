@@ -4,13 +4,14 @@ The QBER model is the exact ratio E = P / Y of error yield to total
 yield, never the small-Y0 approximation: misalignment errors arrive
 with the signal, dark counts with probability Y0 land half the time on
 the wrong outcome. Single-photon, attenuated (Poisson) and decoy-state
-sources are covered.
+sources are covered; each defines its detection probability gamma(eta).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import UndefinedQberError, ValidationError
 
@@ -46,6 +47,17 @@ class SinglePhoton:
         if not (isinstance(self.k, int) and self.k >= 1):
             raise ValidationError(f"photon number k={self.k!r} must be an integer >= 1")
 
+    def gamma(self, eta: float) -> float:
+        """Detection probability 1 - (1 - eta)^k at transmissivity eta."""
+        if self.k == 1:
+            return eta
+        # expm1/log1p form: the naive 1 - (1 - eta)**k rounds eta to the double
+        # grid near 1.0, wiping out eta below ~1e-16 and quantizing small
+        # results to steps of ~5e-17, which stalls root finding on the yield.
+        if eta == 1.0:
+            return 1.0
+        return -math.expm1(self.k * math.log1p(-eta))
+
 
 @dataclass(frozen=True)
 class Attenuated:
@@ -56,6 +68,10 @@ class Attenuated:
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > 0.0):
             raise ValidationError(f"mu={self.mu!r} must be positive")
+
+    def gamma(self, eta: float) -> float:
+        """Detection probability 1 - exp(-eta mu) at transmissivity eta."""
+        return -math.expm1(-eta * self.mu)
 
 
 @dataclass(frozen=True)
@@ -96,6 +112,18 @@ class Decoy:
         object.__setattr__(self, "intensities", mus)
         object.__setattr__(self, "probabilities", tuple(q / total for q in qs))
 
+    @cached_property
+    def mu(self) -> float:
+        """Signal intensity: the largest, the best case for any detector
+        with e_det < 1/2 (Lo, Ma & Chen 2005)."""
+        mu = max(self.intensities)
+        if mu <= 0.0:
+            raise ValidationError("decoy source has no nonvacuum intensity")
+        return mu
+
+    # Bounded at mu, a decoy source detects as an attenuated one does.
+    gamma = Attenuated.gamma
+
 
 SourceModel = SinglePhoton | Attenuated | Decoy
 
@@ -124,16 +152,7 @@ def k_photon_transmissivity(eta: float, k: int) -> float:
     if not (isinstance(k, int) and k >= 0):
         raise ValidationError(f"photon number k={k!r} must be an integer >= 0")
     # A pulse with no photon is never detected, even over a lossless channel.
-    if k == 0:
-        return 0.0
-    if k == 1:
-        return eta
-    # expm1/log1p form: the naive 1 - (1 - eta)**k rounds eta to the double
-    # grid near 1.0, wiping out eta below ~1e-16 and quantizing small
-    # results to steps of ~5e-17, which stalls root finding on the yield.
-    if eta == 1.0:
-        return 1.0
-    return -math.expm1(k * math.log1p(-eta))
+    return SinglePhoton(k).gamma(eta) if k else 0.0
 
 
 def _breakdown(gamma: float, det: DetectorModel) -> QberBreakdown:
@@ -149,18 +168,12 @@ def _breakdown(gamma: float, det: DetectorModel) -> QberBreakdown:
 
 def qber_k_photon(eta: float, k: int, det: DetectorModel) -> QberBreakdown:
     """Exact QBER for a k-photon pulse over total transmissivity eta."""
-    if k < 1:
-        raise ValidationError(f"photon number k={k!r} must be >= 1")
-    return _breakdown(k_photon_transmissivity(eta, k), det)
+    return _breakdown(detection_probability(SinglePhoton(k), eta), det)
 
 
 def qber_attenuated(eta: float, mu: float, det: DetectorModel) -> QberBreakdown:
     """Exact QBER for an attenuated pulse: gamma = 1 - exp(-eta mu)."""
-    if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
-        raise ValidationError(f"eta={eta!r} outside [0, 1]")
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise ValidationError(f"mu={mu!r} must be positive")
-    return _breakdown(-math.expm1(-eta * mu), det)
+    return _breakdown(detection_probability(Attenuated(mu), eta), det)
 
 
 def _per_intensity(eta: float, src: Decoy, det: DetectorModel) -> list[QberBreakdown]:
@@ -222,26 +235,13 @@ def best_case_intensity(src: Decoy, eta: float, det: DetectorModel) -> tuple[int
     return best, src.intensities[best]
 
 
-def largest_intensity(src: Decoy) -> float:
-    """The decoy intensity that bounds the detection probability and the
-    distance: the largest, the best case for any detector with e_det < 1/2."""
-    mu = max(src.intensities)
-    if mu <= 0.0:
-        raise ValidationError("decoy source has no nonvacuum intensity")
-    return mu
-
-
 def detection_probability(src: SourceModel, eta: float) -> float:
     """Signal detection probability gamma for a source at transmissivity eta.
 
-    Decoy sources evaluate at their largest intensity.
+    Decoy sources evaluate at their largest intensity, mu.
     """
     if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
         raise ValidationError(f"eta={eta!r} outside [0, 1]")
-    if isinstance(src, SinglePhoton):
-        return k_photon_transmissivity(eta, src.k)
-    if isinstance(src, Attenuated):
-        return -math.expm1(-eta * src.mu)
-    if isinstance(src, Decoy):
-        return -math.expm1(-eta * largest_intensity(src))
-    raise ValidationError(f"unknown source model {src!r}")
+    if not isinstance(src, SourceModel):
+        raise ValidationError(f"unknown source model {src!r}")
+    return src.gamma(eta)

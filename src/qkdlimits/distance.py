@@ -18,15 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .detection import (
-    Attenuated,
-    Decoy,
-    DetectorModel,
-    SinglePhoton,
-    SourceModel,
-    detection_probability,
-    largest_intensity,
-)
+from .detection import Attenuated, Decoy, DetectorModel, SinglePhoton, SourceModel
 from .errors import (
     BracketError,
     InfeasibleConfigurationError,
@@ -131,8 +123,7 @@ def omega(det: DetectorModel, src: SourceModel, g: GammaThreshold) -> OmegaValue
         om = g.gamma_min / det.eta_eff
         kind = "single-photon"
     elif isinstance(src, (Attenuated, Decoy)):
-        mu = src.mu if isinstance(src, Attenuated) else largest_intensity(src)
-        om = -math.log1p(-g.gamma_min) / (det.eta_eff * mu)
+        om = -math.log1p(-g.gamma_min) / (det.eta_eff * src.mu)
         kind = "attenuated"
     else:
         raise ValidationError(f"unknown source model {src!r}")
@@ -207,9 +198,9 @@ def max_distance_batch(
     whole batch, and the monotonicity guard runs once per distinct
     (source, eta_eff): rows that differ only in Gamma, as in a sweep of
     y0 or e_det, share it. Each row then gets its own cell scan and
-    bisection, so every bound equals the one a call for that row alone
-    gives, bit for bit. Rows run in order, and the first row that fails
-    raises.
+    bisection on its source's gamma, so every bound equals the one a
+    call for that row alone gives, bit for bit. Rows run in order, and
+    the first row that fails raises.
     """
     if not (math.isfinite(d_lo_km) and math.isfinite(d_hi_km)) or d_lo_km < 0.0:
         raise BracketError(f"bad interval [{d_lo_km!r}, {d_hi_km!r}]")
@@ -228,7 +219,9 @@ def max_distance_batch(
         eta_eff = det.eta_eff
         vals = guards.get((src, eta_eff))
         if vals is None:
-            vals = [detection_probability(src, eta_eff * eta_ch) for eta_ch in etas]
+            if not isinstance(src, SourceModel):
+                raise ValidationError(f"unknown source model {src!r}")
+            vals = [src.gamma(eta_eff * eta_ch) for eta_ch in etas]
             for i in range(len(vals) - 1):
                 if vals[i + 1] > vals[i] + 1e-12:
                     raise NonMonotonicModelError(
@@ -249,11 +242,12 @@ def max_distance_batch(
         # default bracket cannot reach the relative tolerance in 60 steps.
         idx = next(i for i in range(1, len(vals)) if vals[i] <= target)
         lo, hi = grid[idx - 1], grid[idx]
+        gamma = src.gamma
         for _ in range(BISECT_MAX_ITER):
             if hi - lo <= BISECT_REL_TOL * hi:
                 break
             mid = 0.5 * (lo + hi)
-            if detection_probability(src, eta_eff * _transmissivity(model, mid)) > target:
+            if gamma(eta_eff * _transmissivity(model, mid)) > target:
                 lo = mid
             else:
                 hi = mid

@@ -222,8 +222,12 @@ class TestDetectionProbability:
         assert detection_probability(src, 0.2) == detection_probability(Attenuated(0.5), 0.2)
 
     def test_all_vacuum_decoy_rejected(self):
-        with pytest.raises(ValidationError):
-            detection_probability(Decoy((0.0,), (1.0,)), 0.2)
+        # The decoy builds; its signal intensity fails on first use.
+        src = Decoy((0.0,), (1.0,))
+        with pytest.raises(ValidationError, match="no nonvacuum intensity"):
+            detection_probability(src, 0.2)
+        with pytest.raises(ValidationError, match="no nonvacuum intensity"):
+            src.mu
 
     def test_eta_domain(self):
         with pytest.raises(ValidationError):

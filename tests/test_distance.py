@@ -110,6 +110,15 @@ class TestOmega:
         with pytest.raises(ValidationError, match="k=1"):
             omega(DET, SinglePhoton(k=2), g)
 
+    def test_an_object_that_is_not_a_source_is_rejected(self):
+        g = gamma_threshold(DET, 2)
+        with pytest.raises(ValidationError, match="unknown source model"):
+            detection_probability(object(), 0.2)
+        with pytest.raises(ValidationError, match="unknown source model"):
+            omega(DET, object(), g)
+        with pytest.raises(ValidationError, match="unknown source model"):
+            max_distance_numeric(lambda d: fiber_transmissivity(FIBER, d), object(), DET, g, 1.0, 10.0)
+
     def test_decoy_reduces_to_best_intensity(self):
         g = gamma_threshold(DET, 2)
         src = Decoy((0.5, 0.1, 0.0), (0.7, 0.2, 0.1))
@@ -293,11 +302,13 @@ class TestBatch:
             model_calls.append(type(d))
             return self.model(d)
 
+        gamma = SinglePhoton.gamma
+
         def counted_detection(src, eta):
             detect_calls.append(eta)
-            return detection_probability(src, eta)
+            return gamma(src, eta)
 
-        monkeypatch.setattr(distance, "detection_probability", counted_detection)
+        monkeypatch.setattr(SinglePhoton, "gamma", counted_detection)
         # Rows that differ only in Gamma share one guard.
         rows = [r for r in self.rows() if r[0] == SinglePhoton() and r[1].eta_eff == 1.0]
         alone = []

@@ -3,13 +3,13 @@
 import dataclasses
 import json
 import math
+import sys
 
 import jsonschema
 import pytest
 
 from qkdlimits import distance
 from qkdlimits import (
-    Attenuated,
     FiberLink,
     GroundAtmosphere,
     InfeasibleConfigurationError,
@@ -30,7 +30,6 @@ from qkdlimits import (
     scenario_from_file,
     sweep_scenario,
 )
-from qkdlimits.detection import largest_intensity
 from qkdlimits.distance import DEFAULT_BRACKETS_KM
 from qkdlimits import scenario as scenario_module
 from qkdlimits.scenario import _with_param, distance_analysis
@@ -137,8 +136,7 @@ class TestShippedScenarios:
             if isinstance(src, SinglePhoton):
                 e = qber_k_photon(eta, src.k, sc.detector).qber
             else:
-                mu = src.mu if isinstance(src, Attenuated) else largest_intensity(src)
-                e = qber_attenuated(eta, mu, sc.detector).qber
+                e = qber_attenuated(eta, src.mu, sc.detector).qber
             gap = e - r["qber_threshold"]
             if sc.link.kind == "diffraction":
                 # The far-field envelope overestimates the crossing.
@@ -628,6 +626,23 @@ class TestSweepBatch:
                     assert rows == expected, (source, solver, param)
                     seen.update(statuses)
         assert seen == {"solved", "infeasible", "feasible-everywhere", "flagged"}
+
+    def test_bisection_rows_never_call_detection_probability(self, monkeypatch):
+        # The engine binds each row's own gamma; the checked, dispatching
+        # detection_probability is for callers outside the package.
+        decoy = {"kind": "decoy", "intensities": [0.5, 0.1, 0.0], "probabilities": [0.7, 0.2, 0.1]}
+        scenarios = [parse_scenario(make(link=self.LINKS[k][0])) for k in ("freespace", "satellite")]
+        scenarios.append(parse_scenario(make(source=decoy, link=self.LINKS["freespace"][0])))
+        unpatched = [sweep_scenario(sc, "y0", 1e-9, 0.5, 13, "log") for sc in scenarios]
+
+        def refuse(src, eta):
+            raise AssertionError("detection_probability was called")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qkdlimits" and hasattr(module, "detection_probability"):
+                monkeypatch.setattr(module, "detection_probability", refuse)
+        assert [sweep_scenario(sc, "y0", 1e-9, 0.5, 13, "log") for sc in scenarios] == unpatched
+        assert all(r[3] for rows in unpatched for r in rows)
 
     def test_sweep_across_the_misalignment_threshold_keeps_flagged_rows(self):
         sc = parse_scenario(make(link=self.LINKS["freespace"][0]))
