@@ -21,6 +21,15 @@ DEFAULT_ALPHA0_PER_KM = 5e-3
 DEFAULT_SCALE_HEIGHT_KM = 6.6
 DEFAULT_ETA_ZENITH = 0.967
 
+# The link kinds and the ScenarioLink parts each one uses.
+LINK_PARTS = {
+    "fiber": ("fiber",),
+    "ground_atmosphere": ("atmosphere",),
+    "diffraction": ("beam",),
+    "freespace": ("beam", "atmosphere"),
+    "satellite": ("beam", "satellite"),
+}
+
 
 @dataclass(frozen=True)
 class FiberLink:
@@ -165,9 +174,8 @@ class ScenarioLink:
     """A link of one kind: the parameter objects that kind uses and its
     transmissivity as a function of distance in km, built once from them.
 
-    fiber uses ``fiber``, ground_atmosphere ``atmosphere``, diffraction
-    ``beam``, freespace ``beam`` and ``atmosphere``, satellite ``beam``
-    and ``satellite``.
+    LINK_PARTS names the parts of each kind; a missing part, or a part
+    the kind does not use, is a ValidationError.
     """
 
     kind: str
@@ -178,6 +186,15 @@ class ScenarioLink:
     transmissivity: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        parts = LINK_PARTS.get(self.kind) if isinstance(self.kind, str) else None
+        if parts is None:
+            raise ValidationError(
+                f"unknown link kind {self.kind!r}, expected one of {tuple(LINK_PARTS)}"
+            )
+        for name in ("fiber", "beam", "atmosphere", "satellite"):
+            if (getattr(self, name) is None) == (name in parts):
+                need = "needs" if name in parts else "does not use"
+                raise ValidationError(f"{self.kind} link {need} {name}")
         fiber, beam, atm = self.fiber, self.beam, self.atmosphere
         if self.kind == "fiber":
             model = lambda d: fiber_transmissivity(fiber, d)

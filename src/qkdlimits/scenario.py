@@ -24,6 +24,7 @@ from .detection import Attenuated, Decoy, DetectorModel, SinglePhoton, SourceMod
 from .distance import DEFAULT_BRACKETS_KM, DistanceBound, distance_bounds, gamma_threshold
 from .errors import ValidationError
 from .links import (
+    LINK_PARTS,
     BeamGeometry,
     FiberLink,
     GroundAtmosphere,
@@ -37,7 +38,7 @@ from .repeater import ChainSpec, chain_qber_verdict, chain_verdict
 
 SCHEMA_VERSION = 1
 
-_LINK_KINDS = tuple(DEFAULT_BRACKETS_KM)
+_LINK_KINDS = tuple(LINK_PARTS)
 _SWEEP_PARAMS = ("y0", "e_det", "eta_eff", "mu", "alpha")
 
 

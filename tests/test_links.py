@@ -6,19 +6,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qkdlimits import scenario
 from qkdlimits import (
     BeamGeometry,
+    DetectorModel,
     FiberLink,
     GroundAtmosphere,
     SatellitePath,
+    ScenarioLink,
+    SinglePhoton,
     ValidationError,
     atmospheric_transmissivity,
     beam_spot_size,
+    dark_count_sweep,
     diffraction_transmissivity,
     fiber_transmissivity,
     satellite_slant_distance_km,
     satellite_transmissivity,
 )
+from qkdlimits.distance import DEFAULT_BRACKETS_KM
+from qkdlimits.links import LINK_PARTS
 
 
 class TestFiber:
@@ -198,3 +205,46 @@ def test_cached_link_constants_leave_identity_to_the_fields(make, name, expected
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
+
+
+PARTS = {
+    "fiber": FiberLink(0.2),
+    "beam": BeamGeometry(w0_m=0.05, wavelength_m=8e-7, aperture_radius_m=0.25),
+    "atmosphere": GroundAtmosphere(),
+    "satellite": SatellitePath(),
+}
+
+
+class TestScenarioLink:
+    def test_link_kinds_are_one_table(self):
+        assert scenario._LINK_KINDS == tuple(LINK_PARTS)
+        assert DEFAULT_BRACKETS_KM.keys() == LINK_PARTS.keys()
+
+    @pytest.mark.parametrize("kind", sorted(LINK_PARTS))
+    def test_each_kind_builds_from_its_parts(self, kind):
+        link = ScenarioLink(kind, **{name: PARTS[name] for name in LINK_PARTS[kind]})
+        assert 0.0 < link.transmissivity(1.0) <= 1.0
+
+    @pytest.mark.parametrize("kind", sorted(LINK_PARTS))
+    def test_a_missing_part_is_rejected(self, kind):
+        for missing in LINK_PARTS[kind]:
+            parts = {name: PARTS[name] for name in LINK_PARTS[kind] if name != missing}
+            with pytest.raises(ValidationError, match=f"{kind} link needs {missing}"):
+                ScenarioLink(kind, **parts)
+
+    @pytest.mark.parametrize("kind", sorted(LINK_PARTS))
+    def test_a_part_the_kind_does_not_use_is_rejected(self, kind):
+        for extra in sorted(PARTS.keys() - set(LINK_PARTS[kind])):
+            parts = {name: PARTS[name] for name in (*LINK_PARTS[kind], extra)}
+            with pytest.raises(ValidationError, match=f"{kind} link does not use {extra}"):
+                ScenarioLink(kind, **parts)
+
+    @pytest.mark.parametrize("kind", ["bogus", "", None, ["fiber"]])
+    def test_an_unknown_kind_is_rejected(self, kind):
+        with pytest.raises(ValidationError, match="unknown link kind"):
+            ScenarioLink(kind, fiber=PARTS["fiber"])
+
+    def test_dark_count_sweep_needs_a_fiber(self):
+        det = DetectorModel(y0=1e-8, e_det=0.01)
+        with pytest.raises(ValidationError, match="fiber link needs fiber"):
+            dark_count_sweep([1e-8], det, SinglePhoton(), None, 2)
