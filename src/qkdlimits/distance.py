@@ -12,6 +12,7 @@ run_scenario, sweep_scenario and dark_count_sweep all call it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -186,6 +187,15 @@ def _transmissivity(model: Callable[[float], float], d: float) -> float:
     return eta_ch
 
 
+@functools.lru_cache(maxsize=32)
+def _guard_grid(d_lo_km: float, d_hi_km: float) -> tuple[float, ...]:
+    """MONOTONE_SAMPLES log-spaced distances from d_lo_km to d_hi_km, as
+    Python floats, not numpy scalars: the models are scalar math."""
+    grid = np.geomspace(max(d_lo_km, d_hi_km * 1e-12), d_hi_km, MONOTONE_SAMPLES).tolist()
+    grid[0] = float(d_lo_km)
+    return tuple(grid)
+
+
 def max_distance_batch(
     model: Callable[[float], float],
     rows: Sequence[tuple[SourceModel, DetectorModel, GammaThreshold]],
@@ -194,11 +204,11 @@ def max_distance_batch(
 ) -> list[DistanceBound]:
     """max_distance_numeric for each (source, detector, Gamma) row on one link model.
 
-    The guard grid is built and the model evaluated on it once for the
-    whole batch, and the monotonicity guard runs once per distinct
-    (source, eta_eff): rows that differ only in Gamma, as in a sweep of
-    y0 or e_det, share it. Each row then gets its own cell scan and
-    bisection on its source's gamma, so every bound equals the one a
+    The guard grid is built once per bracket and the model evaluated on
+    it once for the whole batch, and the monotonicity guard runs once per
+    distinct (source, eta_eff): rows that differ only in Gamma, as in a
+    sweep of y0 or e_det, share it. Each row then gets its own cell scan
+    and bisection on its source's gamma, so every bound equals the one a
     call for that row alone gives, bit for bit. Rows run in order, and
     the first row that fails raises.
     """
@@ -209,9 +219,7 @@ def max_distance_batch(
     if not rows:
         return []
 
-    # Python floats, not numpy scalars: the models are scalar math.
-    grid = np.geomspace(max(d_lo_km, d_hi_km * 1e-12), d_hi_km, MONOTONE_SAMPLES).tolist()
-    grid[0] = float(d_lo_km)
+    grid = _guard_grid(d_lo_km, d_hi_km)
     etas = [_transmissivity(model, d) for d in grid]
     guards: dict = {}
     bounds = []

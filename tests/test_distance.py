@@ -324,6 +324,28 @@ class TestBatch:
         assert len(detect_calls) == 64 + sum(n - 64 for _, n in alone)
         assert set(model_calls) == {float}
 
+    def test_the_guard_grid_is_built_once_per_bracket(self, monkeypatch):
+        geomspace, grids = np.geomspace, []
+
+        def counted(*args, **kwargs):
+            grids.append(args)
+            return geomspace(*args, **kwargs)
+
+        def recording(d):
+            seen[-1].append(d)
+            return self.model(d)
+
+        monkeypatch.setattr(np, "geomspace", counted)
+        distance._guard_grid.cache_clear()
+        seen = []
+        for _ in range(2):
+            seen.append([])
+            max_distance_batch(recording, self.rows()[:3], 0.1, 10.0)
+        assert len(grids) == 1
+        assert seen[0][:64] == seen[1][:64]
+        assert distance._guard_grid(0.1, 10.0) == tuple(seen[0][:64])
+        assert seen[0][0] == 0.1 and {type(d) for d in seen[0][:64]} == {float}
+
     def test_the_guard_runs_per_source_and_efficiency(self):
         # A 5e-12 rise in transmissivity trips the 1e-12 guard at
         # eta_eff = 1 but not at eta_eff = 0.1.
