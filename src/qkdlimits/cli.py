@@ -29,6 +29,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
+from .links import DEFAULT_ALPHA0_PER_KM, DEFAULT_ETA_ZENITH, DEFAULT_SCALE_HEIGHT_KM
 from .pauli import PauliDistribution, capacity_verdict
 from .qber import (
     QberSet,
@@ -101,11 +102,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wavelength", type=float, default=None, help="wavelength in m")
     p.add_argument("--aperture", type=float, default=None, help="receiver aperture radius in m")
     p.add_argument("--curvature", type=float, default=None, help="phase-front radius in m")
-    p.add_argument("--alpha0", type=float, default=5e-3, help="ground extinction per km")
-    p.add_argument("--scale-height", type=float, default=6.6, help="atmosphere scale height in km")
+    p.add_argument(
+        "--alpha0", type=float, default=DEFAULT_ALPHA0_PER_KM, help="ground extinction per km"
+    )
+    p.add_argument(
+        "--scale-height",
+        type=float,
+        default=DEFAULT_SCALE_HEIGHT_KM,
+        help="atmosphere scale height in km",
+    )
     p.add_argument("--altitude", type=float, default=0.0, help="path altitude in km")
     p.add_argument("--zenith-angle", type=float, default=0.0, help="zenith angle in rad")
-    p.add_argument("--eta-zenith", type=float, default=0.967)
+    p.add_argument("--eta-zenith", type=float, default=DEFAULT_ETA_ZENITH)
     p.add_argument("--d-lo", type=float, default=None, help="solver bracket lower end in km")
     p.add_argument("--d-hi", type=float, default=None, help="solver bracket upper end in km")
     common(p)
