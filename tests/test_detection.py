@@ -220,6 +220,9 @@ class TestDetectionProbability:
     def test_decoy_uses_largest_intensity(self):
         src = Decoy((0.5, 0.1, 0.0), (0.7, 0.2, 0.1))
         assert detection_probability(src, 0.2) == detection_probability(Attenuated(0.5), 0.2)
+        # The cached signal intensity leaves equality and hashing to the fields.
+        fresh = Decoy((0.5, 0.1, 0.0), (0.7, 0.2, 0.1))
+        assert src.mu == 0.5 and src == fresh and hash(src) == hash(fresh)
 
     def test_all_vacuum_decoy_rejected(self):
         # The decoy builds; its signal intensity fails on first use.

@@ -628,7 +628,7 @@ class TestSweepBatch:
         assert seen == {"solved", "infeasible", "feasible-everywhere", "flagged"}
 
     def test_bisection_rows_never_call_detection_probability(self, monkeypatch):
-        # The engine binds each row's own gamma; the checked, dispatching
+        # The engine binds each row's own gamma; the checked
         # detection_probability is for callers outside the package.
         decoy = {"kind": "decoy", "intensities": [0.5, 0.1, 0.0], "probabilities": [0.7, 0.2, 0.1]}
         scenarios = [parse_scenario(make(link=self.LINKS[k][0])) for k in ("freespace", "satellite")]
