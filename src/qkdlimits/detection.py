@@ -177,6 +177,8 @@ def qber_attenuated(eta: float, mu: float, det: DetectorModel) -> QberBreakdown:
 
 
 def _per_intensity(eta: float, src: Decoy, det: DetectorModel) -> list[QberBreakdown]:
+    if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
+        raise ValidationError(f"eta={eta!r} outside [0, 1]")
     out = []
     for mu in src.intensities:
         gamma = -math.expm1(-eta * mu)
@@ -197,8 +199,6 @@ def decoy_expected_qber(eta: float, src: Decoy, det: DetectorModel) -> QberBreak
     result is the convex combination sum_i lambda_i E_i of the
     per-intensity QBERs; the weights are returned and sum to 1.
     """
-    if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
-        raise ValidationError(f"eta={eta!r} outside [0, 1]")
     parts = _per_intensity(eta, src, det)
     c = [1.0 / (1.0 + src.rep_rate_hz * b.total_yield * src.dead_time_s) for b in parts]
     wq = [ci * qi * b.total_yield for ci, qi, b in zip(c, src.probabilities, parts)]

@@ -7,7 +7,8 @@ distance through the loss model. distance_bounds is the one place that
 chooses the route for a (source, detector, link) point: fiber and
 far-field diffraction of a collimated beam have closed forms; every
 other link goes through a monotonicity-guarded bisection.
-run_scenario, sweep_scenario and dark_count_sweep all call it.
+run_scenario, sweep_scenario and dark_count_sweep all call it; it solves
+each point as it reads it, with one guard memo per call for the bisection.
 """
 
 from __future__ import annotations
@@ -190,10 +191,67 @@ def _transmissivity(model: Callable[[float], float], d: float) -> float:
 @functools.lru_cache(maxsize=32)
 def _guard_grid(d_lo_km: float, d_hi_km: float) -> tuple[float, ...]:
     """MONOTONE_SAMPLES log-spaced distances from d_lo_km to d_hi_km, as
-    Python floats, not numpy scalars: the models are scalar math."""
+    Python floats, not numpy scalars: the models are scalar math. A bad
+    bracket raises on every call, since lru_cache keeps no exception."""
+    if not (math.isfinite(d_lo_km) and math.isfinite(d_hi_km)) or d_lo_km < 0.0:
+        raise BracketError(f"bad interval [{d_lo_km!r}, {d_hi_km!r}]")
+    if d_lo_km >= d_hi_km:
+        raise BracketError(f"empty interval [{d_lo_km}, {d_hi_km}]")
     grid = np.geomspace(max(d_lo_km, d_hi_km * 1e-12), d_hi_km, MONOTONE_SAMPLES).tolist()
     grid[0] = float(d_lo_km)
     return tuple(grid)
+
+
+def _bisect(
+    model: Callable[[float], float],
+    src: SourceModel,
+    det: DetectorModel,
+    g: GammaThreshold,
+    d_lo_km: float,
+    d_hi_km: float,
+    guards: dict,
+) -> DistanceBound:
+    """One row of max_distance_batch. guards is the caller's memo for one
+    call: the model's values on the guard grid, keyed on the model object
+    itself (held there, so its id cannot be reused), and the checked
+    detection probabilities, keyed on (model, source, eta_eff)."""
+    grid = _guard_grid(d_lo_km, d_hi_km)
+    eta_eff = det.eta_eff
+    vals = guards.get((model, src, eta_eff))
+    if vals is None:
+        etas = guards.get(model)
+        if etas is None:
+            etas = guards[model] = [_transmissivity(model, d) for d in grid]
+        if not isinstance(src, SourceModel):
+            raise ValidationError(f"unknown source model {src!r}")
+        vals = [src.gamma(eta_eff * eta_ch) for eta_ch in etas]
+        for i in range(len(vals) - 1):
+            if vals[i + 1] > vals[i] + 1e-12:
+                raise NonMonotonicModelError(
+                    f"detection probability rises from {vals[i]} to {vals[i + 1]} "
+                    f"between d={grid[i]} and d={grid[i + 1]} km; restrict the "
+                    "interval to the monotone side of the focus"
+                )
+        guards[(model, src, eta_eff)] = vals
+    target = g.gamma_min
+    if vals[0] <= target:
+        return DistanceBound(0.0, False, "bisection", "infeasible", g)
+    if vals[-1] > target:
+        return DistanceBound(d_hi_km, True, "bisection", "feasible-everywhere", g)
+    # Narrow to the grid cell holding the crossing; otherwise a wide
+    # default bracket cannot reach the relative tolerance in 60 steps.
+    idx = next(i for i in range(1, len(vals)) if vals[i] <= target)
+    lo, hi = grid[idx - 1], grid[idx]
+    gamma = src.gamma
+    for _ in range(BISECT_MAX_ITER):
+        if hi - lo <= BISECT_REL_TOL * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if gamma(eta_eff * _transmissivity(model, mid)) > target:
+            lo = mid
+        else:
+            hi = mid
+    return DistanceBound(0.5 * (lo + hi), True, "bisection", "solved", g)
 
 
 def max_distance_batch(
@@ -204,63 +262,16 @@ def max_distance_batch(
 ) -> list[DistanceBound]:
     """max_distance_numeric for each (source, detector, Gamma) row on one link model.
 
-    The guard grid is built once per bracket and the model evaluated on
-    it once for the whole batch, and the monotonicity guard runs once per
-    distinct (source, eta_eff): rows that differ only in Gamma, as in a
-    sweep of y0 or e_det, share it. Each row then gets its own cell scan
-    and bisection on its source's gamma, so every bound equals the one a
-    call for that row alone gives, bit for bit. Rows run in order, and
+    The bracket is checked even with no rows. The rows share one guard
+    memo, so the model is evaluated on the guard grid once and the
+    monotonicity guard runs once per distinct (source, eta_eff). Each row
+    keeps its own cell scan and bisection, so every bound equals the one
+    a call for that row alone gives, bit for bit. Rows run in order, and
     the first row that fails raises.
     """
-    if not (math.isfinite(d_lo_km) and math.isfinite(d_hi_km)) or d_lo_km < 0.0:
-        raise BracketError(f"bad interval [{d_lo_km!r}, {d_hi_km!r}]")
-    if d_lo_km >= d_hi_km:
-        raise BracketError(f"empty interval [{d_lo_km}, {d_hi_km}]")
-    if not rows:
-        return []
-
-    grid = _guard_grid(d_lo_km, d_hi_km)
-    etas = [_transmissivity(model, d) for d in grid]
+    _guard_grid(d_lo_km, d_hi_km)
     guards: dict = {}
-    bounds = []
-    for src, det, g in rows:
-        eta_eff = det.eta_eff
-        vals = guards.get((src, eta_eff))
-        if vals is None:
-            if not isinstance(src, SourceModel):
-                raise ValidationError(f"unknown source model {src!r}")
-            vals = [src.gamma(eta_eff * eta_ch) for eta_ch in etas]
-            for i in range(len(vals) - 1):
-                if vals[i + 1] > vals[i] + 1e-12:
-                    raise NonMonotonicModelError(
-                        f"detection probability rises from {vals[i]} to {vals[i + 1]} "
-                        f"between d={grid[i]} and d={grid[i + 1]} km; restrict the "
-                        "interval to the monotone side of the focus"
-                    )
-            guards[(src, eta_eff)] = vals
-
-        target = g.gamma_min
-        if vals[0] <= target:
-            bounds.append(DistanceBound(0.0, False, "bisection", "infeasible", g))
-            continue
-        if vals[-1] > target:
-            bounds.append(DistanceBound(d_hi_km, True, "bisection", "feasible-everywhere", g))
-            continue
-        # Narrow to the grid cell holding the crossing; otherwise a wide
-        # default bracket cannot reach the relative tolerance in 60 steps.
-        idx = next(i for i in range(1, len(vals)) if vals[i] <= target)
-        lo, hi = grid[idx - 1], grid[idx]
-        gamma = src.gamma
-        for _ in range(BISECT_MAX_ITER):
-            if hi - lo <= BISECT_REL_TOL * hi:
-                break
-            mid = 0.5 * (lo + hi)
-            if gamma(eta_eff * _transmissivity(model, mid)) > target:
-                lo = mid
-            else:
-                hi = mid
-        bounds.append(DistanceBound(0.5 * (lo + hi), True, "bisection", "solved", g))
-    return bounds
+    return [_bisect(model, *row, d_lo_km, d_hi_km, guards) for row in rows]
 
 
 def distance_bounds(
@@ -275,42 +286,29 @@ def distance_bounds(
     A point has a closed form when its link is fiber, or diffraction of a
     collimated beam (infinite curvature_m: the far-field envelope does
     not bound a focused or diverging one), and its source is
-    single-photon with k=1, attenuated or decoy; such points are solved
-    on the spot. Every other point is bisected on [d_lo_km, d_hi_km] by
-    max_distance_batch, one batch per run of points sharing a link.
-    Errors are the ones a point-by-point loop meets first.
+    single-photon with k=1, attenuated or decoy. Every other point is
+    bisected on [d_lo_km, d_hi_km] as in max_distance_batch, with one
+    guard memo for the whole call. Each point is solved as it is read,
+    so the first failing point raises, and the bracket is checked only
+    if a point is bisected.
     """
-    # A point waiting for bisection holds its (source, detector, Gamma) row.
     bounds: list = []
-    batches: list[tuple[ScenarioLink, list[int]]] = []
-    try:
-        for src, det, link in points:
-            try:
-                g = gamma_threshold(det, mub_count)
-            except InfeasibleConfigurationError:
-                bounds.append(None)
-                continue
-            has_omega = isinstance(src, (Attenuated, Decoy)) or (
-                isinstance(src, SinglePhoton) and src.k == 1
-            )
-            if has_omega and link.kind == "fiber":
-                bounds.append(max_fiber_distance(link.fiber, omega(det, src, g)))
-            elif has_omega and link.kind == "diffraction" and math.isinf(link.beam.curvature_m):
-                bounds.append(max_diffraction_distance(link.beam, omega(det, src, g)))
-            else:
-                if not batches or batches[-1][0] is not link:
-                    batches.append((link, []))
-                batches[-1][1].append(len(bounds))
-                bounds.append((src, det, g))
-    finally:
-        # Bisect the waiting points even if a later point failed: a
-        # point-by-point loop would have met their errors first.
-        for link, indices in batches:
-            rows = max_distance_batch(
-                link.transmissivity, [bounds[i] for i in indices], d_lo_km, d_hi_km
-            )
-            for i, bound in zip(indices, rows):
-                bounds[i] = bound
+    guards: dict = {}
+    for src, det, link in points:
+        try:
+            g = gamma_threshold(det, mub_count)
+        except InfeasibleConfigurationError:
+            bounds.append(None)
+            continue
+        has_omega = isinstance(src, (Attenuated, Decoy)) or (
+            isinstance(src, SinglePhoton) and src.k == 1
+        )
+        if has_omega and link.kind == "fiber":
+            bounds.append(max_fiber_distance(link.fiber, omega(det, src, g)))
+        elif has_omega and link.kind == "diffraction" and math.isinf(link.beam.curvature_m):
+            bounds.append(max_diffraction_distance(link.beam, omega(det, src, g)))
+        else:
+            bounds.append(_bisect(link.transmissivity, src, det, g, d_lo_km, d_hi_km, guards))
     return bounds
 
 

@@ -169,13 +169,22 @@ def diffraction_transmissivity(beam: BeamGeometry, d_m: float) -> float:
     return -math.expm1(-2.0 * beam.aperture_radius_m**2 / w**2)
 
 
+# The class of each ScenarioLink part.
+_PART_CLASSES = {
+    "fiber": FiberLink,
+    "beam": BeamGeometry,
+    "atmosphere": GroundAtmosphere,
+    "satellite": SatellitePath,
+}
+
+
 @dataclass(frozen=True)
 class ScenarioLink:
     """A link of one kind: the parameter objects that kind uses and its
     transmissivity as a function of distance in km, built once from them.
 
-    LINK_PARTS names the parts of each kind; a missing part, or a part
-    the kind does not use, is a ValidationError.
+    LINK_PARTS names the parts of each kind; a missing part, a part the
+    kind does not use, or a part of the wrong class is a ValidationError.
     """
 
     kind: str
@@ -191,10 +200,17 @@ class ScenarioLink:
             raise ValidationError(
                 f"unknown link kind {self.kind!r}, expected one of {tuple(LINK_PARTS)}"
             )
-        for name in ("fiber", "beam", "atmosphere", "satellite"):
+        for name in _PART_CLASSES:
             if (getattr(self, name) is None) == (name in parts):
                 need = "needs" if name in parts else "does not use"
                 raise ValidationError(f"{self.kind} link {need} {name}")
+        for name in parts:
+            part, cls = getattr(self, name), _PART_CLASSES[name]
+            if not isinstance(part, cls):
+                raise ValidationError(
+                    f"{self.kind} link {name} must be a {cls.__name__}, "
+                    f"not {type(part).__name__}"
+                )
         fiber, beam, atm = self.fiber, self.beam, self.atmosphere
         if self.kind == "fiber":
             model = lambda d: fiber_transmissivity(fiber, d)

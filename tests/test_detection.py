@@ -206,6 +206,15 @@ class TestBestCaseIntensity:
         src = Decoy((0.4, 0.4), (0.5, 0.5))
         assert best_case_intensity(src, 0.1, det) == (0, 0.4)
 
+    @pytest.mark.parametrize("eta", [2.0, math.nan, math.inf, -5.0])
+    def test_eta_outside_the_unit_interval_is_rejected(self, eta):
+        # Both decoy functions run the one per-intensity check.
+        src, det = Decoy((0.5, 0.1), (0.5, 0.5)), DetectorModel(1e-6, 0.01)
+        with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+            best_case_intensity(src, eta, det)
+        with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+            decoy_expected_qber(eta, src, det)
+
 
 class TestDetectionProbability:
     def test_single_photon(self):

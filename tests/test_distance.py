@@ -13,8 +13,11 @@ from qkdlimits import (
     Decoy,
     DetectorModel,
     FiberLink,
+    GroundAtmosphere,
     InfeasibleConfigurationError,
     NonMonotonicModelError,
+    SatellitePath,
+    ScenarioLink,
     SinglePhoton,
     ValidationError,
     dark_count_sweep,
@@ -372,6 +375,85 @@ class TestBatch:
     def test_a_bad_transmissivity_fails_the_batch(self):
         with pytest.raises(BracketError, match="transmissivity"):
             max_distance_batch(lambda d: 1.5, self.rows(), 1.0, 10.0)
+
+
+class TestDistanceBounds:
+    """distance_bounds: each point solved as it is read, one guard memo per call."""
+
+    BEAM = BeamGeometry(w0_m=0.05, wavelength_m=8e-7, aperture_radius_m=0.25)
+    BRACKET = (1e-3, 1e7)
+
+    def expected(self, src, det, link):
+        # The bound of one point from the public per-route functions.
+        try:
+            g = gamma_threshold(det, 2)
+        except InfeasibleConfigurationError:
+            return None
+        closed = src != SinglePhoton(k=3)
+        if closed and link.kind == "fiber":
+            return max_fiber_distance(link.fiber, omega(det, src, g))
+        if closed and link.kind == "diffraction" and math.isinf(link.beam.curvature_m):
+            return max_diffraction_distance(link.beam, omega(det, src, g))
+        return max_distance_numeric(link.transmissivity, src, det, g, *self.BRACKET)
+
+    def test_mixed_routes_equal_the_per_point_calls(self):
+        diverging = BeamGeometry(0.05, 8e-7, 0.25, curvature_m=-1e4)
+        links = [
+            ScenarioLink("fiber", fiber=FIBER),
+            ScenarioLink("diffraction", beam=self.BEAM),
+            ScenarioLink("diffraction", beam=diverging),
+            ScenarioLink("freespace", beam=self.BEAM, atmosphere=GroundAtmosphere()),
+            ScenarioLink("satellite", beam=self.BEAM, satellite=SatellitePath()),
+        ]
+        hopeless = DetectorModel(y0=1e-8, e_det=0.3)
+        points = [
+            (src, det, link)
+            for link in links
+            for src in (SinglePhoton(), SinglePhoton(k=3), Attenuated(0.5))
+            for det in (DET, hopeless)
+        ]
+        bounds = distance.distance_bounds(points, 2, *self.BRACKET)
+        assert bounds == [self.expected(*p) for p in points]
+        assert [b is None for b in bounds] == [p[1] is hopeless for p in points]
+        assert {b.method for b in bounds if b is not None} == {"closed-form", "bisection"}
+
+    def test_interleaved_links_evaluate_each_guard_grid_once(self):
+        calls = []
+
+        def link(alpha):
+            # A fiber, bisected for a k=3 source, whose model logs its calls.
+            out = ScenarioLink("fiber", fiber=FiberLink(alpha))
+            model = out.transmissivity
+
+            def counted(d):
+                calls.append((alpha, d))
+                return model(d)
+
+            object.__setattr__(out, "transmissivity", counted)
+            return out
+
+        a, b, src = link(0.2), link(0.5), SinglePhoton(k=3)
+        points = [(src, DetectorModel(y0=1e-7, e_det=0.01), a), (src, DET, b), (src, DET, a)]
+        alone = [distance.distance_bounds([p], 2, *self.BRACKET)[0] for p in points]
+        assert alone == [self.expected(*p) for p in points]
+        assert {bound.status for bound in alone} == {"solved"}
+        calls.clear()
+        assert distance.distance_bounds(points, 2, *self.BRACKET) == alone
+        grid = list(distance._guard_grid(*self.BRACKET))
+        for alpha in (0.2, 0.5):
+            seen = [d for x, d in calls if x == alpha]
+            assert seen[:64] == grid and sum(d in grid for d in seen) == 64
+
+    def test_a_bad_bracket_is_checked_only_for_bisected_points(self):
+        fiber = ScenarioLink("fiber", fiber=FIBER)
+        hopeless = DetectorModel(y0=1e-8, e_det=0.3)
+        points = [(SinglePhoton(), DET, fiber), (Attenuated(0.5), hopeless, fiber)]
+        for bracket in ((10.0, 1.0), (-1.0, 10.0), (1.0, math.inf)):
+            assert distance.distance_bounds(points, 2, *bracket) == [
+                self.expected(*p) for p in points
+            ]
+            with pytest.raises(BracketError):
+                distance.distance_bounds([*points, (SinglePhoton(k=3), DET, fiber)], 2, *bracket)
 
 
 class TestParameterMonotonicity:

@@ -248,3 +248,19 @@ class TestScenarioLink:
         det = DetectorModel(y0=1e-8, e_det=0.01)
         with pytest.raises(ValidationError, match="fiber link needs fiber"):
             dark_count_sweep([1e-8], det, SinglePhoton(), None, 2)
+
+    @pytest.mark.parametrize("kind", sorted(LINK_PARTS))
+    def test_a_part_of_the_wrong_class_is_rejected(self, kind):
+        for name in LINK_PARTS[kind]:
+            wrong = next(p for n, p in PARTS.items() if n != name)
+            for bad in ("x", 1.0, wrong):
+                parts = {n: bad if n == name else PARTS[n] for n in LINK_PARTS[kind]}
+                with pytest.raises(ValidationError, match=f"{kind} link {name} must be a "):
+                    ScenarioLink(kind, **parts)
+
+    def test_dark_count_sweep_rejects_a_scenario_link_as_its_fiber(self):
+        det = DetectorModel(y0=1e-8, e_det=0.01)
+        link = ScenarioLink("fiber", fiber=PARTS["fiber"])
+        message = "fiber link fiber must be a FiberLink, not ScenarioLink"
+        with pytest.raises(ValidationError, match=message):
+            dark_count_sweep([1e-8], det, SinglePhoton(), link, 2)
