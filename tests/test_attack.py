@@ -1,7 +1,12 @@
 """Intercept-resend statistics, analytic and sampled."""
 
+import concurrent.futures
 import math
+import os
+import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from qkdlimits import (
@@ -13,7 +18,17 @@ from qkdlimits import (
     pauli_channel_qber_montecarlo,
     qbers_from_pauli,
 )
-from qkdlimits.attack import _enumerate_intercept_resend
+from qkdlimits.attack import (
+    _CHUNK_SIZE,
+    DEFAULT_BLOCK_SIZE,
+    _block_rng,
+    _block_sizes,
+    _born_tensor,
+    _enumerate_intercept_resend,
+    _flip_probabilities,
+    _protocol_bases,
+)
+from qkdlimits.qber import QberSet
 
 
 def test_analytic_values_are_exact():
@@ -144,15 +159,187 @@ class TestPauliChannelSampling:
 
 
 def test_attack_config_validation():
-    with pytest.raises(ValidationError):
-        AttackConfig(mub_count=4, trials=100, seed=0)
-    with pytest.raises(ValidationError):
-        AttackConfig(mub_count=2, trials=0, seed=0)
-    with pytest.raises(ValidationError):
-        AttackConfig(mub_count=2, trials=100.5, seed=0)
-    with pytest.raises(ValidationError):
-        AttackConfig(mub_count=2, trials=100, seed=-1)
-    with pytest.raises(ValidationError):
-        AttackConfig(mub_count=2, trials=100, seed=2**64)
-    with pytest.raises(ValidationError):
-        AttackConfig(mub_count=2, trials=100, seed=0, block_size=0)
+    for fields, message in (
+        (dict(mub_count=4, trials=100, seed=0), "mub_count must be 2 or 3"),
+        (dict(mub_count=2.0, trials=100, seed=0), "mub_count must be 2 or 3, got 2.0"),
+        (dict(mub_count=True, trials=100, seed=0), "mub_count must be 2 or 3"),
+        (dict(mub_count=2, trials=0, seed=0), "trials=0 must be an integer >= 1"),
+        (dict(mub_count=2, trials=100.5, seed=0), "trials=100.5 must be an integer"),
+        (dict(mub_count=2, trials=True, seed=0), "trials=True must be an integer >= 1"),
+        (dict(mub_count=2, trials=100, seed=-1), "seed=-1 must fit in 64 bits"),
+        (dict(mub_count=2, trials=100, seed=2**64), "must fit in 64 bits"),
+        (dict(mub_count=2, trials=100, seed=True), "seed=True must fit in 64 bits"),
+        (dict(mub_count=2, trials=100, seed=0, block_size=0), "block_size=0 must be >= 1"),
+        (dict(mub_count=2, trials=100, seed=0, block_size=True), "block_size=True must be >= 1"),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            AttackConfig(**fields)
+
+
+class TestEstimatorArguments:
+    def test_pauli_mub_count_must_match_the_config(self):
+        p = PauliDistribution((0.7, 0.1, 0.1, 0.1))
+        with pytest.raises(ValidationError, match="mub_count=3 differs from cfg.mub_count=2"):
+            pauli_channel_qber_montecarlo(p, 3, AttackConfig(mub_count=2, trials=100, seed=0))
+        with pytest.raises(ValidationError, match="differs"):
+            pauli_channel_qber_montecarlo(p, 2, AttackConfig(mub_count=3, trials=100, seed=0))
+
+    def test_pauli_argument_types(self):
+        cfg = AttackConfig(mub_count=2, trials=100, seed=0)
+        with pytest.raises(ValidationError, match="p must be a PauliDistribution, not tuple"):
+            pauli_channel_qber_montecarlo((0.7, 0.1, 0.1, 0.1), 2, cfg)
+        with pytest.raises(ValidationError, match="cfg must be an AttackConfig, not dict"):
+            pauli_channel_qber_montecarlo(
+                PauliDistribution((0.7, 0.1, 0.1, 0.1)), 2, dict(mub_count=2, trials=100, seed=0)
+            )
+
+    def test_intercept_resend_config_type(self):
+        with pytest.raises(ValidationError, match="cfg must be an AttackConfig, not int"):
+            intercept_resend_qber_montecarlo(2)
+
+
+# The whole-block kernels the chunked, threaded estimators replaced: one
+# numpy call per array and block, int64/float64 arrays, 4-D Born lookup.
+# They draw the same Philox streams, so every estimate must match exactly.
+
+
+def whole_block_intercept_resend(cfg):
+    bases = _protocol_bases(cfg.mub_count)
+    n = len(bases)
+    born = _born_tensor(bases)
+    errors = 0
+    for stream, size in enumerate(_block_sizes(cfg.trials, cfg.block_size)):
+        rng = _block_rng(cfg.seed, stream)
+        a = rng.integers(0, n, size=size)
+        b = rng.integers(0, 2, size=size)
+        e = rng.integers(0, n, size=size)
+        u_eve = rng.random(size)
+        u_bob = rng.random(size)
+        m = (u_eve >= born[a, b, e, 0]).astype(np.intp)
+        r = (u_bob >= born[a, 0, e, m]).astype(np.intp)
+        errors += int(np.count_nonzero(r != b))
+    est = errors / cfg.trials
+    return est, math.sqrt(est * (1.0 - est) / cfg.trials)
+
+
+def whole_block_pauli(p, mub_count, cfg):
+    bases = _protocol_bases(mub_count)
+    flip = _flip_probabilities(bases)
+    cum = np.cumsum(p.as_array())
+    cum[-1] = 1.0
+    sizes = _block_sizes(cfg.trials, cfg.block_size)
+    rates = []
+    for bi in range(len(bases)):
+        errors = 0
+        for block, size in enumerate(sizes):
+            rng = _block_rng(cfg.seed, bi * len(sizes) + block)
+            b = rng.integers(0, 2, size=size)
+            k = np.searchsorted(cum, rng.random(size), side="right")
+            u = rng.random(size)
+            errors += int(np.count_nonzero(u < flip[bi, k, b]))
+        rates.append(errors / cfg.trials)
+    if mub_count == 2:
+        return QberSet(e_x=rates[0], e_z=rates[1])
+    return QberSet(e_x=rates[0], e_z=rates[1], e_y=rates[2])
+
+
+SEEDS = [0, 1, 2, 7, 42, 99, 777, 12345, 20240811, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+SEEDS += [(0x9E3779B97F4A7C15 * i) % 2**64 for i in range(1, 8)]
+CHANNELS = [
+    (0.7, 0.1, 0.1, 0.1),
+    (1.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 1.0),
+    (0.5, 0.0, 0.5, 0.0),
+    (0.6, 0.2, 0.0, 0.2),
+    (0.25, 0.25, 0.25, 0.25),
+]
+BLOCK_SIZES = [DEFAULT_BLOCK_SIZE, 1, 3, 32767, 40000]
+TRIALS = [1, 7, _CHUNK_SIZE - 1, _CHUNK_SIZE + 1, 10**5, 262145, 10**6]
+# Every (trials, block_size) pair of at most 64 blocks; a million
+# one-trial substreams would test nothing the small counts do not.
+GRID = [(t, bs) for t in TRIALS for bs in BLOCK_SIZES if -(-t // bs) <= 64]
+
+
+def seeds_for(trials, block_size):
+    """Every seed for a few trials; fewer, rotating through SEEDS, for more."""
+    if trials < 10:
+        return SEEDS
+    count = 4 if trials < 10**5 else 2 if trials < 10**6 else 1
+    start = (TRIALS.index(trials) * len(BLOCK_SIZES) + BLOCK_SIZES.index(block_size)) * 4
+    return [SEEDS[(start + i) % len(SEEDS)] for i in range(count)]
+
+
+def test_the_grid_covers_every_seed_and_the_chunk_edges():
+    used = {s for t, bs in GRID for s in seeds_for(t, bs)}
+    assert used == set(SEEDS) and len(SEEDS) >= 20
+    assert {t for t, _ in GRID} == set(TRIALS)
+    assert {bs for _, bs in GRID} == set(BLOCK_SIZES)
+
+
+class TestChunkedKernelsMatchTheWholeBlockKernels:
+    @pytest.mark.parametrize("trials, block_size", GRID)
+    def test_intercept_resend(self, trials, block_size):
+        for mub in (2, 3):
+            for seed in seeds_for(trials, block_size):
+                cfg = AttackConfig(mub, trials, seed, block_size)
+                assert intercept_resend_qber_montecarlo(cfg) == whole_block_intercept_resend(cfg)
+
+    @pytest.mark.parametrize("trials, block_size", GRID)
+    def test_pauli_channel(self, trials, block_size):
+        for mub in (2, 3):
+            for i, seed in enumerate(seeds_for(trials, block_size)):
+                p = PauliDistribution(CHANNELS[(i + mub) % len(CHANNELS)])
+                cfg = AttackConfig(mub, trials, seed, block_size)
+                got = pauli_channel_qber_montecarlo(p, mub, cfg)
+                assert got == whole_block_pauli(p, mub, cfg)
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_the_core_count_does_not_change_the_result(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        p = PauliDistribution((0.6, 0.2, 0.0, 0.2))
+        for mub in (2, 3):
+            for cfg in (
+                AttackConfig(mub, 10**6, 31),
+                AttackConfig(mub, 10**5, 32, block_size=7919),
+            ):
+                assert intercept_resend_qber_montecarlo(cfg) == whole_block_intercept_resend(cfg)
+                assert pauli_channel_qber_montecarlo(p, mub, cfg) == whole_block_pauli(p, mub, cfg)
+
+
+class TestThreads:
+    @staticmethod
+    def forbid_pools(monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("a ThreadPoolExecutor was built")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+
+    def test_a_single_block_builds_no_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        self.forbid_pools(monkeypatch)
+        est, _ = intercept_resend_qber_montecarlo(
+            AttackConfig(mub_count=2, trials=10**5, seed=12345)
+        )
+        assert est == 0.25217
+        # Several blocks do build one, so the patch above is where it is built.
+        with pytest.raises(RuntimeError, match="ThreadPoolExecutor"):
+            intercept_resend_qber_montecarlo(AttackConfig(mub_count=2, trials=10**6, seed=0))
+
+    def test_a_single_core_builds_no_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        self.forbid_pools(monkeypatch)
+        cfg = AttackConfig(mub_count=3, trials=10**5, seed=5, block_size=30000)
+        assert intercept_resend_qber_montecarlo(cfg) == whole_block_intercept_resend(cfg)
+
+    def test_peak_memory_of_a_threaded_million_trial_call(self, monkeypatch):
+        # The whole-block kernel peaked at 16.25 MiB here: about 16 MiB of
+        # int64/float64 arrays per block.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = AttackConfig(mub_count=3, trials=10**6, seed=20240811)
+        tracemalloc.start()
+        try:
+            intercept_resend_qber_montecarlo(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

@@ -1,12 +1,15 @@
 """Module structure: the relative imports between the package's modules
-form no cycle, each module uses every name it imports, and no module
-calls numpy's closeness tests.
+form no cycle, each module uses every name it imports, no module calls
+numpy's closeness tests, and importing the CLI loads no thread pool.
 
 An AST scan of the source files, since no linter is a test dependency.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -106,3 +109,19 @@ def test_no_numpy_closeness_test(path):
     # non-finite input through; compare elementwise instead.
     lines = numpy_closeness_calls(parse(path))
     assert not lines, f"{path.name}: np.allclose/np.isclose on lines {lines}"
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # The Monte Carlo estimators import their executor only when a call
+    # has several blocks, so the CLI's start-up and memory do not pay for it.
+    code = "import sys, qkdlimits.cli; print('concurrent.futures.thread' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
