@@ -36,7 +36,6 @@ from .distance import (
     dark_count_sweep,
     gamma_threshold,
     max_diffraction_distance,
-    max_distance_batch,
     max_distance_numeric,
     max_fiber_distance,
     omega,

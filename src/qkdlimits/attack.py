@@ -4,7 +4,8 @@ The analytic path enumerates (Alice basis, bit, Eve basis, Eve outcome,
 Bob outcome) with Born-rule weights. Projectors are built from
 integer-component kets, so every weight is an exact dyadic rational and
 the enumeration result carries no rounding error at all (1/4 for two
-bases, 1/3 for three).
+bases, 1/3 for three). The Born and Pauli-flip tables are built once per
+basis set and cached read-only, so a call after the first builds none.
 
 The Monte Carlo path uses numpy's Philox counter-based generator with
 explicit 64-bit seeding. Trials are split into fixed-size blocks, each
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -88,8 +89,10 @@ def _protocol_bases(mub_count: int) -> tuple[str, ...]:
     raise ValidationError(f"mub_count must be 2 or 3, got {mub_count!r}")
 
 
+@cache
 def _born_tensor(bases: tuple[str, ...]) -> np.ndarray:
-    """B[a, b, e, m] = tr(proj[e][m] proj[a][b]), all entries exact dyadics."""
+    """B[a, b, e, m] = tr(proj[e][m] proj[a][b]), all entries exact dyadics;
+    built once per basis tuple and read-only, since every caller shares it."""
     n = len(bases)
     projs = [[_projector(k) for k in _MUB_KETS[name]] for name in bases]
     born = np.zeros((n, 2, n, 2))
@@ -98,6 +101,7 @@ def _born_tensor(bases: tuple[str, ...]) -> np.ndarray:
             for e in range(n):
                 for m in range(2):
                     born[a, b, e, m] = np.trace(projs[e][m] @ projs[a][b]).real
+    born.flags.writeable = False
     return born
 
 
@@ -217,9 +221,11 @@ def intercept_resend_qber_montecarlo(cfg: AttackConfig) -> tuple[float, float]:
     return est, math.sqrt(est * (1.0 - est) / cfg.trials)
 
 
+@cache
 def _flip_probabilities(bases: tuple[str, ...]) -> np.ndarray:
     """flip[basis, k, b] = Born weight of reading 1-b after Pauli k hits
-    the b eigenstate; exactly 0 or 1 for Pauli operators."""
+    the b eigenstate; exactly 0 or 1 for Pauli operators. Built once per
+    basis tuple and read-only, like _born_tensor."""
     flip = np.zeros((len(bases), 4, 2))
     for bi, name in enumerate(bases):
         projs = [_projector(k) for k in _MUB_KETS[name]]
@@ -227,6 +233,7 @@ def _flip_probabilities(bases: tuple[str, ...]) -> np.ndarray:
             for b in (0, 1):
                 evolved = sigma @ projs[b] @ sigma.conj().T
                 flip[bi, k, b] = np.trace(projs[1 - b] @ evolved).real
+    flip.flags.writeable = False
     return flip
 
 

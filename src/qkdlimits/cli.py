@@ -361,8 +361,7 @@ def _emit_sweep(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["param", "value", "d_max_km", "feasible"])
-    for param, value, d_max, feasible in rows:
-        writer.writerow([param, repr(float(value)), repr(float(d_max)), "true" if feasible else "false"])
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
     return buf.getvalue().rstrip("\n")
 
 

@@ -44,7 +44,7 @@ class SinglePhoton:
     k: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
+        if isinstance(self.k, bool) or not (isinstance(self.k, int) and self.k >= 1):
             raise ValidationError(f"photon number k={self.k!r} must be an integer >= 1")
 
     def gamma(self, eta: float) -> float:
@@ -149,7 +149,7 @@ def k_photon_transmissivity(eta: float, k: int) -> float:
     """Probability 1 - (1 - eta)^k that at least one of k photons survives."""
     if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
         raise ValidationError(f"eta={eta!r} outside [0, 1]")
-    if not (isinstance(k, int) and k >= 0):
+    if isinstance(k, bool) or not (isinstance(k, int) and k >= 0):
         raise ValidationError(f"photon number k={k!r} must be an integer >= 0")
     # A pulse with no photon is never detected, even over a lossless channel.
     return SinglePhoton(k).gamma(eta) if k else 0.0

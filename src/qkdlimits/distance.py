@@ -6,9 +6,10 @@ minimum channel transmissivity Omega, and Omega translates into a
 distance through the loss model. distance_bounds is the one place that
 chooses the route for a (source, detector, link) point: fiber and
 far-field diffraction of a collimated beam have closed forms; every
-other link goes through a monotonicity-guarded bisection.
+other link goes through a monotonicity-guarded bisection, _bisect.
 run_scenario, sweep_scenario and dark_count_sweep all call it; it solves
 each point as it reads it, with one guard memo per call for the bisection.
+max_distance_numeric bisects one point on a model of the caller's own.
 """
 
 from __future__ import annotations
@@ -175,10 +176,10 @@ def max_distance_numeric(
     64 log-spaced samples guard against non-monotone models (for
     example a focused beam measured past its waist), which raise
     NonMonotonicModelError. Converges to 1e-9 relative in d or 60
-    bisection steps, whichever comes first. A batch of one row of
-    max_distance_batch.
+    bisection steps, whichever comes first. The one-point entry for a
+    model of the caller's own; distance_bounds solves many points.
     """
-    return max_distance_batch(model, [(src, det, g)], d_lo_km, d_hi_km)[0]
+    return _bisect(model, src, det, g, d_lo_km, d_hi_km, {})
 
 
 def _transmissivity(model: Callable[[float], float], d: float) -> float:
@@ -211,10 +212,11 @@ def _bisect(
     d_hi_km: float,
     guards: dict,
 ) -> DistanceBound:
-    """One row of max_distance_batch. guards is the caller's memo for one
-    call: the model's values on the guard grid, keyed on the model object
-    itself (held there, so its id cannot be reused), and the checked
-    detection probabilities, keyed on (model, source, eta_eff)."""
+    """The bisection bound of one point; _guard_grid checks the bracket
+    first. guards is the caller's memo for one call: the model's
+    values on the guard grid, keyed on the model object itself (held
+    there, so its id cannot be reused), and the checked detection
+    probabilities, keyed on (model, source, eta_eff)."""
     grid = _guard_grid(d_lo_km, d_hi_km)
     eta_eff = det.eta_eff
     vals = guards.get((model, src, eta_eff))
@@ -254,26 +256,6 @@ def _bisect(
     return DistanceBound(0.5 * (lo + hi), True, "bisection", "solved", g)
 
 
-def max_distance_batch(
-    model: Callable[[float], float],
-    rows: Sequence[tuple[SourceModel, DetectorModel, GammaThreshold]],
-    d_lo_km: float,
-    d_hi_km: float,
-) -> list[DistanceBound]:
-    """max_distance_numeric for each (source, detector, Gamma) row on one link model.
-
-    The bracket is checked even with no rows. The rows share one guard
-    memo, so the model is evaluated on the guard grid once and the
-    monotonicity guard runs once per distinct (source, eta_eff). Each row
-    keeps its own cell scan and bisection, so every bound equals the one
-    a call for that row alone gives, bit for bit. Rows run in order, and
-    the first row that fails raises.
-    """
-    _guard_grid(d_lo_km, d_hi_km)
-    guards: dict = {}
-    return [_bisect(model, *row, d_lo_km, d_hi_km, guards) for row in rows]
-
-
 def distance_bounds(
     points: Iterable[tuple[SourceModel, DetectorModel, ScenarioLink]],
     mub_count: int,
@@ -287,10 +269,11 @@ def distance_bounds(
     collimated beam (infinite curvature_m: the far-field envelope does
     not bound a focused or diverging one), and its source is
     single-photon with k=1, attenuated or decoy. Every other point is
-    bisected on [d_lo_km, d_hi_km] as in max_distance_batch, with one
-    guard memo for the whole call. Each point is solved as it is read,
-    so the first failing point raises, and the bracket is checked only
-    if a point is bisected.
+    bisected on [d_lo_km, d_hi_km] by _bisect, with one guard memo for
+    the whole call. Each point is solved as it is read, so the first
+    failing point raises, and the bracket is checked only if a point is
+    bisected. The one solver for many points: every bound equals the
+    one a call for that point alone gives, bit for bit.
     """
     bounds: list = []
     guards: dict = {}
@@ -338,13 +321,10 @@ def dark_count_sweep(
     if not values:
         return []
     e_det, eta_eff = det_template.e_det, det_template.eta_eff
-    # Hopeless misalignment raises here: it is the same at every y0, and
-    # the engine would flag each row.
+    # Hopeless misalignment raises here: it is the same at every y0, so
+    # the engine flags no row with None.
     gamma_threshold(DetectorModel(values[0], e_det, eta_eff), mub_count)
     fiber = ScenarioLink("fiber", fiber=link)
     points = ((src, DetectorModel(y0, e_det, eta_eff), fiber) for y0 in values)
     bounds = distance_bounds(points, mub_count, *DEFAULT_BRACKETS_KM["fiber"])
-    return [
-        SweepRow(y0, 0.0, False) if b is None else SweepRow(y0, b.d_max_km, b.feasible)
-        for y0, b in zip(values, bounds)
-    ]
+    return [SweepRow(y0, b.d_max_km, b.feasible) for y0, b in zip(values, bounds)]

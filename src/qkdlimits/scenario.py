@@ -453,7 +453,7 @@ def sweep_scenario(
         raise ValidationError("sweep needs a scenario with a link")
     if param not in _SWEEP_PARAMS:
         raise ValidationError(f"unknown sweep parameter {param!r}, expected one of {_SWEEP_PARAMS}")
-    if not (isinstance(points, int) and points >= 1):
+    if isinstance(points, bool) or not (isinstance(points, int) and points >= 1):
         raise ValidationError(f"points={points!r} must be an integer >= 1")
     if scale == "log":
         if start <= 0 or stop <= 0:

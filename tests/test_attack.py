@@ -18,6 +18,7 @@ from qkdlimits import (
     pauli_channel_qber_montecarlo,
     qbers_from_pauli,
 )
+from qkdlimits import attack
 from qkdlimits.attack import (
     _CHUNK_SIZE,
     DEFAULT_BLOCK_SIZE,
@@ -196,6 +197,48 @@ class TestEstimatorArguments:
     def test_intercept_resend_config_type(self):
         with pytest.raises(ValidationError, match="cfg must be an AttackConfig, not int"):
             intercept_resend_qber_montecarlo(2)
+
+
+class TestTables:
+    """The Born and flip tables are built once per basis set and shared."""
+
+    def test_a_second_call_builds_no_table(self, monkeypatch):
+        projector, built = attack._projector, []
+
+        def counted(ket):
+            built.append(ket)
+            return projector(ket)
+
+        monkeypatch.setattr(attack, "_projector", counted)
+        attack._born_tensor.cache_clear()
+        attack._flip_probabilities.cache_clear()
+        p = PauliDistribution((0.6, 0.2, 0.0, 0.2))
+        for mub in (2, 3):
+            cfg = AttackConfig(mub, 1000, 7)
+            calls = (
+                lambda: intercept_resend_qber_analytic(mub),
+                lambda: intercept_resend_qber_montecarlo(cfg),
+                lambda: pauli_channel_qber_montecarlo(p, mub, cfg),
+            )
+            first_builds = []
+            for call in calls:
+                built.clear()
+                first = call()
+                first_builds.append(len(built))
+                built.clear()
+                assert call() == first
+                assert built == []
+            # Two projectors per basis for each table; the Monte Carlo
+            # call reuses the Born table the analytic call built.
+            assert first_builds == [2 * mub, 0, 2 * mub]
+
+    def test_the_cached_tables_are_read_only(self):
+        for bases in (("X", "Z"), ("X", "Z", "Y")):
+            for build in (_born_tensor, _flip_probabilities):
+                table = build(bases)
+                assert build(bases) is table
+                with pytest.raises(ValueError, match="read-only"):
+                    table.flat[0] = 0.5
 
 
 # The whole-block kernels the chunked, threaded estimators replaced: one

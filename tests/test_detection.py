@@ -56,6 +56,11 @@ class TestKPhotonTransmissivity:
         with pytest.raises(ValidationError):
             k_photon_transmissivity(0.5, 1.5)
 
+    def test_a_bool_is_not_a_photon_number(self):
+        for k in (True, False):
+            with pytest.raises(ValidationError, match=f"k={k} must be an integer >= 0"):
+                k_photon_transmissivity(0.5, k)
+
 
 class TestSinglePhotonQber:
     def test_lossless_detector_sees_only_misalignment(self):
@@ -264,6 +269,11 @@ def test_single_photon_validation():
         SinglePhoton(k=0)
     with pytest.raises(ValidationError):
         SinglePhoton(k=2.5)
+
+
+def test_a_bool_is_not_a_single_photon_count():
+    with pytest.raises(ValidationError, match="k=True must be an integer >= 1"):
+        SinglePhoton(k=True)
 
 
 def test_attenuated_validation():

@@ -26,7 +26,6 @@ from qkdlimits import (
     fiber_transmissivity,
     gamma_threshold,
     max_diffraction_distance,
-    max_distance_batch,
     max_distance_numeric,
     max_fiber_distance,
     omega,
@@ -268,43 +267,51 @@ class TestNumericSolver:
 
 
 class TestBatch:
-    """max_distance_batch: one guard grid per batch, one guard per (source, eta_eff)."""
+    """Many points, one guard memo: one guard grid per call, one guard per
+    (source, eta_eff), and every bound equal to its own call."""
 
     BEAM = BeamGeometry(w0_m=0.05, wavelength_m=8e-7, aperture_radius_m=0.25)
 
-    def model(self, d):
-        return diffraction_transmissivity(self.BEAM, d * 1000.0) * math.exp(-0.005 * d)
+    def link(self, calls=None):
+        # diffraction(BEAM, 1000 d) * exp(-0.005 d); no closed form, so
+        # every point is bisected. With calls, the model logs its inputs.
+        out = ScenarioLink(
+            "freespace", beam=self.BEAM, atmosphere=GroundAtmosphere(alpha0_per_km=0.005)
+        )
+        if calls is not None:
+            model = out.transmissivity
+
+            def counted(d):
+                calls.append(d)
+                return model(d)
+
+            object.__setattr__(out, "transmissivity", counted)
+        return out
 
     def rows(self):
         out = []
         for src in (SinglePhoton(), SinglePhoton(k=3), Attenuated(0.5)):
             for eta_eff in (0.05, 1.0):
                 for y0 in (0.0, 1e-9, 1e-6, 1e-3, 0.3, 0.9):
-                    det = DetectorModel(y0=y0, e_det=0.02, eta_eff=eta_eff)
-                    out.append((src, det, gamma_threshold(det, 2)))
+                    out.append((src, DetectorModel(y0=y0, e_det=0.02, eta_eff=eta_eff)))
         return out
 
-    def test_a_scalar_call_is_a_batch_of_one(self):
-        statuses = set()
-        for bracket in ((1e-3, 1e7), (0.1, 10.0)):
-            for row in self.rows():
-                alone = max_distance_numeric(self.model, *row, *bracket)
-                assert alone == max_distance_batch(self.model, [row], *bracket)[0]
-                statuses.add(alone.status)
-        assert statuses == {"solved", "infeasible", "feasible-everywhere"}
-
     def test_rows_equal_their_own_calls(self):
-        rows = self.rows()
-        batch = max_distance_batch(self.model, rows, 1e-3, 1e7)
-        assert batch == [max_distance_numeric(self.model, *row, 1e-3, 1e7) for row in rows]
+        link, statuses = self.link(), set()
+        for bracket in ((1e-3, 1e7), (0.1, 10.0)):
+            rows = self.rows()
+            bounds = distance.distance_bounds(((s, det, link) for s, det in rows), 2, *bracket)
+            model = link.transmissivity
+            assert bounds == [
+                max_distance_numeric(model, s, det, gamma_threshold(det, 2), *bracket)
+                for s, det in rows
+            ]
+            statuses |= {bound.status for bound in bounds}
+        assert statuses == {"solved", "infeasible", "feasible-everywhere"}
 
     def test_grid_and_guard_are_evaluated_once_per_batch(self, monkeypatch):
         model_calls, detect_calls = [], []
-
-        def counted(d):
-            model_calls.append(type(d))
-            return self.model(d)
-
+        link = self.link(model_calls)
         gamma = SinglePhoton.gamma
 
         def counted_detection(src, eta):
@@ -313,37 +320,38 @@ class TestBatch:
 
         monkeypatch.setattr(SinglePhoton, "gamma", counted_detection)
         # Rows that differ only in Gamma share one guard.
-        rows = [r for r in self.rows() if r[0] == SinglePhoton() and r[1].eta_eff == 1.0]
+        points = [
+            (src, det, link)
+            for src, det in self.rows()
+            if src == SinglePhoton() and det.eta_eff == 1.0
+        ]
         alone = []
-        for row in rows:
+        for point in points:
             model_calls.clear()
             detect_calls.clear()
-            max_distance_numeric(counted, *row, 1e-3, 1e7)
+            distance.distance_bounds([point], 2, 1e-3, 1e7)
             alone.append((len(model_calls), len(detect_calls)))
         model_calls.clear()
         detect_calls.clear()
-        max_distance_batch(counted, rows, 1e-3, 1e7)
+        distance.distance_bounds(points, 2, 1e-3, 1e7)
         assert len(model_calls) == 64 + sum(m - 64 for m, _ in alone)
         assert len(detect_calls) == 64 + sum(n - 64 for _, n in alone)
-        assert set(model_calls) == {float}
+        assert {type(d) for d in model_calls} == {float}
 
     def test_the_guard_grid_is_built_once_per_bracket(self, monkeypatch):
-        geomspace, grids = np.geomspace, []
+        geomspace, grids, seen = np.geomspace, [], []
 
         def counted(*args, **kwargs):
             grids.append(args)
             return geomspace(*args, **kwargs)
 
-        def recording(d):
-            seen[-1].append(d)
-            return self.model(d)
-
         monkeypatch.setattr(np, "geomspace", counted)
         distance._guard_grid.cache_clear()
-        seen = []
+        src, det = self.rows()[2]
         for _ in range(2):
             seen.append([])
-            max_distance_batch(recording, self.rows()[:3], 0.1, 10.0)
+            model = self.link(seen[-1]).transmissivity
+            max_distance_numeric(model, src, det, gamma_threshold(det, 2), 0.1, 10.0)
         assert len(grids) == 1
         assert seen[0][:64] == seen[1][:64]
         assert distance._guard_grid(0.1, 10.0) == tuple(seen[0][:64])
@@ -355,26 +363,20 @@ class TestBatch:
         def model(d):
             return 0.5 + (5e-12 if d >= 3.0 else 0.0) if d < 6.0 else 0.1
 
+        def solve(dets):
+            guards, src = {}, SinglePhoton()
+            return [
+                distance._bisect(model, src, det, gamma_threshold(det, 2), 1.0, 10.0, guards)
+                for det in dets
+            ]
+
         dim = DetectorModel(y0=0.03, e_det=0.02, eta_eff=0.1)
         bright = DetectorModel(y0=0.03, e_det=0.02, eta_eff=1.0)
-        rows = [(SinglePhoton(), det, gamma_threshold(det, 2)) for det in (dim, bright)]
-        assert max_distance_batch(model, rows[:1], 1.0, 10.0)[0].status == "solved"
+        assert solve([dim])[0].status == "solved"
         with pytest.raises(NonMonotonicModelError):
-            max_distance_batch(model, rows, 1.0, 10.0)
+            solve([dim, bright])
         with pytest.raises(NonMonotonicModelError):
-            max_distance_batch(model, rows[::-1], 1.0, 10.0)
-
-    def test_an_empty_batch_checks_the_bracket_only(self):
-        def model(d):
-            raise AssertionError("an empty batch evaluates no model")
-
-        assert max_distance_batch(model, [], 1.0, 10.0) == []
-        with pytest.raises(BracketError):
-            max_distance_batch(model, [], 10.0, 1.0)
-
-    def test_a_bad_transmissivity_fails_the_batch(self):
-        with pytest.raises(BracketError, match="transmissivity"):
-            max_distance_batch(lambda d: 1.5, self.rows(), 1.0, 10.0)
+            solve([bright, dim])
 
 
 class TestDistanceBounds:

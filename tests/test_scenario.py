@@ -545,6 +545,11 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep_scenario(sc, "y0", 1e-8, 1e-5, 0, "log")
 
+    def test_a_bool_is_not_a_point_count(self):
+        sc = parse_scenario(FIBER_SINGLE)
+        with pytest.raises(ValidationError, match="points=True must be an integer >= 1"):
+            sweep_scenario(sc, "y0", 1e-10, 1e-4, True, "log")
+
     def test_bad_scale_name(self):
         sc = parse_scenario(FIBER_SINGLE)
         with pytest.raises(ValidationError):
