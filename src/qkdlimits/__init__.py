@@ -72,6 +72,7 @@ from .pauli import (
     apply_channel,
     binary_entropy,
     capacity_verdict,
+    capacity_verdicts,
     choi_state,
     depolarizing,
     partial_transpose,

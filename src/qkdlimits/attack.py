@@ -13,9 +13,11 @@ drawing from its own substream keyed by (seed, stream index); block
 counts are merged by summation, so the estimate depends only on
 (seed, trials, block_size) and never on scheduling. Blocks run
 concurrently on up to os.cpu_count() threads (numpy releases the GIL
-while it draws and compares). Inside a block each array is drawn in
-chunks of _CHUNK_SIZE, and the sampled bases, bits and outcomes are
-kept as uint8 codes into flat Born tables: chunked draws return the same
+while it draws and compares), unless no block holds more than one chunk:
+such a small call runs on the calling thread, since starting a pool
+would cost more than the threads save. Inside a block each array is
+drawn in chunks of _CHUNK_SIZE, and the sampled bases, bits and outcomes
+are kept as uint8 codes into flat Born tables: chunked draws return the same
 Philox stream as one whole-block draw, so the estimates are bit-identical
 to a serial, unchunked run while each thread holds about 1 MiB.
 """
@@ -146,15 +148,17 @@ def _block_sizes(trials: int, block_size: int):
     return sizes
 
 
-def _run_blocks(blocks) -> list[int]:
+def _run_blocks(blocks, largest: int) -> list[int]:
     """Call each block (a callable returning its error count); counts in order.
 
     Blocks draw from their own substreams and hold no shared state, so
     running them on threads changes nothing in the counts. A single
-    block, or a single core, runs on the calling thread.
+    block, a single core, or blocks of at most one chunk each (largest
+    is the most trials any block holds) run on the calling thread: below
+    that size starting a pool costs more than the threads save.
     """
     workers = min(len(blocks), os.cpu_count() or 1)
-    if workers == 1:
+    if workers == 1 or largest <= _CHUNK_SIZE:
         return [block() for block in blocks]
     from concurrent.futures import ThreadPoolExecutor
 
@@ -213,11 +217,12 @@ def intercept_resend_qber_montecarlo(cfg: AttackConfig) -> tuple[float, float]:
     born = _born_tensor(bases)
     eve_p0 = born[:, :, :, 0].transpose(0, 2, 1).ravel()
     bob_p0 = born[:, 0, :, :].ravel()
+    sizes = _block_sizes(cfg.trials, cfg.block_size)
     blocks = [
         partial(_intercept_resend_block, cfg.seed, stream, size, n, eve_p0, bob_p0)
-        for stream, size in enumerate(_block_sizes(cfg.trials, cfg.block_size))
+        for stream, size in enumerate(sizes)
     ]
-    est = sum(_run_blocks(blocks)) / cfg.trials
+    est = sum(_run_blocks(blocks, sizes[0])) / cfg.trials
     return est, math.sqrt(est * (1.0 - est) / cfg.trials)
 
 
@@ -285,7 +290,7 @@ def pauli_channel_qber_montecarlo(
         for bi in range(len(bases))
         for block, size in enumerate(sizes)
     ]
-    counts = _run_blocks(blocks)
+    counts = _run_blocks(blocks, sizes[0])
     rates = [
         sum(counts[bi * len(sizes):(bi + 1) * len(sizes)]) / cfg.trials
         for bi in range(len(bases))

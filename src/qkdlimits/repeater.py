@@ -4,7 +4,10 @@ A chain of links cannot beat its weakest link: with
 p_max_min = min over links of max_k p_k, the end-to-end two-way
 capacity is certainly zero when p_max_min <= 1/2, and otherwise
 bounded by 1 - H2(p_max_min). No matching converse is known, so a
-chain that escapes the bound is merely "not certainly zero".
+chain that escapes the bound is merely "not certainly zero". The bound
+is cross-checked against the per-link capacity verdicts, which all
+links of a chain get from one ``capacity_verdicts`` call, so one
+eigensolve.
 """
 
 from __future__ import annotations
@@ -12,13 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .pauli import PauliDistribution, binary_entropy, capacity_verdict
+from .pauli import PauliDistribution, binary_entropy, capacity_verdicts
 from .qber import QberSet, SecurityVerdict, security_verdict
 
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Ordered repeater links, each a Pauli channel; optional observed QBERs."""
+    """Ordered repeater links, each a Pauli channel; optional observed QBERs.
+
+    A link that is not a PauliDistribution, or a QBER entry that is not a
+    QberSet, is a ValidationError naming its index.
+    """
 
     links: tuple[PauliDistribution, ...]
     qbers: tuple[QberSet, ...] | None = None
@@ -30,6 +37,13 @@ class ChainSpec:
             raise ValidationError(
                 f"{len(self.qbers)} QBER sets for {len(self.links)} links"
             )
+        for name, items, cls in (("links", self.links, PauliDistribution),
+                                 ("qbers", self.qbers or (), QberSet)):
+            for i, item in enumerate(items):
+                if not isinstance(item, cls):
+                    raise ValidationError(
+                        f"chain {name}[{i}] must be a {cls.__name__}, not {type(item).__name__}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -60,7 +74,7 @@ def chain_verdict(chain: ChainSpec) -> ChainVerdict:
     zero = p_max_min <= 0.5
     bound = 0.0 if zero else 1.0 - binary_entropy(p_max_min)
     # Cross-check against the per-link verdicts; both routes must agree.
-    per_link = min(capacity_verdict(link).phi_upper_bound for link in chain.links)
+    per_link = min(v.phi_upper_bound for v in capacity_verdicts(chain.links))
     if abs(per_link - bound) > 1e-12:
         raise ValidationError(
             f"bottleneck bound {bound!r} disagrees with per-link minimum {per_link!r}"

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import reprlib
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -455,6 +456,11 @@ def sweep_scenario(
         raise ValidationError(f"unknown sweep parameter {param!r}, expected one of {_SWEEP_PARAMS}")
     if isinstance(points, bool) or not (isinstance(points, int) and points >= 1):
         raise ValidationError(f"points={points!r} must be an integer >= 1")
+    for name, v in (("start", start), ("stop", stop)):
+        # NaN, inf and ints beyond float range all fail the comparison.
+        finite = isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+        if isinstance(v, bool) or not finite:
+            raise ValidationError(f"{name}={_REPR.repr(v)} must be a finite number")
     if scale == "log":
         if start <= 0 or stop <= 0:
             raise ValidationError("log scale needs positive endpoints")

@@ -368,6 +368,19 @@ class TestThreads:
         with pytest.raises(RuntimeError, match="ThreadPoolExecutor"):
             intercept_resend_qber_montecarlo(AttackConfig(mub_count=2, trials=10**6, seed=0))
 
+    def test_small_blocks_build_no_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        self.forbid_pools(monkeypatch)
+        p = PauliDistribution((0.6, 0.2, 0.0, 0.2))
+        cfg = AttackConfig(mub_count=3, trials=10**3, seed=7)  # one block per basis
+        assert pauli_channel_qber_montecarlo(p, 3, cfg) == whole_block_pauli(p, 3, cfg)
+        cfg = AttackConfig(mub_count=3, trials=10**5, seed=8, block_size=_CHUNK_SIZE)
+        assert intercept_resend_qber_montecarlo(cfg) == whole_block_intercept_resend(cfg)
+        # One trial more per block than a chunk does build one.
+        cfg = AttackConfig(mub_count=3, trials=10**5, seed=8, block_size=_CHUNK_SIZE + 1)
+        with pytest.raises(RuntimeError, match="ThreadPoolExecutor"):
+            intercept_resend_qber_montecarlo(cfg)
+
     def test_a_single_core_builds_no_pool(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         self.forbid_pools(monkeypatch)

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdlimits import repeater
 from qkdlimits import (
     BELL_PROJECTORS,
     PAULI_MATRICES,
     CapacityVerdict,
+    ChainSpec,
     ChoiState,
     NumericError,
     PauliDistribution,
@@ -19,6 +21,8 @@ from qkdlimits import (
     apply_channel,
     binary_entropy,
     capacity_verdict,
+    capacity_verdicts,
+    chain_verdict,
     choi_state,
     depolarizing,
     partial_transpose,
@@ -34,6 +38,11 @@ def unit_simplex(draw_tuple):
 simplex_points = st.tuples(
     st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)
 ).filter(lambda t: math.fsum(t) > 1e-6)
+
+
+def transpose_in(m, pt):
+    """For each matrix of m (one matrix or a stack), whether it equals pt."""
+    return np.array([np.array_equal(layer, pt) for layer in m.reshape(-1, *m.shape[-2:])])
 
 
 class TestPauliDistribution:
@@ -232,6 +241,25 @@ class TestEigensolver:
         with pytest.raises(NumericError, match="eigensolver failed to converge: no convergence"):
             symmetric_eigenvalues(np.eye(2))
 
+    def test_a_stack_is_solved_matrix_by_matrix(self):
+        a = np.random.default_rng(4).normal(size=(5, 4, 4))
+        stack = a + a.transpose(0, 2, 1)
+        w = symmetric_eigenvalues(stack)
+        assert w.shape == (5, 4)
+        for m, row in zip(stack, w):
+            assert row.tobytes() == symmetric_eigenvalues(m).tobytes()
+
+    def test_rejects_a_stack_holding_one_bad_matrix(self):
+        for bad in ([[0.0, 1.0], [0.0, 0.0]], [[math.nan, 0.0], [0.0, 1.0]]):
+            stack = np.stack([np.eye(2), np.array(bad), np.eye(2)])
+            with pytest.raises(ValidationError, match="not symmetric within 1e-10"):
+                symmetric_eigenvalues(stack)
+
+    def test_rejects_vectors_and_non_square_stacks(self):
+        for shape in ((4,), (3, 2, 4)):
+            with pytest.raises(ValidationError, match=r"expected a square matrix, got shape"):
+                symmetric_eigenvalues(np.zeros(shape))
+
 
 class TestBinaryEntropy:
     def test_endpoints(self):
@@ -309,7 +337,8 @@ class TestCapacityVerdict:
         solve = np.linalg.eigvalsh
 
         def failing_on_pt(m):
-            if np.array_equal(m, pt):
+            # The verdict solves a stack of transposes; look for pt in it.
+            if transpose_in(m, pt).any():
                 raise np.linalg.LinAlgError("no convergence")
             return solve(m)
 
@@ -346,3 +375,97 @@ class TestCapacityVerdict:
             assert math.isclose(
                 v.phi_upper_bound, 1.0 - binary_entropy(v.p_max), rel_tol=1e-12, abs_tol=1e-15
             )
+
+
+def verdict_bits(v):
+    """Every field of a verdict, floats as hex so that -0.0 differs from 0.0."""
+    return (v.zero_capacity, v.p_max.hex(), v.phi_upper_bound.hex(), v.npt,
+            v.min_pt_eigenvalue.hex())
+
+
+class TestCapacityVerdicts:
+    """capacity_verdicts decides a batch with one eigensolve; every verdict
+    must be the one a single call gives."""
+
+    def test_single_batch_and_chain_verdicts_are_bit_identical(self, monkeypatch):
+        draws = np.random.default_rng(20240814).dirichlet(np.ones(4), size=10**4)
+        ps = [PauliDistribution(tuple(row.tolist())) for row in draws]
+        ps += [PauliDistribution(t) for t in (
+            (1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0), (0.5, 1 / 6, 1 / 6, 1 / 6),
+            (0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 0.0, 1.0),
+        )]
+        single = [verdict_bits(capacity_verdict(p)) for p in ps]
+        assert [verdict_bits(v) for v in capacity_verdicts(ps)] == single
+        seen = []
+        batch = repeater.capacity_verdicts
+
+        def recorded(links):
+            verdicts = batch(links)
+            seen.extend(verdicts)
+            return verdicts
+
+        monkeypatch.setattr(repeater, "capacity_verdicts", recorded)
+        for i in range(0, len(ps), 8):
+            chain_verdict(ChainSpec(links=tuple(ps[i:i + 8])))
+        assert [verdict_bits(v) for v in seen] == single
+
+    def test_routes_that_disagree_on_one_link_raise_its_single_error(self, monkeypatch):
+        ps = [PauliDistribution(t) for t in (
+            (0.4, 0.3, 0.2, 0.1), (0.75, 0.25, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25),
+        )]
+        pt = partial_transpose(choi_state(ps[1]))
+        solve = np.linalg.eigvalsh
+
+        def shifted_on_pt(m):
+            w = solve(m)
+            return w + 2e-10 * transpose_in(m, pt).reshape(w.shape[:-1] + (1,))
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted_on_pt)
+        with pytest.raises(NumericError, match="PT spectrum route gives") as single:
+            capacity_verdict(ps[1])
+        with pytest.raises(NumericError) as batch:
+            capacity_verdicts(ps)
+        assert str(batch.value) == str(single.value)
+        assert len(capacity_verdicts([ps[0], ps[2]])) == 2
+
+    def test_a_solver_failure_on_one_link_raises_its_single_error(self, monkeypatch):
+        ps = [PauliDistribution(t) for t in (
+            (0.4, 0.3, 0.2, 0.1), (1.0, 0.0, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25),
+        )]
+        pt = partial_transpose(choi_state(ps[1]))
+        solve = np.linalg.eigvalsh
+
+        def failing_on_pt(m):
+            if transpose_in(m, pt).any():
+                raise np.linalg.LinAlgError("no convergence")
+            return solve(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_on_pt)
+        with pytest.raises(NumericError, match="eigensolver failed to converge") as single:
+            capacity_verdict(ps[1])
+        with pytest.raises(NumericError) as batch:
+            capacity_verdicts(ps)
+        assert str(batch.value) == str(single.value)
+        assert len(capacity_verdicts([ps[0], ps[2]])) == 2
+
+    def test_one_eigensolve_per_batch(self, monkeypatch):
+        solve = np.linalg.eigvalsh
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return solve(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        capacity_verdicts([depolarizing(s / 10) for s in range(10)])
+        assert calls == [(10, 4, 4)]
+
+    def test_rejects_elements_that_are_not_distributions(self):
+        good = PauliDistribution((0.4, 0.3, 0.2, 0.1))
+        with pytest.raises(ValidationError, match="^channel 1 must be a PauliDistribution, not list$"):
+            capacity_verdicts([good, [0.7, 0.1, 0.1, 0.1]])
+        with pytest.raises(ValidationError, match="^channel 0 must be a PauliDistribution, not tuple$"):
+            capacity_verdict((0.7, 0.1, 0.1, 0.1))
+
+    def test_an_empty_batch_has_no_verdicts(self):
+        assert capacity_verdicts(()) == ()

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qkdlimits import (
@@ -90,6 +91,19 @@ class TestChainVerdict:
         assert base.p_max_min == other.p_max_min
         assert base.upper_bound_bits == other.upper_bound_bits
 
+    def test_one_eigensolve_per_chain(self, monkeypatch):
+        solve = np.linalg.eigvalsh
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return solve(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        rng = random.Random(8)
+        chain_verdict(ChainSpec(links=tuple(pick_distribution(rng) for _ in range(8))))
+        assert calls == [(8, 4, 4)]
+
     def test_empty_chain_rejected(self):
         with pytest.raises(ValidationError):
             ChainSpec(links=())
@@ -157,6 +171,13 @@ class TestChainQberVerdict:
         )
         with pytest.raises(ValidationError, match="homogeneous"):
             chain_qber_verdict(chain)
+
+    def test_rejects_parts_of_the_wrong_type(self):
+        good = PauliDistribution((0.8, 0.1, 0.0, 0.1))
+        with pytest.raises(ValidationError, match=r"^chain links\[1\] must be a PauliDistribution, not list$"):
+            ChainSpec(links=(good, [0.7, 0.1, 0.1, 0.1]))
+        with pytest.raises(ValidationError, match=r"^chain qbers\[1\] must be a QberSet, not tuple$"):
+            ChainSpec(links=(good, good), qbers=(QberSet(0.1, 0.1), (0.1, 0.1)))
 
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValidationError):

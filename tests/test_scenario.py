@@ -555,6 +555,15 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep_scenario(sc, "y0", 1e-8, 1e-5, 3, "quadratic")
 
+    @pytest.mark.parametrize("bad", ["a", None, True, math.nan, math.inf, -math.inf, 10**400])
+    @pytest.mark.parametrize("field", ["start", "stop"])
+    @pytest.mark.parametrize("scale", ["log", "linear"])
+    def test_endpoints_must_be_finite_numbers(self, bad, field, scale):
+        sc = parse_scenario(FIBER_SINGLE)
+        ends = {"start": 1e-9, "stop": 1e-4, field: bad}
+        with pytest.raises(ValidationError, match=f"^{field}=.* must be a finite number$"):
+            sweep_scenario(sc, "y0", ends["start"], ends["stop"], 3, scale)
+
 
 def pointwise(sc, param, values):
     """Rows and statuses of the point-by-point loop that sweep_scenario
