@@ -34,6 +34,19 @@ _FLAG_CASES = [
     ["thresholds", "--y0", "1e-5", "--e-det", "0.01"],
     ["channel", "--p", "0.9", "0.05", "0.03", "0.02"],
     ["qber", "--ex", "0.05", "--ez", "0.04"],
+    # A diverging beam is bisected, not sent to the far-field envelope.
+    ["max-distance", "deepspace", "--mub", "3", "--y0", "1e-8", "--e-det", "0.01",
+     "--w0", "2.0", "--wavelength", "8e-7", "--aperture", "0.5", "--curvature=-1e6"],
+]
+# Sweeps whose points change the source or the detector efficiency, so the
+# bisection's guard runs per point; the e_det sweep crosses the 1/4 limit.
+_GUARD_SWEEPS = [
+    ["freespace_ground_2mub.json", "--param", "eta_eff", "--from", "1e-4", "--to", "1",
+     "--points", "41", "--scale", "log"],
+    ["freespace_ground_2mub.json", "--param", "mu", "--from", "1e-3", "--to", "5",
+     "--points", "41", "--scale", "log"],
+    ["satellite_2mub.json", "--param", "e_det", "--from", "0", "--to", "0.3",
+     "--points", "31", "--scale", "linear"],
 ]
 
 
@@ -45,6 +58,7 @@ def _cases() -> list[list[str]]:
     cases.append(["repeater", "repeater_chain.json"])
     for name in ("fiber_2mub_single_photon.json", "freespace_ground_2mub.json"):
         cases.append(["sweep", name, *_SWEEP])
+    cases.extend(["sweep", *argv] for argv in _GUARD_SWEEPS)
     cases.extend(argv + ["--format", "json"] for argv in _FLAG_CASES)
     return [argv + ["--no-timestamp"] for argv in cases]
 
