@@ -10,6 +10,12 @@ other link goes through a monotonicity-guarded bisection, _bisect.
 run_scenario, sweep_scenario and dark_count_sweep all call it; it solves
 each point as it reads it, with one guard memo per call for the bisection.
 max_distance_numeric bisects one point on a model of the caller's own.
+
+The guard is lazy where it cannot fail: when the link's values on the
+guard grid never rise and the source is one of the package's own, only
+the detection probabilities the search for the crossing cell asks for
+are computed, and every bound stays bit-identical to the full guard's.
+The bisection runs until it meets its 1e-9 relative tolerance.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .errors import (
 from .links import BeamGeometry, FiberLink, ScenarioLink
 
 BISECT_REL_TOL = 1e-9
-BISECT_MAX_ITER = 60
 MONOTONE_SAMPLES = 64
 # Bisection bracket in km for each link kind when a scenario sets none.
 DEFAULT_BRACKETS_KM = {
@@ -175,9 +180,9 @@ def max_distance_numeric(
     The model must be a non-increasing transmissivity of distance in km;
     64 log-spaced samples guard against non-monotone models (for
     example a focused beam measured past its waist), which raise
-    NonMonotonicModelError. Converges to 1e-9 relative in d or 60
-    bisection steps, whichever comes first. The one-point entry for a
-    model of the caller's own; distance_bounds solves many points.
+    NonMonotonicModelError. Converges to 1e-9 relative in d. The
+    one-point entry for a model of the caller's own; distance_bounds
+    solves many points.
     """
     return _bisect(model, src, det, g, d_lo_km, d_hi_km, {})
 
@@ -203,6 +208,63 @@ def _guard_grid(d_lo_km: float, d_hi_km: float) -> tuple[float, ...]:
     return tuple(grid)
 
 
+# The package's own detection functions, by source type. Each is monotone
+# in eta and accurate to a few ulp, so on transmissivities that never rise
+# its computed values rise by less than 1e-15, and the guard's 1e-12 check
+# cannot fire. A source whose gamma is any other function is fully checked.
+_PACKAGE_GAMMAS = {
+    SinglePhoton: SinglePhoton.gamma,
+    Attenuated: Attenuated.gamma,
+    Decoy: Decoy.gamma,
+}
+
+
+def _guard(model, src: SourceModel, eta_eff: float, grid, guards: dict):
+    """The detection probability at each guard grid index of (model, src,
+    eta_eff), as a function of the index, and whether it is lazy; both
+    kept in the call's memo.
+
+    The memo also holds the model's values on the grid, checked once, and
+    whether they never rise (b <= a, no tolerance). If so, and src's
+    gamma is the package's own, the probabilities are lazy: each is
+    computed, once, when the cell search asks for it. Otherwise all are
+    computed and every rise above 1e-12 raises NonMonotonicModelError, as
+    it does for a focused beam or a model with a bump.
+    """
+    key = (model, src, eta_eff)
+    memo = guards.get(key)
+    if memo is not None:
+        return memo
+    if model not in guards:
+        etas = [_transmissivity(model, d) for d in grid]
+        guards[model] = etas, all(b <= a for a, b in zip(etas, etas[1:]))
+    etas, falls = guards[model]
+    if not isinstance(src, SourceModel):
+        raise ValidationError(f"unknown source model {src!r}")
+    gamma = src.gamma
+    if falls and getattr(gamma, "__func__", None) is _PACKAGE_GAMMAS.get(type(src)):
+        vals = [None] * len(etas)
+
+        def prob(i: int) -> float:
+            v = vals[i]
+            if v is None:
+                v = vals[i] = gamma(eta_eff * etas[i])
+            return v
+
+        memo = guards[key] = prob, True
+        return memo
+    vals = [gamma(eta_eff * eta_ch) for eta_ch in etas]
+    for i in range(len(vals) - 1):
+        if vals[i + 1] > vals[i] + 1e-12:
+            raise NonMonotonicModelError(
+                f"detection probability rises from {vals[i]} to {vals[i + 1]} "
+                f"between d={grid[i]} and d={grid[i + 1]} km; restrict the "
+                "interval to the monotone side of the focus"
+            )
+    memo = guards[key] = vals.__getitem__, False
+    return memo
+
+
 def _bisect(
     model: Callable[[float], float],
     src: SourceModel,
@@ -213,43 +275,44 @@ def _bisect(
     guards: dict,
 ) -> DistanceBound:
     """The bisection bound of one point; _guard_grid checks the bracket
-    first. guards is the caller's memo for one call: the model's
-    values on the guard grid, keyed on the model object itself (held
-    there, so its id cannot be reused), and the checked detection
-    probabilities, keyed on (model, source, eta_eff)."""
+    first. guards is the caller's memo for one call: the model's values
+    on the guard grid, keyed on the model object itself (held there, so
+    its id cannot be reused), and the detection probabilities, keyed on
+    (model, source, eta_eff); see _guard. The bisection runs until
+    hi - lo <= BISECT_REL_TOL * hi, or until no float lies between them."""
     grid = _guard_grid(d_lo_km, d_hi_km)
     eta_eff = det.eta_eff
-    vals = guards.get((model, src, eta_eff))
-    if vals is None:
-        etas = guards.get(model)
-        if etas is None:
-            etas = guards[model] = [_transmissivity(model, d) for d in grid]
-        if not isinstance(src, SourceModel):
-            raise ValidationError(f"unknown source model {src!r}")
-        vals = [src.gamma(eta_eff * eta_ch) for eta_ch in etas]
-        for i in range(len(vals) - 1):
-            if vals[i + 1] > vals[i] + 1e-12:
-                raise NonMonotonicModelError(
-                    f"detection probability rises from {vals[i]} to {vals[i + 1]} "
-                    f"between d={grid[i]} and d={grid[i + 1]} km; restrict the "
-                    "interval to the monotone side of the focus"
-                )
-        guards[(model, src, eta_eff)] = vals
+    prob, lazy = _guard(model, src, eta_eff, grid, guards)
     target = g.gamma_min
-    if vals[0] <= target:
+    lo, hi = 0, len(grid) - 1
+    if prob(lo) <= target:
         return DistanceBound(0.0, False, "bisection", "infeasible", g)
-    if vals[-1] > target:
+    if prob(hi) > target:
         return DistanceBound(d_hi_km, True, "bisection", "feasible-everywhere", g)
-    # Narrow to the grid cell holding the crossing; otherwise a wide
-    # default bracket cannot reach the relative tolerance in 60 steps.
-    idx = next(i for i in range(1, len(vals)) if vals[i] <= target)
-    lo, hi = grid[idx - 1], grid[idx]
-    gamma = src.gamma
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_REL_TOL * hi:
-            break
+    # Find the grid cell of the first crossing, so that a wide bracket
+    # starts the bisection from one cell. On lazy values, halving finds a
+    # crossing, and it is the first if the value before it exceeds the
+    # target by more than 1e-12, since those values rise by less than
+    # 1e-15. Otherwise, and on checked values, scan from the near end.
+    if lazy:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if prob(mid) > target:
+                lo = mid
+            else:
+                hi = mid
+    if not (lazy and prob(lo) > target + 1e-12):
+        hi = next(i for i in range(1, hi + 1) if prob(i) <= target)
+    lo, hi = grid[hi - 1], grid[hi]
+    gamma, isfinite, tol = src.gamma, math.isfinite, BISECT_REL_TOL
+    while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
-        if gamma(eta_eff * _transmissivity(model, mid)) > target:
+        if mid == lo or mid == hi:
+            break
+        eta_ch = model(mid)
+        if not (isfinite(eta_ch) and 0.0 <= eta_ch <= 1.0):
+            raise BracketError(f"model returned transmissivity {eta_ch!r} at d={mid}")
+        if gamma(eta_eff * eta_ch) > target:
             lo = mid
         else:
             hi = mid

@@ -3,7 +3,11 @@
 Distance units follow the conventions of each setting: km for fiber and
 atmospheric extinction, meters for beam propagation. Composite models
 multiply independent loss factors; ScenarioLink pairs a link kind with
-its parameter objects and builds its transmissivity in km from them.
+its parameter objects and builds its transmissivity in km from them: one
+flat closure per kind, with the parts' constants bound once, that does
+the float operations of the public functions in their order, so its
+values are bit-identical to theirs. A beam whose spot size squared
+overflows a float passes nothing, 0.0, the limit of the aperture formula.
 """
 
 from __future__ import annotations
@@ -145,6 +149,14 @@ class BeamGeometry:
             )
         if math.isnan(self.curvature_m) or self.curvature_m == 0.0:
             raise ValidationError(f"curvature {self.curvature_m!r} must be nonzero")
+        for name in ("w0_m", "aperture_radius_m"):
+            value = getattr(self, name)
+            try:
+                value**2
+            except OverflowError:
+                err = ValidationError(f"{name}={value!r} is too large: its square overflows a float")
+                err.field = name  # parse_scenario puts the field's path in front
+                raise err from None
 
     @cached_property
     def rayleigh_range_m(self) -> float:
@@ -164,9 +176,13 @@ def beam_spot_size(beam: BeamGeometry, d_m: float) -> float:
 
 
 def diffraction_transmissivity(beam: BeamGeometry, d_m: float) -> float:
-    """Fraction 1 - exp(-2 a_R^2 / w_d^2) of the beam caught by the aperture."""
+    """Fraction 1 - exp(-2 a_R^2 / w_d^2) of the beam caught by the aperture;
+    0.0 where w_d^2 overflows a float."""
     w = beam_spot_size(beam, d_m)
-    return -math.expm1(-2.0 * beam.aperture_radius_m**2 / w**2)
+    try:
+        return -math.expm1(-2.0 * beam.aperture_radius_m**2 / w**2)
+    except OverflowError:
+        return 0.0
 
 
 # The class of each ScenarioLink part.
@@ -211,18 +227,58 @@ class ScenarioLink:
                     f"{self.kind} link {name} must be a {cls.__name__}, "
                     f"not {type(part).__name__}"
                 )
-        fiber, beam, atm = self.fiber, self.beam, self.atmosphere
-        if self.kind == "fiber":
-            model = lambda d: fiber_transmissivity(fiber, d)
-        elif self.kind == "ground_atmosphere":
-            model = lambda d: atmospheric_transmissivity(atm, d)
-        elif self.kind == "diffraction":
-            model = lambda d: diffraction_transmissivity(beam, d * 1000.0)
-        elif self.kind == "freespace":
-            model = lambda d: (
-                diffraction_transmissivity(beam, d * 1000.0) * atmospheric_transmissivity(atm, d)
-            )
+        object.__setattr__(self, "transmissivity", _flat_model(self))
+
+
+def _flat_model(link: ScenarioLink) -> Callable[[float], float]:
+    """The link's transmissivity in km as one closure: the same float
+    operations, in the same order, as fiber_transmissivity,
+    atmospheric_transmissivity and diffraction_transmissivity (times the
+    atmospheric or satellite factor), with one distance check, on d for
+    fiber and ground links and on d * 1000.0 for beam kinds, and the same
+    message."""
+    isfinite, exp = math.isfinite, math.exp
+    if link.kind == "fiber":
+        neg_alpha = -link.fiber.alpha_db_per_km
+
+        def fiber(d):
+            if not (isfinite(d) and d >= 0.0):
+                raise ValidationError(f"distance {d!r} must be >= 0")
+            return 10.0 ** (neg_alpha * d / 10.0)
+
+        return fiber
+    if link.kind == "ground_atmosphere":
+        neg_alpha_h = -link.atmosphere.extinction_per_km
+
+        def ground(d):
+            if not (isfinite(d) and d >= 0.0):
+                raise ValidationError(f"distance {d!r} must be >= 0")
+            return exp(neg_alpha_h * d)
+
+        return ground
+    beam, hypot, expm1 = link.beam, math.hypot, math.expm1
+    w0, z_r, r0 = beam.w0_m, beam.rayleigh_range_m, beam.curvature_m
+    neg_2a2 = -2.0 * beam.aperture_radius_m**2
+    collimated = math.isinf(r0)
+    freespace = link.kind == "freespace"
+    neg_alpha_h = -link.atmosphere.extinction_per_km if freespace else 0.0
+    # A diffraction link's factor 1.0 leaves every value as it is.
+    eta_atm = satellite_transmissivity(link.satellite) if link.kind == "satellite" else 1.0
+
+    def beam_link(d):
+        d_m = d * 1000.0
+        if not (isfinite(d_m) and d_m >= 0.0):
+            raise ValidationError(f"distance {d_m!r} must be >= 0")
+        if collimated:
+            w = w0 * hypot(1.0, d_m / z_r)
         else:
-            eta_atm = satellite_transmissivity(self.satellite)
-            model = lambda d: diffraction_transmissivity(beam, d * 1000.0) * eta_atm
-        object.__setattr__(self, "transmissivity", model)
+            w = w0 * hypot(1.0 - d_m / r0, d_m / z_r)
+        try:
+            eta = -expm1(neg_2a2 / w**2)
+        except OverflowError:
+            eta = 0.0
+        if freespace:
+            return eta * exp(neg_alpha_h * d)
+        return eta * eta_atm
+
+    return beam_link

@@ -167,13 +167,19 @@ def _check_keys(obj, allowed, path: str):
 
 def _record(cls, obj, path: str, **given):
     """The dataclass cls with each field read from obj under its own name,
-    as a number unless it is given. A field with a default may be absent."""
+    as a number unless it is given. A field with a default may be absent.
+    An error that names its field (a `field` attribute) gets the path."""
     fields = cls.__dataclass_fields__
     _check_keys(obj, fields.keys(), path)
     for name, f in fields.items():
         if name not in given:
             given[name] = _number(obj, name, path, f.default)
-    return cls(**given)
+    try:
+        return cls(**given)
+    except ValidationError as exc:
+        if not hasattr(exc, "field"):
+            raise
+        raise ValidationError(f"scenario field {path}.{exc.field}: {exc}") from None
 
 
 def _kind(obj, kinds: tuple[str, ...], path: str) -> tuple[str, dict]:

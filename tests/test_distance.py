@@ -1,6 +1,9 @@
 """Maximum-distance solvers: closed forms, bisection, sweeps."""
 
+import contextlib
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from qkdlimits import (
     sweep_scenario,
     symmetric_threshold,
 )
+from qkdlimits.distance import DistanceBound
 
 DET = DetectorModel(y0=1e-8, e_det=0.01, eta_eff=1.0)
 FIBER = FiberLink(alpha_db_per_km=0.17)
@@ -257,6 +261,18 @@ class TestNumericSolver:
             max_distance_numeric(model, SinglePhoton(), DET, g, -1.0, 10.0)
         with pytest.raises(BracketError):
             max_distance_numeric(model, SinglePhoton(), DET, g, 1.0, math.inf)
+
+    @pytest.mark.parametrize("d_hi", [1e7, 1e30, 1e100, 1e200])
+    def test_a_wide_bracket_still_meets_the_tolerance(self, d_hi):
+        # The first guard cell is [1, 1.55e-12 d_hi] km; 60 halvings cannot
+        # narrow it, so the bisection runs until the tolerance holds. At
+        # 1e200 km the spot size squared overflows and passes nothing.
+        beam = BeamGeometry(w0_m=0.1, wavelength_m=8e-7, aperture_radius_m=0.5)
+        link = ScenarioLink("freespace", beam=beam, atmosphere=GroundAtmosphere())
+        det = DetectorModel(y0=1e-6, e_det=0.01)
+        [bound] = distance.distance_bounds([(SinglePhoton(), det, link)], 2, 1.0, d_hi)
+        assert bound.status == "solved"
+        assert math.isclose(bound.d_max_km, 1969.2907612908011, rel_tol=1e-9)
 
     def test_model_output_must_be_a_transmissivity(self):
         g = gamma_threshold(DET, 2)
@@ -566,3 +582,192 @@ class TestDarkCountSweep:
         det = DetectorModel(y0=1e-8, e_det=0.3, eta_eff=1.0)
         with pytest.raises(error):
             dark_count_sweep(y0_values, det, SinglePhoton(), FIBER, 2)
+
+
+def _full_guard_bound(model, src, det, g, d_lo_km, d_hi_km):
+    """The bisection bound with every guard value computed and checked and
+    the crossing cell found by a scan from the near end, as the solver
+    did before its guard became lazy; it bisects until the tolerance holds."""
+    grid = distance._guard_grid(d_lo_km, d_hi_km)
+    vals = [src.gamma(det.eta_eff * distance._transmissivity(model, d)) for d in grid]
+    for i in range(len(vals) - 1):
+        if vals[i + 1] > vals[i] + 1e-12:
+            raise NonMonotonicModelError(
+                f"detection probability rises from {vals[i]} to {vals[i + 1]} "
+                f"between d={grid[i]} and d={grid[i + 1]} km; restrict the "
+                "interval to the monotone side of the focus"
+            )
+    target = g.gamma_min
+    if vals[0] <= target:
+        return DistanceBound(0.0, False, "bisection", "infeasible", g)
+    if vals[-1] > target:
+        return DistanceBound(d_hi_km, True, "bisection", "feasible-everywhere", g)
+    idx = next(i for i in range(1, len(vals)) if vals[i] <= target)
+    lo, hi = grid[idx - 1], grid[idx]
+    while hi - lo > distance.BISECT_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if src.gamma(det.eta_eff * distance._transmissivity(model, mid)) > target:
+            lo = mid
+        else:
+            hi = mid
+    return DistanceBound(0.5 * (lo + hi), True, "bisection", "solved", g)
+
+
+def _reference_bounds(points, mub_count, d_lo_km, d_hi_km):
+    """distance_bounds point by point: the closed forms, or the full guard.
+    test_links checks each link's transmissivity against the public
+    functions bit for bit."""
+    out = []
+    for src, det, link in points:
+        try:
+            g = gamma_threshold(det, mub_count)
+        except InfeasibleConfigurationError:
+            out.append(None)
+            continue
+        closed = not (isinstance(src, SinglePhoton) and src.k != 1)
+        if closed and link.kind == "fiber":
+            out.append(max_fiber_distance(link.fiber, omega(det, src, g)))
+        elif closed and link.kind == "diffraction" and math.isinf(link.beam.curvature_m):
+            out.append(max_diffraction_distance(link.beam, omega(det, src, g)))
+        else:
+            out.append(_full_guard_bound(link.transmissivity, src, det, g, d_lo_km, d_hi_km))
+    return out
+
+
+def _outcome(solve, *args):
+    """The bounds with each d_max_km as float.hex, or the error's type and message."""
+    try:
+        return [None if b is None else (b.d_max_km.hex(), b) for b in solve(*args)]
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return f"{type(exc).__name__}: {exc}"
+
+
+@contextlib.contextmanager
+def _gamma_calls():
+    """The eta of each call of the package's gamma functions, recorded by a
+    profile hook so that the functions themselves stay unpatched."""
+    codes = {SinglePhoton.gamma.__code__, Attenuated.gamma.__code__}
+    etas = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            etas.append(frame.f_locals["eta"])
+
+    old = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield etas
+    finally:
+        sys.setprofile(old)
+
+
+class TestLazyGuard:
+    """A guard on transmissivities that never rise computes only the
+    detection probabilities its cell search asks for; every bound and
+    every error stays the one the full guard gives."""
+
+    def random_batch(self, rng: random.Random):
+        def lu(a, b):
+            return 10.0 ** rng.uniform(a, b)
+
+        def source():
+            r = rng.random()
+            if r < 0.45:
+                return SinglePhoton(rng.choice((1, 1, 2, 3, 7)))
+            if r < 0.8:
+                return Attenuated(lu(-3, 1))
+            mu = lu(-2, 0.5)
+            return Decoy((mu, 0.2 * mu, 0.0), (0.6, 0.3, 0.1))
+
+        def link():
+            kind = rng.choice(("fiber", "ground_atmosphere", "diffraction", "freespace", "satellite"))
+            if kind == "fiber":
+                return ScenarioLink(kind, fiber=FiberLink(rng.uniform(0.15, 0.4)))
+            atm = GroundAtmosphere(lu(-4, -1), rng.uniform(1, 10), rng.uniform(0, 5))
+            if kind == "ground_atmosphere":
+                return ScenarioLink(kind, atmosphere=atm)
+            # Collimated, diverging and focused beams.
+            curvature = rng.choice((math.inf, math.inf, -lu(2, 9), lu(2, 12)))
+            beam = BeamGeometry(lu(-2.5, 0.5), lu(-7, -5.5), lu(-2, 0.5), curvature)
+            if kind == "diffraction":
+                return ScenarioLink(kind, beam=beam)
+            if kind == "freespace":
+                return ScenarioLink(kind, beam=beam, atmosphere=atm)
+            return ScenarioLink(kind, beam=beam, satellite=SatellitePath(rng.uniform(0, 1), 0.9))
+
+        links = [link(), link()]
+        if rng.random() < 0.5:
+            bracket = distance.DEFAULT_BRACKETS_KM[links[0].kind]
+        else:
+            lo = rng.choice((0.0, lu(-6, 2)))
+            bracket = (lo, lo + lu(-1, 12))
+        src = source()
+        det = DetectorModel(rng.choice((0.0, lu(-12, -2))), rng.uniform(0, 0.3), lu(-3, 0))
+        points = []
+        for _ in range(rng.randint(1, 8)):
+            r = rng.random()
+            if r < 0.3:  # points that move only Gamma share one guard
+                det = DetectorModel(lu(-12, -1), rng.uniform(0, 0.3), det.eta_eff)
+            elif r < 0.5:
+                det = DetectorModel(det.y0, det.e_det, lu(-4, 0))
+            elif r < 0.7:
+                src = source()
+            points.append((src, det, rng.choice(links[: rng.randint(1, 2)])))
+        return (points, rng.choice((2, 3)), *bracket)
+
+    def test_random_batches_equal_the_full_guard(self):
+        rng, errors, solved = random.Random(20261019), set(), 0
+        for _ in range(2000):
+            batch = self.random_batch(rng)
+            got = _outcome(distance.distance_bounds, *batch)
+            assert got == _outcome(_reference_bounds, *batch), batch
+            if isinstance(got, str):
+                errors.add(got.split(":")[0])
+            else:
+                solved += sum(b is not None and b[1].status == "solved" for b in got)
+        assert errors == {"NonMonotonicModelError"}
+        assert solved > 2000
+
+    def test_a_falling_model_computes_each_guard_value_at_most_once(self):
+        link = ScenarioLink(
+            "freespace",
+            beam=BeamGeometry(w0_m=0.05, wavelength_m=8e-7, aperture_radius_m=0.25),
+            atmosphere=GroundAtmosphere(),
+        )
+        etas = [link.transmissivity(d) for d in distance._guard_grid(1e-3, 1e7)]
+        sources = (SinglePhoton(), SinglePhoton(k=3), Attenuated(0.5), Decoy((0.5, 0.1), (0.5, 0.5)))
+        for src in sources:
+            for eta_eff in (0.05, 1.0):
+                points = [
+                    (src, DetectorModel(y0=y0, e_det=0.02, eta_eff=eta_eff), link)
+                    for y0 in (1e-9, 1e-7, 1e-6, 1e-3, 0.3, 0.9)
+                ]
+                grid_etas = {eta_eff * eta for eta in etas}
+                with _gamma_calls() as calls:
+                    bounds = distance.distance_bounds(points, 2, 1e-3, 1e7)
+                assert bounds == _reference_bounds(points, 2, 1e-3, 1e7)
+                assert "solved" in {b.status for b in bounds}
+                on_grid = [eta for eta in calls if eta in grid_etas]
+                assert len(on_grid) == len(set(on_grid)) < 64
+
+    def test_one_upward_ulp_takes_the_full_guard(self):
+        grid = distance._guard_grid(1.0, 1e4)
+
+        def falling(d):
+            return math.exp(-d / 50.0)
+
+        def bumped(d):
+            return math.nextafter(falling(grid[9]), 1.0) if d == grid[10] else falling(d)
+
+        det = DetectorModel(y0=1e-6, e_det=0.01)
+        g = gamma_threshold(det, 2)
+        for model, full in ((falling, False), (bumped, True)):
+            grid_etas = {model(d) for d in grid}
+            with _gamma_calls() as calls:
+                bound = max_distance_numeric(model, SinglePhoton(), det, g, 1.0, 1e4)
+            assert bound == _full_guard_bound(model, SinglePhoton(), det, g, 1.0, 1e4)
+            assert bound.status == "solved"
+            on_grid = [eta for eta in calls if eta in grid_etas]
+            assert (len(on_grid) == 64) == full

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkdlimits import scenario
+from qkdlimits import distance, scenario
 from qkdlimits import (
     BeamGeometry,
     DetectorModel,
@@ -160,6 +161,34 @@ class TestBeamGeometry:
         with pytest.raises(ValidationError):
             BeamGeometry(w0_m=2.0, wavelength_m=8e-7, aperture_radius_m=0.5, curvature_m=float("nan"))
 
+    @pytest.mark.parametrize("name", ["w0_m", "aperture_radius_m"])
+    def test_a_value_whose_square_overflows_is_rejected(self, name):
+        fields = {"w0_m": 2.0, "wavelength_m": 8e-7, "aperture_radius_m": 0.5, name: 1e200}
+        with pytest.raises(ValidationError, match=f"{name}=1e\\+200 is too large"):
+            BeamGeometry(**fields)
+        fields[name] = 1e154  # its square, 1e308, is still a float
+        assert BeamGeometry(**fields).w0_m > 0.0
+
+    @pytest.mark.parametrize(
+        "link, path",
+        [
+            ({"kind": "diffraction", "w0_m": 1e200, "wavelength_m": 8e-7,
+              "aperture_radius_m": 0.5}, "link.w0_m"),
+            ({"kind": "satellite", "beam": {"w0_m": 0.1, "wavelength_m": 8e-7,
+              "aperture_radius_m": 1e200}}, "link.beam.aperture_radius_m"),
+        ],
+    )
+    def test_a_scenario_names_the_overflowing_field(self, link, path):
+        doc = {
+            "schema_version": 1,
+            "protocol": {"mub_count": 2},
+            "source": {"kind": "single_photon"},
+            "detector": {"y0": 1e-6, "e_det": 0.01},
+            "link": link,
+        }
+        with pytest.raises(ValidationError, match=f"^scenario field {path}: "):
+            scenario.parse_scenario(doc)
+
 
 class TestDiffraction:
     def test_full_capture_near_waist(self):
@@ -175,6 +204,11 @@ class TestDiffraction:
         beam = BeamGeometry(w0_m=0.05, wavelength_m=8e-7, aperture_radius_m=0.25)
         values = [diffraction_transmissivity(beam, d) for d in (0.0, 1e3, 1e4, 1e5, 1e6)]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_a_spot_whose_square_overflows_passes_nothing(self):
+        beam = BeamGeometry(w0_m=0.1, wavelength_m=8e-7, aperture_radius_m=0.5)
+        assert diffraction_transmissivity(beam, 1e300) == 0.0
+        assert diffraction_transmissivity(beam, 1e150) > 0.0
 
     @given(st.floats(1e-3, 5.0), st.floats(3e-7, 2e-6), st.floats(1e-3, 2.0), st.floats(0.0, 1e12))
     def test_range(self, w0, wavelength, aperture, d):
@@ -264,3 +298,80 @@ class TestScenarioLink:
         message = "fiber link fiber must be a FiberLink, not ScenarioLink"
         with pytest.raises(ValidationError, match=message):
             dark_count_sweep([1e-8], det, SinglePhoton(), link, 2)
+
+
+def _composed(link: ScenarioLink):
+    """The transmissivity in km composed from the public functions."""
+    if link.kind == "fiber":
+        return lambda d: fiber_transmissivity(link.fiber, d)
+    if link.kind == "ground_atmosphere":
+        return lambda d: atmospheric_transmissivity(link.atmosphere, d)
+    if link.kind == "diffraction":
+        return lambda d: diffraction_transmissivity(link.beam, d * 1000.0)
+    if link.kind == "freespace":
+        return lambda d: (
+            diffraction_transmissivity(link.beam, d * 1000.0)
+            * atmospheric_transmissivity(link.atmosphere, d)
+        )
+    eta_atm = satellite_transmissivity(link.satellite)
+    return lambda d: diffraction_transmissivity(link.beam, d * 1000.0) * eta_atm
+
+
+def _outcome(model, d):
+    try:
+        return model(d).hex()
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+class TestFlatModels:
+    """Each kind's transmissivity closure against the public functions."""
+
+    CURVATURES = (math.inf, -2e4, -3e6, 5e3, 1e6)
+
+    def links(self, rng):
+        yield ScenarioLink("fiber", fiber=FiberLink(0.17))
+        yield ScenarioLink("fiber", fiber=FiberLink(float(rng.uniform(0.1, 3.0))))
+        yield ScenarioLink("ground_atmosphere", atmosphere=GroundAtmosphere())
+        yield ScenarioLink(
+            "ground_atmosphere",
+            atmosphere=GroundAtmosphere(float(rng.uniform(1e-4, 0.1)), 6.6, float(rng.uniform(0, 5))),
+        )
+        for curvature in self.CURVATURES:
+            beam = BeamGeometry(
+                w0_m=float(rng.uniform(0.01, 2.0)),
+                wavelength_m=float(rng.uniform(4e-7, 2e-6)),
+                aperture_radius_m=float(rng.uniform(0.05, 1.0)),
+                curvature_m=curvature,
+            )
+            yield ScenarioLink("diffraction", beam=beam)
+            yield ScenarioLink("freespace", beam=beam, atmosphere=GroundAtmosphere(altitude_km=1.0))
+            yield ScenarioLink(
+                "satellite", beam=beam, satellite=SatellitePath(float(rng.uniform(0, 1)), 0.9)
+            )
+
+    def distances(self, rng):
+        grids = [distance._guard_grid(*bracket) for bracket in DEFAULT_BRACKETS_KM.values()]
+        drawn = 10.0 ** rng.uniform(-7.0, 13.0, size=10_000)
+        drawn[::50] = rng.uniform(0.0, 1e4, size=200)
+        bad = [-1.0, -0.0, -1e-300, math.nan, math.inf, -math.inf, 1e306, 5e-324]
+        return [d for grid in grids for d in grid] + drawn.tolist() + bad
+
+    def test_every_kind_is_bit_identical_to_the_public_functions(self):
+        rng = np.random.default_rng(20261019)
+        ds = self.distances(rng)
+        seen = set()
+        for link in self.links(rng):
+            flat, composed = link.transmissivity, _composed(link)
+            got = [_outcome(flat, d) for d in ds]
+            assert got == [_outcome(composed, d) for d in ds], link
+            seen.update(v[:15] for v in got if v.startswith("ValidationError"))
+            seen.update(v for v in got if v in ("0x0.0p+0", "0x1.0000000000000p+0"))
+        assert {"ValidationError", "0x0.0p+0", "0x1.0000000000000p+0"} <= seen
+
+    def test_the_distance_check_names_the_value_each_kind_checks(self):
+        rng = np.random.default_rng(1)
+        for link in self.links(rng):
+            scale = 1 if link.kind in ("fiber", "ground_atmosphere") else 1000.0
+            with pytest.raises(ValidationError, match=f"^distance {-2.0 * scale!r} must be >= 0$"):
+                link.transmissivity(-2.0)
