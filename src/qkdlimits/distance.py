@@ -241,8 +241,8 @@ def _guard(model, src: SourceModel, eta_eff: float, grid, guards: dict):
     etas, falls = guards[model]
     if not isinstance(src, SourceModel):
         raise ValidationError(f"unknown source model {src!r}")
-    gamma = src.gamma
-    if falls and getattr(gamma, "__func__", None) is _PACKAGE_GAMMAS.get(type(src)):
+    gamma, own = src.gamma, _PACKAGE_GAMMAS.get(type(src))
+    if falls and own is not None and getattr(gamma, "__func__", None) is own:
         vals = [None] * len(etas)
 
         def prob(i: int) -> float:

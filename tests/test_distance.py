@@ -771,3 +771,27 @@ class TestLazyGuard:
             assert bound.status == "solved"
             on_grid = [eta for eta in calls if eta in grid_etas]
             assert (len(on_grid) == 64) == full
+
+    @pytest.mark.parametrize("own_gamma", ["method", "staticmethod", "instance"])
+    def test_a_source_with_a_gamma_of_its_own_takes_the_full_guard(self, own_gamma):
+        # Detection that rises with distance on a falling model: only the
+        # full guard sees it.
+        def rising(eta):
+            return 1.0 - eta
+
+        class Mine(SinglePhoton):
+            if own_gamma == "method":
+                def gamma(self, eta):
+                    return rising(eta)
+            elif own_gamma == "staticmethod":
+                gamma = staticmethod(rising)
+
+        src = Mine()
+        if own_gamma == "instance":
+            src = SinglePhoton()
+            object.__setattr__(src, "gamma", rising)
+        det = DetectorModel(y0=1e-6, e_det=0.01)
+        with pytest.raises(NonMonotonicModelError):
+            max_distance_numeric(
+                lambda d: math.exp(-d / 50.0), src, det, gamma_threshold(det, 2), 1.0, 1e4
+            )
