@@ -1,5 +1,7 @@
 """Transmissivity models: fiber, atmosphere, slant paths, Gaussian beams."""
 
+import functools
+import hashlib
 import math
 
 import numpy as np
@@ -368,6 +370,35 @@ class TestFlatModels:
             seen.update(v[:15] for v in got if v.startswith("ValidationError"))
             seen.update(v for v in got if v in ("0x0.0p+0", "0x1.0000000000000p+0"))
         assert {"ValidationError", "0x0.0p+0", "0x1.0000000000000p+0"} <= seen
+
+    def test_public_functions_keep_their_bits(self):
+        # The sha256 of every value (float.hex) and message of the four
+        # public functions below, captured before they became evaluations
+        # of the links' kernels, so the kernels answer to the older code.
+        rng = np.random.default_rng(20261019)
+        ds = self.distances(rng) + [-2, 0, 3]
+        parts = [
+            (fiber_transmissivity, FiberLink(0.17)),
+            (fiber_transmissivity, FiberLink(float(rng.uniform(0.1, 3.0)))),
+            (atmospheric_transmissivity, GroundAtmosphere()),
+            (
+                atmospheric_transmissivity,
+                GroundAtmosphere(float(rng.uniform(1e-4, 0.1)), 6.6, float(rng.uniform(0, 5))),
+            ),
+        ]
+        for curvature in self.CURVATURES:
+            beam = BeamGeometry(
+                w0_m=float(rng.uniform(0.01, 2.0)),
+                wavelength_m=float(rng.uniform(4e-7, 2e-6)),
+                aperture_radius_m=float(rng.uniform(0.05, 1.0)),
+                curvature_m=curvature,
+            )
+            parts += [(diffraction_transmissivity, beam), (beam_spot_size, beam)]
+        got = [_outcome(functools.partial(f, part), d) for f, part in parts for d in ds]
+        seen = {"0x0.0p+0", "0x1.0000000000000p+0", "ValidationError: distance -2 must be >= 0"}
+        assert seen <= set(got)
+        digest = hashlib.sha256("\n".join(got).encode()).hexdigest()
+        assert digest == "a6ecfa8d5d3ba27c630d2d5ba47dc01e0d481ddb49b5ab1c5a17d830b7985007"
 
     def test_the_distance_check_names_the_value_each_kind_checks(self):
         rng = np.random.default_rng(1)
