@@ -9,7 +9,11 @@ far-field diffraction of a collimated beam have closed forms; every
 other link goes through a monotonicity-guarded bisection, _bisect.
 run_scenario, sweep_scenario and dark_count_sweep all call it; it solves
 each point as it reads it, with one guard memo per call for the bisection.
-max_distance_numeric bisects one point on a model of the caller's own.
+An explicit bracket holds on every route: a closed form whose crossing
+lies outside it is reported as the bisection would report it. Without
+one, each point is bisected on its link kind's default bracket and the
+closed forms stand as they are. max_distance_numeric bisects one point
+on a model of the caller's own.
 
 The guard is lazy where it cannot fail: when the link's values on the
 guard grid never rise and the source is one of the package's own, only
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -76,9 +80,10 @@ class DistanceBound:
 
     status is "solved" (d_max is the threshold crossing), "infeasible"
     (no distance works, d_max = 0), "unbounded" (threshold holds at any
-    loss, d_max = inf) or "feasible-everywhere" (numeric search), where
-    d_max is only the bracket end that was still feasible. gamma (and
-    omega, on a closed-form route) are the thresholds behind the bound.
+    loss, d_max = inf) or "feasible-everywhere" (the crossing lies past
+    the bracket), where d_max is only the bracket end that was still
+    feasible. gamma (and omega, on a closed-form route) are the
+    thresholds behind the bound.
     """
 
     d_max_km: float
@@ -319,11 +324,24 @@ def _bisect(
     return DistanceBound(0.5 * (lo + hi), True, "bisection", "solved", g)
 
 
+def _clip(bound: DistanceBound, bracket: tuple[float, float] | None) -> DistanceBound:
+    """A closed-form bound on an explicit bracket, as the bisection reports
+    one: a crossing at or below d_lo_km is infeasible, one past d_hi_km
+    is feasible everywhere at d_hi_km. Without a bracket, the bound."""
+    if bracket is None:
+        return bound
+    d_lo_km, d_hi_km = bracket
+    if bound.feasible and bound.d_max_km <= d_lo_km:
+        return replace(bound, d_max_km=0.0, feasible=False, status="infeasible")
+    if bound.d_max_km > d_hi_km:
+        return replace(bound, d_max_km=d_hi_km, status="feasible-everywhere")
+    return bound
+
+
 def distance_bounds(
     points: Iterable[tuple[SourceModel, DetectorModel, ScenarioLink]],
     mub_count: int,
-    d_lo_km: float,
-    d_hi_km: float,
+    bracket: tuple[float, float] | None = None,
 ) -> list[DistanceBound | None]:
     """The distance bound of each (source, detector, link) point, in order;
     None where the misalignment alone breaks the threshold.
@@ -332,12 +350,17 @@ def distance_bounds(
     collimated beam (infinite curvature_m: the far-field envelope does
     not bound a focused or diverging one), and its source is
     single-photon with k=1, attenuated or decoy. Every other point is
-    bisected on [d_lo_km, d_hi_km] by _bisect, with one guard memo for
-    the whole call. Each point is solved as it is read, so the first
-    failing point raises, and the bracket is checked only if a point is
-    bisected. The one solver for many points: every bound equals the
-    one a call for that point alone gives, bit for bit.
+    bisected by _bisect, with one guard memo for the whole call. bracket
+    is (d_lo_km, d_hi_km): when given, it is checked first and holds on
+    every route, the closed forms clipped to it by _clip; when None,
+    each point is bisected on its link kind's DEFAULT_BRACKETS_KM and
+    the closed forms stand unclipped. Each point is solved as it is
+    read, so the first failing point raises. The one solver for many
+    points: every bound equals the one a call for that point alone
+    gives, bit for bit.
     """
+    if bracket is not None:
+        _guard_grid(*bracket)  # raises BracketError on a bad bracket
     bounds: list = []
     guards: dict = {}
     for src, det, link in points:
@@ -350,11 +373,13 @@ def distance_bounds(
             isinstance(src, SinglePhoton) and src.k == 1
         )
         if has_omega and link.kind == "fiber":
-            bounds.append(max_fiber_distance(link.fiber, omega(det, src, g)))
+            bound = _clip(max_fiber_distance(link.fiber, omega(det, src, g)), bracket)
         elif has_omega and link.kind == "diffraction" and math.isinf(link.beam.curvature_m):
-            bounds.append(max_diffraction_distance(link.beam, omega(det, src, g)))
+            bound = _clip(max_diffraction_distance(link.beam, omega(det, src, g)), bracket)
         else:
-            bounds.append(_bisect(link.transmissivity, src, det, g, d_lo_km, d_hi_km, guards))
+            lo, hi = bracket or DEFAULT_BRACKETS_KM[link.kind]
+            bound = _bisect(link.transmissivity, src, det, g, lo, hi, guards)
+        bounds.append(bound)
     return bounds
 
 
@@ -389,5 +414,5 @@ def dark_count_sweep(
     gamma_threshold(DetectorModel(values[0], e_det, eta_eff), mub_count)
     fiber = ScenarioLink("fiber", fiber=link)
     points = ((src, DetectorModel(y0, e_det, eta_eff), fiber) for y0 in values)
-    bounds = distance_bounds(points, mub_count, *DEFAULT_BRACKETS_KM["fiber"])
+    bounds = distance_bounds(points, mub_count)
     return [SweepRow(y0, b.d_max_km, b.feasible) for y0, b in zip(values, bounds)]

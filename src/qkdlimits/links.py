@@ -1,13 +1,15 @@
 """Channel transmissivity models: fiber, atmosphere, satellite, beam optics.
 
 Distance units follow the conventions of each setting: km for fiber and
-atmospheric extinction, meters for beam propagation. Composite models
-multiply independent loss factors; ScenarioLink pairs a link kind with
-its parameter objects and builds its transmissivity in km from them: one
-flat closure per kind, with the parts' constants bound once, that does
-the float operations of the public functions in their order, so its
-values are bit-identical to theirs. A beam whose spot size squared
-overflows a float passes nothing, 0.0, the limit of the aperture formula.
+atmospheric extinction, meters for beam propagation. Each loss formula
+is written once, in a kernel: a closure over its part's constants that
+checks the distance and evaluates the formula. The public functions
+evaluate a kernel built for the call. ScenarioLink pairs a link kind with
+its parameter objects and builds its kind's kernel once, in km, with the
+atmosphere or satellite factor of a composite beam link folded in, so
+the solver's evaluations make no further call. A beam whose Rayleigh
+range rounds to 0.0 is rejected; one whose spot size squared overflows a
+float passes nothing, 0.0, the limit of the aperture formula.
 """
 
 from __future__ import annotations
@@ -46,11 +48,20 @@ class FiberLink:
             raise ValidationError(f"alpha={self.alpha_db_per_km!r} must be positive")
 
 
+def _fiber_kernel(link: FiberLink) -> Callable[[float], float]:
+    isfinite, neg_alpha = math.isfinite, -link.alpha_db_per_km
+
+    def fiber(d):
+        if not (isfinite(d) and d >= 0.0):
+            raise ValidationError(f"distance {d!r} must be >= 0")
+        return 10.0 ** (neg_alpha * d / 10.0)
+
+    return fiber
+
+
 def fiber_transmissivity(link: FiberLink, d_km: float) -> float:
     """eta = 10^(-alpha d / 10)."""
-    if not (math.isfinite(d_km) and d_km >= 0.0):
-        raise ValidationError(f"distance {d_km!r} must be >= 0")
-    return 10.0 ** (-link.alpha_db_per_km * d_km / 10.0)
+    return _fiber_kernel(link)(d_km)
 
 
 @dataclass(frozen=True)
@@ -79,11 +90,20 @@ class GroundAtmosphere:
         return self.alpha0_per_km * math.exp(-self.altitude_km / self.scale_height_km)
 
 
+def _ground_kernel(atm: GroundAtmosphere) -> Callable[[float], float]:
+    isfinite, exp, neg_alpha_h = math.isfinite, math.exp, -atm.extinction_per_km
+
+    def ground(d):
+        if not (isfinite(d) and d >= 0.0):
+            raise ValidationError(f"distance {d!r} must be >= 0")
+        return exp(neg_alpha_h * d)
+
+    return ground
+
+
 def atmospheric_transmissivity(atm: GroundAtmosphere, d_km: float) -> float:
     """eta = exp(-alpha(h) d) along a horizontal path of length d."""
-    if not (math.isfinite(d_km) and d_km >= 0.0):
-        raise ValidationError(f"distance {d_km!r} must be >= 0")
-    return math.exp(-atm.extinction_per_km * d_km)
+    return _ground_kernel(atm)(d_km)
 
 
 @dataclass(frozen=True)
@@ -150,13 +170,18 @@ class BeamGeometry:
         if math.isnan(self.curvature_m) or self.curvature_m == 0.0:
             raise ValidationError(f"curvature {self.curvature_m!r} must be nonzero")
         for name in ("w0_m", "aperture_radius_m"):
-            value = getattr(self, name)
             try:
-                value**2
+                getattr(self, name) ** 2
             except OverflowError:
-                err = ValidationError(f"{name}={value!r} is too large: its square overflows a float")
-                err.field = name  # parse_scenario puts the field's path in front
-                raise err from None
+                raise self._field_error(name, "large: its square overflows a float") from None
+        if self.rayleigh_range_m == 0.0:
+            name, size = ("w0_m", "small") if self.w0_m**2 == 0.0 else ("wavelength_m", "large")
+            raise self._field_error(name, f"{size}: the Rayleigh range rounds to 0.0")
+
+    def _field_error(self, name: str, problem: str) -> ValidationError:
+        err = ValidationError(f"{name}={getattr(self, name)!r} is too {problem}")
+        err.field = name  # parse_scenario puts the field's path in front
+        return err
 
     @cached_property
     def rayleigh_range_m(self) -> float:
@@ -175,14 +200,38 @@ def beam_spot_size(beam: BeamGeometry, d_m: float) -> float:
     return beam.w0_m * math.hypot(1.0 - focus, spread)
 
 
+def _beam_kernel(
+    beam: BeamGeometry, scale: float, atmosphere: GroundAtmosphere | None = None, factor=1.0
+) -> Callable[[float], float]:
+    """The aperture's catch at d * scale meters, times exp(-alpha(h) d)
+    along the atmosphere if one is given, else times factor. It checks
+    d * scale; w_d is beam_spot_size's, written out so that no
+    evaluation calls it."""
+    isfinite, exp, hypot, expm1 = math.isfinite, math.exp, math.hypot, math.expm1
+    w0, z_r, r0 = beam.w0_m, beam.rayleigh_range_m, beam.curvature_m
+    neg_2a2 = -2.0 * beam.aperture_radius_m**2
+    collimated, freespace = math.isinf(r0), atmosphere is not None
+    neg_alpha_h = -atmosphere.extinction_per_km if freespace else 0.0
+
+    def beam_link(d):
+        d_m = d * scale
+        if not (isfinite(d_m) and d_m >= 0.0):
+            raise ValidationError(f"distance {d_m!r} must be >= 0")
+        w = w0 * hypot(1.0 if collimated else 1.0 - d_m / r0, d_m / z_r)
+        try:
+            eta = -expm1(neg_2a2 / w**2)
+        except OverflowError:
+            eta = 0.0
+        return eta * (exp(neg_alpha_h * d) if freespace else factor)
+
+    return beam_link
+
+
 def diffraction_transmissivity(beam: BeamGeometry, d_m: float) -> float:
     """Fraction 1 - exp(-2 a_R^2 / w_d^2) of the beam caught by the aperture;
     0.0 where w_d^2 overflows a float."""
-    w = beam_spot_size(beam, d_m)
-    try:
-        return -math.expm1(-2.0 * beam.aperture_radius_m**2 / w**2)
-    except OverflowError:
-        return 0.0
+    # The int scale 1 leaves d_m as it is, so an int is quoted as given.
+    return _beam_kernel(beam, 1)(d_m)
 
 
 # The class of each ScenarioLink part.
@@ -231,54 +280,12 @@ class ScenarioLink:
 
 
 def _flat_model(link: ScenarioLink) -> Callable[[float], float]:
-    """The link's transmissivity in km as one closure: the same float
-    operations, in the same order, as fiber_transmissivity,
-    atmospheric_transmissivity and diffraction_transmissivity (times the
-    atmospheric or satellite factor), with one distance check, on d for
-    fiber and ground links and on d * 1000.0 for beam kinds, and the same
-    message."""
-    isfinite, exp = math.isfinite, math.exp
+    """The link's transmissivity in km: its kind's kernel, with the beam
+    kinds' distance check on d * 1000.0."""
     if link.kind == "fiber":
-        neg_alpha = -link.fiber.alpha_db_per_km
-
-        def fiber(d):
-            if not (isfinite(d) and d >= 0.0):
-                raise ValidationError(f"distance {d!r} must be >= 0")
-            return 10.0 ** (neg_alpha * d / 10.0)
-
-        return fiber
+        return _fiber_kernel(link.fiber)
     if link.kind == "ground_atmosphere":
-        neg_alpha_h = -link.atmosphere.extinction_per_km
-
-        def ground(d):
-            if not (isfinite(d) and d >= 0.0):
-                raise ValidationError(f"distance {d!r} must be >= 0")
-            return exp(neg_alpha_h * d)
-
-        return ground
-    beam, hypot, expm1 = link.beam, math.hypot, math.expm1
-    w0, z_r, r0 = beam.w0_m, beam.rayleigh_range_m, beam.curvature_m
-    neg_2a2 = -2.0 * beam.aperture_radius_m**2
-    collimated = math.isinf(r0)
-    freespace = link.kind == "freespace"
-    neg_alpha_h = -link.atmosphere.extinction_per_km if freespace else 0.0
+        return _ground_kernel(link.atmosphere)
     # A diffraction link's factor 1.0 leaves every value as it is.
-    eta_atm = satellite_transmissivity(link.satellite) if link.kind == "satellite" else 1.0
-
-    def beam_link(d):
-        d_m = d * 1000.0
-        if not (isfinite(d_m) and d_m >= 0.0):
-            raise ValidationError(f"distance {d_m!r} must be >= 0")
-        if collimated:
-            w = w0 * hypot(1.0, d_m / z_r)
-        else:
-            w = w0 * hypot(1.0 - d_m / r0, d_m / z_r)
-        try:
-            eta = -expm1(neg_2a2 / w**2)
-        except OverflowError:
-            eta = 0.0
-        if freespace:
-            return eta * exp(neg_alpha_h * d)
-        return eta * eta_atm
-
-    return beam_link
+    factor = satellite_transmissivity(link.satellite) if link.kind == "satellite" else 1.0
+    return _beam_kernel(link.beam, 1000.0, link.atmosphere, factor)

@@ -3,10 +3,11 @@ detector and link, plus an optional repeater chain.
 
 parse_scenario checks every field once and builds typed objects,
 including the link's transmissivity model. run_scenario and
-sweep_scenario hand their (source, detector, link) points to
-distance.distance_bounds, which chooses between the closed forms and
-the guarded bisection. Results come back as a ResultRecord whose JSON
-form validates against schemas/result_record.schema.json.
+sweep_scenario hand their (source, detector, link) points and the
+scenario's solver bracket, if it has one, to distance.distance_bounds,
+which chooses between the closed forms and the guarded bisection.
+Results come back as a ResultRecord whose JSON form validates against
+schemas/result_record.schema.json.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from importlib import resources
 
 from . import __version__
 from .detection import Attenuated, Decoy, DetectorModel, SinglePhoton, SourceModel
-from .distance import DEFAULT_BRACKETS_KM, DistanceBound, distance_bounds, gamma_threshold
+from .distance import DistanceBound, distance_bounds, gamma_threshold
 from .errors import ValidationError
 from .links import (
     LINK_PARTS,
@@ -338,10 +339,6 @@ def scenario_from_file(path: str) -> Scenario:
     return parse_scenario(doc)
 
 
-def _bracket(sc: Scenario) -> tuple[float, float]:
-    return sc.solver if sc.solver is not None else DEFAULT_BRACKETS_KM[sc.link.kind]
-
-
 def _bound_to_results(bound: DistanceBound) -> dict:
     return {
         "d_max_km": None if math.isinf(bound.d_max_km) else bound.d_max_km,
@@ -362,7 +359,7 @@ def distance_analysis(sc: Scenario) -> dict:
     if sc.link is None:
         raise ValidationError("scenario has no link to analyze")
     det, link = sc.detector, sc.link
-    [bound] = distance_bounds([(sc.source, det, link)], sc.mub_count, *_bracket(sc))
+    [bound] = distance_bounds([(sc.source, det, link)], sc.mub_count, sc.solver)
     if bound is None:  # the misalignment alone breaks the threshold
         gamma_threshold(det, sc.mub_count)  # raises InfeasibleConfigurationError
     g, o = bound.gamma, bound.omega
@@ -482,7 +479,7 @@ def sweep_scenario(
     else:
         raise ValidationError(f"scale must be 'log' or 'linear', got {scale!r}")
     points = (_with_param(sc, param, v) for v in values)
-    bounds = distance_bounds(points, sc.mub_count, *_bracket(sc))
+    bounds = distance_bounds(points, sc.mub_count, sc.solver)
     # A point whose misalignment is hopeless is a flagged row.
     return [
         (param, v, 0.0, False) if b is None else (param, v, b.d_max_km, b.feasible)

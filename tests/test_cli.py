@@ -295,6 +295,37 @@ class TestMaxDistance:
         assert code == 1
         assert "solver" in err
 
+    @pytest.mark.parametrize("kind", ["freespace", "deepspace", "satellite"])
+    @pytest.mark.parametrize(
+        "w0, wavelength, field",
+        [("1e-200", "8e-7", "w0_m"), ("1e-13", "1e300", "wavelength_m")],
+    )
+    def test_a_rayleigh_range_that_rounds_to_zero_is_an_input_error(
+        self, capsys, kind, w0, wavelength, field
+    ):
+        code, out, err = run_cli(
+            capsys,
+            [
+                "max-distance", kind, "--mub", "2", "--y0", "1e-6", "--e-det", "0.01",
+                "--w0", w0, "--wavelength", wavelength, "--aperture", "0.5",
+            ],
+        )
+        path = "link" if kind == "deepspace" else "link.beam"
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: scenario field {path}.{field}: {field}=")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "d_lo, d_hi, code, status",
+        [("1", "2", 0, "feasible-everywhere"), ("400", "500", 2, "infeasible")],
+    )
+    def test_a_fiber_bracket_clips_the_closed_form(self, capsys, d_lo, d_hi, code, status):
+        argv = ["max-distance", "fiber", "--mub", "2", "--y0", "1e-6", "--e-det", "0.01"]
+        got, rec, _ = run_json(capsys, argv + ["--d-lo", d_lo, "--d-hi", d_hi])
+        results = rec["results"]
+        assert (got, results["method"], results["status"]) == (code, "closed-form", status)
+        assert results["d_max_km"] == (float(d_hi) if code == 0 else 0.0)
+
     def test_focused_beam_is_a_numeric_failure(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -270,7 +270,7 @@ class TestNumericSolver:
         beam = BeamGeometry(w0_m=0.1, wavelength_m=8e-7, aperture_radius_m=0.5)
         link = ScenarioLink("freespace", beam=beam, atmosphere=GroundAtmosphere())
         det = DetectorModel(y0=1e-6, e_det=0.01)
-        [bound] = distance.distance_bounds([(SinglePhoton(), det, link)], 2, 1.0, d_hi)
+        [bound] = distance.distance_bounds([(SinglePhoton(), det, link)], 2, (1.0, d_hi))
         assert bound.status == "solved"
         assert math.isclose(bound.d_max_km, 1969.2907612908011, rel_tol=1e-9)
 
@@ -316,7 +316,7 @@ class TestBatch:
         link, statuses = self.link(), set()
         for bracket in ((1e-3, 1e7), (0.1, 10.0)):
             rows = self.rows()
-            bounds = distance.distance_bounds(((s, det, link) for s, det in rows), 2, *bracket)
+            bounds = distance.distance_bounds(((s, det, link) for s, det in rows), 2, bracket)
             model = link.transmissivity
             assert bounds == [
                 max_distance_numeric(model, s, det, gamma_threshold(det, 2), *bracket)
@@ -345,11 +345,11 @@ class TestBatch:
         for point in points:
             model_calls.clear()
             detect_calls.clear()
-            distance.distance_bounds([point], 2, 1e-3, 1e7)
+            distance.distance_bounds([point], 2, (1e-3, 1e7))
             alone.append((len(model_calls), len(detect_calls)))
         model_calls.clear()
         detect_calls.clear()
-        distance.distance_bounds(points, 2, 1e-3, 1e7)
+        distance.distance_bounds(points, 2, (1e-3, 1e7))
         assert len(model_calls) == 64 + sum(m - 64 for m, _ in alone)
         assert len(detect_calls) == 64 + sum(n - 64 for _, n in alone)
         assert {type(d) for d in model_calls} == {float}
@@ -430,7 +430,7 @@ class TestDistanceBounds:
             for src in (SinglePhoton(), SinglePhoton(k=3), Attenuated(0.5))
             for det in (DET, hopeless)
         ]
-        bounds = distance.distance_bounds(points, 2, *self.BRACKET)
+        bounds = distance.distance_bounds(points, 2, self.BRACKET)
         assert bounds == [self.expected(*p) for p in points]
         assert [b is None for b in bounds] == [p[1] is hopeless for p in points]
         assert {b.method for b in bounds if b is not None} == {"closed-form", "bisection"}
@@ -452,26 +452,75 @@ class TestDistanceBounds:
 
         a, b, src = link(0.2), link(0.5), SinglePhoton(k=3)
         points = [(src, DetectorModel(y0=1e-7, e_det=0.01), a), (src, DET, b), (src, DET, a)]
-        alone = [distance.distance_bounds([p], 2, *self.BRACKET)[0] for p in points]
+        alone = [distance.distance_bounds([p], 2, self.BRACKET)[0] for p in points]
         assert alone == [self.expected(*p) for p in points]
         assert {bound.status for bound in alone} == {"solved"}
         calls.clear()
-        assert distance.distance_bounds(points, 2, *self.BRACKET) == alone
+        assert distance.distance_bounds(points, 2, self.BRACKET) == alone
         grid = list(distance._guard_grid(*self.BRACKET))
         for alpha in (0.2, 0.5):
             seen = [d for x, d in calls if x == alpha]
             assert seen[:64] == grid and sum(d in grid for d in seen) == 64
 
-    def test_a_bad_bracket_is_checked_only_for_bisected_points(self):
+    @pytest.mark.parametrize(
+        "bracket, message",
+        [
+            ((10.0, 1.0), "empty interval"),
+            ((-1.0, 10.0), "bad interval"),
+            ((1.0, math.inf), "bad interval"),
+        ],
+        ids=["reversed", "negative", "infinite"],
+    )
+    def test_a_bad_bracket_is_checked_before_any_route(self, bracket, message):
+        # An explicit bracket holds on the closed forms too, so a bad one
+        # raises whatever the points' routes, even with no point to solve.
         fiber = ScenarioLink("fiber", fiber=FIBER)
         hopeless = DetectorModel(y0=1e-8, e_det=0.3)
         points = [(SinglePhoton(), DET, fiber), (Attenuated(0.5), hopeless, fiber)]
-        for bracket in ((10.0, 1.0), (-1.0, 10.0), (1.0, math.inf)):
-            assert distance.distance_bounds(points, 2, *bracket) == [
-                self.expected(*p) for p in points
-            ]
-            with pytest.raises(BracketError):
-                distance.distance_bounds([*points, (SinglePhoton(k=3), DET, fiber)], 2, *bracket)
+        for batch in (points, points[:1], []):
+            with pytest.raises(BracketError, match=message):
+                distance.distance_bounds(batch, 2, bracket)
+        assert distance.distance_bounds(points, 2) == [self.expected(*p) for p in points]
+
+    @pytest.mark.parametrize("kind", ["fiber", "diffraction"])
+    def test_an_explicit_bracket_clips_a_closed_form(self, kind):
+        link = (
+            ScenarioLink("fiber", fiber=FIBER)
+            if kind == "fiber"
+            else ScenarioLink("diffraction", beam=self.BEAM)
+        )
+        src, g = SinglePhoton(), gamma_threshold(DET, 2)
+        [free] = distance.distance_bounds([(src, DET, link)], 2)
+        d = free.d_max_km
+        assert (free.method, free.status) == ("closed-form", "solved")
+        cases = [
+            ((0.5 * d, 2.0 * d), d, "solved"),
+            ((0.5 * d, d), d, "solved"),  # a crossing at d_hi lies inside
+            ((d, 2.0 * d), 0.0, "infeasible"),  # and one at d_lo does not
+            ((2.0 * d, 4.0 * d), 0.0, "infeasible"),
+            ((0.0, 0.5 * d), 0.5 * d, "feasible-everywhere"),
+        ]
+        for bracket, d_max, status in cases:
+            [bound] = distance.distance_bounds([(src, DET, link)], 2, bracket)
+            want = DistanceBound(d_max, status != "infeasible", "closed-form", status, g, free.omega)
+            assert bound == want, bracket
+            if d not in bracket:
+                # The bisection of the link on that bracket says the same.
+                numeric = max_distance_numeric(link.transmissivity, src, DET, g, *bracket)
+                assert numeric.status == status
+                assert status == "solved" or numeric.d_max_km == d_max
+
+    def test_an_explicit_bracket_bounds_an_unbounded_closed_form(self):
+        fiber = ScenarioLink("fiber", fiber=FIBER)
+        dark_free = DetectorModel(y0=0.0, e_det=0.01)
+        noisy = DetectorModel(y0=0.9, e_det=0.01, eta_eff=0.3)  # Omega >= 1
+        points = [(SinglePhoton(), dark_free, fiber), (SinglePhoton(), noisy, fiber)]
+        unbounded, infeasible = distance.distance_bounds(points, 2)
+        assert (unbounded.status, infeasible.status) == ("unbounded", "infeasible")
+        capped = DistanceBound(
+            50.0, True, "closed-form", "feasible-everywhere", unbounded.gamma, unbounded.omega
+        )
+        assert distance.distance_bounds(points, 2, (1.0, 50.0)) == [capped, infeasible]
 
 
 class TestParameterMonotonicity:
@@ -615,8 +664,10 @@ def _full_guard_bound(model, src, det, g, d_lo_km, d_hi_km):
     return DistanceBound(0.5 * (lo + hi), True, "bisection", "solved", g)
 
 
-def _reference_bounds(points, mub_count, d_lo_km, d_hi_km):
-    """distance_bounds point by point: the closed forms, or the full guard.
+def _reference_bounds(points, mub_count, bracket):
+    """distance_bounds point by point: the closed forms, clipped to an
+    explicit bracket as the bisection reports a crossing outside it, or
+    the full guard on the bracket or the link kind's default.
     test_links checks each link's transmissivity against the public
     functions bit for bit."""
     out = []
@@ -626,13 +677,20 @@ def _reference_bounds(points, mub_count, d_lo_km, d_hi_km):
         except InfeasibleConfigurationError:
             out.append(None)
             continue
+        lo, hi = distance.DEFAULT_BRACKETS_KM[link.kind] if bracket is None else bracket
         closed = not (isinstance(src, SinglePhoton) and src.k != 1)
         if closed and link.kind == "fiber":
-            out.append(max_fiber_distance(link.fiber, omega(det, src, g)))
+            b = max_fiber_distance(link.fiber, omega(det, src, g))
         elif closed and link.kind == "diffraction" and math.isinf(link.beam.curvature_m):
-            out.append(max_diffraction_distance(link.beam, omega(det, src, g)))
+            b = max_diffraction_distance(link.beam, omega(det, src, g))
         else:
-            out.append(_full_guard_bound(link.transmissivity, src, det, g, d_lo_km, d_hi_km))
+            out.append(_full_guard_bound(link.transmissivity, src, det, g, lo, hi))
+            continue
+        if bracket is not None and b.feasible and b.d_max_km <= lo:
+            b = DistanceBound(0.0, False, "closed-form", "infeasible", b.gamma, b.omega)
+        elif bracket is not None and b.d_max_km > hi:
+            b = DistanceBound(hi, True, "closed-form", "feasible-everywhere", b.gamma, b.omega)
+        out.append(b)
     return out
 
 
@@ -715,7 +773,7 @@ class TestLazyGuard:
             elif r < 0.7:
                 src = source()
             points.append((src, det, rng.choice(links[: rng.randint(1, 2)])))
-        return (points, rng.choice((2, 3)), *bracket)
+        return points, rng.choice((2, 3)), bracket
 
     def test_random_batches_equal_the_full_guard(self):
         rng, errors, solved = random.Random(20261019), set(), 0
@@ -746,8 +804,8 @@ class TestLazyGuard:
                 ]
                 grid_etas = {eta_eff * eta for eta in etas}
                 with _gamma_calls() as calls:
-                    bounds = distance.distance_bounds(points, 2, 1e-3, 1e7)
-                assert bounds == _reference_bounds(points, 2, 1e-3, 1e7)
+                    bounds = distance.distance_bounds(points, 2, (1e-3, 1e7))
+                assert bounds == _reference_bounds(points, 2, (1e-3, 1e7))
                 assert "solved" in {b.status for b in bounds}
                 on_grid = [eta for eta in calls if eta in grid_etas]
                 assert len(on_grid) == len(set(on_grid)) < 64

@@ -191,6 +191,23 @@ class TestBeamGeometry:
         with pytest.raises(ValidationError, match=f"^scenario field {path}: "):
             scenario.parse_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "w0, wavelength, name, message",
+        [
+            (1e-200, 8e-7, "w0_m", "w0_m=1e-200 is too small"),
+            (1e-13, 1e300, "wavelength_m", "wavelength_m=1e+300 is too large"),
+        ],
+    )
+    def test_a_rayleigh_range_that_rounds_to_zero_is_rejected(self, w0, wavelength, name, message):
+        # pi w0^2 / lambda underflows to 0.0, which every spot size divides by.
+        with pytest.raises(ValidationError) as exc:
+            BeamGeometry(w0_m=w0, wavelength_m=wavelength, aperture_radius_m=0.5)
+        assert str(exc.value) == f"{message}: the Rayleigh range rounds to 0.0"
+        assert exc.value.field == name
+        # A Rayleigh range that is tiny but not zero is a beam that spreads at once.
+        beam = BeamGeometry(w0_m=1e-160, wavelength_m=8e-7, aperture_radius_m=0.5)
+        assert 0.0 < beam.rayleigh_range_m and diffraction_transmissivity(beam, 1.0) == 0.0
+
 
 class TestDiffraction:
     def test_full_capture_near_waist(self):
@@ -327,7 +344,10 @@ def _outcome(model, d):
 
 
 class TestFlatModels:
-    """Each kind's transmissivity closure against the public functions."""
+    """Each kind's transmissivity against the public functions, composed as
+    the kind composes them. The base kinds evaluate the same kernels as
+    those functions, so test_public_functions_keep_their_bits pins the
+    functions' values to the code from before the kernels."""
 
     CURVATURES = (math.inf, -2e4, -3e6, 5e3, 1e6)
 

@@ -262,11 +262,39 @@ class TestRoute:
             run_scenario(sc)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize(
+        "name", ["fiber_2mub_single_photon.json", "deepspace_3mub_single_photon.json"]
+    )
+    def test_a_solver_bracket_clips_the_closed_form(self, scenario_dir, name):
+        doc = json.loads((scenario_dir / name).read_text())
+        free = run_scenario(parse_scenario(doc)).results
+        assert (free["method"], free["status"]) == ("closed-form", "solved")
+        d = free["d_max_km"]
+        for (lo, hi), d_max, status in (
+            ((1.0, 2.0), 2.0, "feasible-everywhere"),
+            ((0.5 * d, 2.0 * d), d, "solved"),
+            ((2.0 * d, 4.0 * d), 0.0, "infeasible"),
+        ):
+            doc["solver"] = {"d_lo_km": lo, "d_hi_km": hi}
+            r = run_scenario(parse_scenario(doc)).results
+            got = (r["method"], r["status"], r["d_max_km"], r["feasible"])
+            assert got == ("closed-form", status, d_max, status != "infeasible"), (lo, hi)
+            assert ("eta_channel_at_d_max" in r) == (status == "solved")
+            assert ("infeasible_reason" in r) == (status == "infeasible")
+
     def test_focused_diffraction_beam_is_not_monotone(self, scenario_dir):
         doc = json.loads((scenario_dir / "deepspace_3mub_single_photon.json").read_text())
         doc["link"]["curvature_m"] = 1e6
         with pytest.raises(NonMonotonicModelError):
             run_scenario(parse_scenario(doc))
+
+
+def test_a_beam_whose_rayleigh_range_rounds_to_zero_names_its_field(scenario_dir):
+    doc = json.loads((scenario_dir / "satellite_2mub.json").read_text())
+    doc["link"]["beam"]["w0_m"] = 1e-200
+    message = r"^scenario field link\.beam\.w0_m: w0_m=1e-200 is too small: "
+    with pytest.raises(ValidationError, match=message):
+        parse_scenario(doc)
 
 
 class TestResultRecord:
