@@ -71,13 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def detector_flags(p, required: bool):
         p.add_argument("--y0", type=float, required=required, help="dark-count probability per gate")
         p.add_argument("--e-det", type=float, required=required, help="intrinsic misalignment error")
-        p.add_argument("--eta-eff", type=float, default=1.0, help="receiver efficiency (default 1)")
+        p.add_argument("--eta-eff", type=float, default=None, help="receiver efficiency (default 1)")
 
     p = sub.add_parser("thresholds", help="QBER thresholds and minimum detection probability")
     p.add_argument("--mub", type=int, choices=(2, 3), help="restrict to one protocol")
     detector_flags(p, required=False)
     p.add_argument("--mc-trials", type=int, default=0, help="verify the attack QBER by Monte Carlo")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for --mc-trials")
+    p.add_argument("--seed", type=int, default=None, help="RNG seed for --mc-trials (default 0)")
     common(p)
 
     p = sub.add_parser("channel", help="zero-capacity verdict for a Pauli channel")
@@ -97,23 +97,18 @@ def _build_parser() -> argparse.ArgumentParser:
     detector_flags(p, required=True)
     p.add_argument("--k", type=int, default=None, help="photon number (single-photon source)")
     p.add_argument("--mu", type=float, default=None, help="mean photon number (attenuated source)")
-    p.add_argument("--alpha", type=float, default=0.17, help="fiber loss in dB/km")
-    p.add_argument("--w0", type=float, default=None, help="beam waist in m")
-    p.add_argument("--wavelength", type=float, default=None, help="wavelength in m")
-    p.add_argument("--aperture", type=float, default=None, help="receiver aperture radius in m")
-    p.add_argument("--curvature", type=float, default=None, help="phase-front radius in m")
-    p.add_argument(
-        "--alpha0", type=float, default=DEFAULT_ALPHA0_PER_KM, help="ground extinction per km"
-    )
-    p.add_argument(
-        "--scale-height",
-        type=float,
-        default=DEFAULT_SCALE_HEIGHT_KM,
-        help="atmosphere scale height in km",
-    )
-    p.add_argument("--altitude", type=float, default=0.0, help="path altitude in km")
-    p.add_argument("--zenith-angle", type=float, default=0.0, help="zenith angle in rad")
-    p.add_argument("--eta-zenith", type=float, default=DEFAULT_ETA_ZENITH)
+    # The model flags default to None, so that a flag given to a model it
+    # does not belong to is seen; _MODEL_FLAGS holds the models and defaults.
+    p.add_argument("--alpha", type=float, help="fiber loss in dB/km (fiber)")
+    p.add_argument("--w0", type=float, help="beam waist in m")
+    p.add_argument("--wavelength", type=float, help="wavelength in m")
+    p.add_argument("--aperture", type=float, help="receiver aperture radius in m")
+    p.add_argument("--curvature", type=float, help="phase-front radius in m")
+    p.add_argument("--alpha0", type=float, help="ground extinction per km (freespace)")
+    p.add_argument("--scale-height", type=float, help="atmosphere scale height in km (freespace)")
+    p.add_argument("--altitude", type=float, help="path altitude in km (freespace)")
+    p.add_argument("--zenith-angle", type=float, help="zenith angle in rad (satellite)")
+    p.add_argument("--eta-zenith", type=float, help="zenith transmissivity (satellite)")
     p.add_argument("--d-lo", type=float, default=None, help="solver bracket lower end in km")
     p.add_argument("--d-hi", type=float, default=None, help="solver bracket upper end in km")
     common(p)
@@ -204,7 +199,11 @@ def _cmd_thresholds(args) -> ResultRecord:
     if args.y0 is not None or args.e_det is not None:
         if args.y0 is None or args.e_det is None:
             raise ValidationError("--y0 and --e-det go together")
-        det = DetectorModel(y0=args.y0, e_det=args.e_det, eta_eff=args.eta_eff)
+        det = DetectorModel(y0=args.y0, e_det=args.e_det, eta_eff=_given(args.eta_eff, 1.0))
+    elif args.eta_eff is not None:
+        raise ValidationError("--eta-eff needs --y0 and --e-det")
+    if args.seed is not None and not args.mc_trials:
+        raise ValidationError("--seed needs --mc-trials")
     results = {}
     for mub in protocols:
         row = {
@@ -230,9 +229,9 @@ def _cmd_thresholds(args) -> ResultRecord:
         "mub": args.mub,
         "y0": args.y0,
         "e_det": args.e_det,
-        "eta_eff": args.eta_eff,
+        "eta_eff": _given(args.eta_eff, 1.0),
         "mc_trials": args.mc_trials,
-        "seed": args.seed,
+        "seed": _given(args.seed, 0),
     }
     return ResultRecord(command="thresholds", inputs=inputs, results=results)
 
@@ -280,27 +279,55 @@ def _cmd_qber(args) -> ResultRecord:
     return ResultRecord(command="qber", inputs=inputs, results=results)
 
 
+def _given(value, default):
+    return default if value is None else value
+
+
+_BEAM_MODELS = ("freespace", "deepspace", "satellite")
+# Each model-specific max-distance flag: the models it belongs to and its
+# default. Any other model rejects it.
+_MODEL_FLAGS = {
+    "alpha": (("fiber",), 0.17),
+    "w0": (_BEAM_MODELS, None),
+    "wavelength": (_BEAM_MODELS, None),
+    "aperture": (_BEAM_MODELS, None),
+    "curvature": (_BEAM_MODELS, None),
+    "alpha0": (("freespace",), DEFAULT_ALPHA0_PER_KM),
+    "scale_height": (("freespace",), DEFAULT_SCALE_HEIGHT_KM),
+    "altitude": (("freespace",), 0.0),
+    "zenith_angle": (("satellite",), 0.0),
+    "eta_zenith": (("satellite",), DEFAULT_ETA_ZENITH),
+}
+
+
 def _scenario_from_max_distance_args(args) -> Scenario:
     if args.k is not None and args.mu is not None:
         raise ValidationError("--k and --mu are mutually exclusive")
+    flags = {}
+    for dest, (models, default) in _MODEL_FLAGS.items():
+        value = getattr(args, dest)
+        if value is not None and args.model not in models:
+            flag = "--" + dest.replace("_", "-")
+            raise ValidationError(f"the {args.model} model does not take {flag}")
+        flags[dest] = _given(value, default)
     if args.mu is not None:
         source = {"kind": "attenuated", "mu": args.mu}
     else:
         source = {"kind": "single_photon", "k": args.k if args.k is not None else 1}
 
     def beam() -> dict:
-        for flag, v in (("--w0", args.w0), ("--wavelength", args.wavelength), ("--aperture", args.aperture)):
-            if v is None:
-                raise ValidationError(f"{args.model} model needs {flag}")
+        for dest in ("w0", "wavelength", "aperture"):
+            if flags[dest] is None:
+                raise ValidationError(f"{args.model} model needs --{dest}")
         return {
-            "w0_m": args.w0,
-            "wavelength_m": args.wavelength,
-            "aperture_radius_m": args.aperture,
-            "curvature_m": args.curvature,
+            "w0_m": flags["w0"],
+            "wavelength_m": flags["wavelength"],
+            "aperture_radius_m": flags["aperture"],
+            "curvature_m": flags["curvature"],
         }
 
     if args.model == "fiber":
-        link = {"kind": "fiber", "alpha_db_per_km": args.alpha}
+        link = {"kind": "fiber", "alpha_db_per_km": flags["alpha"]}
     elif args.model == "deepspace":
         link = {"kind": "diffraction", **beam()}
     elif args.model == "freespace":
@@ -308,23 +335,23 @@ def _scenario_from_max_distance_args(args) -> Scenario:
             "kind": "freespace",
             "beam": beam(),
             "atmosphere": {
-                "alpha0_per_km": args.alpha0,
-                "scale_height_km": args.scale_height,
-                "altitude_km": args.altitude,
+                "alpha0_per_km": flags["alpha0"],
+                "scale_height_km": flags["scale_height"],
+                "altitude_km": flags["altitude"],
             },
         }
     else:
         link = {
             "kind": "satellite",
             "beam": beam(),
-            "zenith_angle_rad": args.zenith_angle,
-            "eta_zenith": args.eta_zenith,
+            "zenith_angle_rad": flags["zenith_angle"],
+            "eta_zenith": flags["eta_zenith"],
         }
     doc = {
         "schema_version": 1,
         "protocol": {"mub_count": args.mub},
         "source": source,
-        "detector": {"y0": args.y0, "e_det": args.e_det, "eta_eff": args.eta_eff},
+        "detector": {"y0": args.y0, "e_det": args.e_det, "eta_eff": _given(args.eta_eff, 1.0)},
         "link": link,
     }
     if args.d_lo is not None or args.d_hi is not None:
@@ -365,8 +392,31 @@ def _emit_sweep(rows) -> str:
     return buf.getvalue().rstrip("\n")
 
 
+def _curvature_joined(argv: list[str]) -> list[str]:
+    """argv with each `--curvature X` written `--curvature=X` where float()
+    takes X. argparse reads a token that starts with '-' as a flag unless
+    it looks like a negative number, and its pattern for one has no
+    exponent, so `--curvature -1e6` would lose its value."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--curvature" and _is_float(token):
+            out[-1] = f"--curvature={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_curvature_joined(argv))
     try:
         if args.command == "sweep":
             sc = scenario_from_file(args.scenario)

@@ -20,12 +20,23 @@ guard grid never rise and the source is one of the package's own, only
 the detection probabilities the search for the crossing cell asks for
 are computed, and every bound stays bit-identical to the full guard's.
 The bisection runs until it meets its 1e-9 relative tolerance.
+
+Most of its midpoints need no model call. Where the guard is lazy, the
+link cannot rise by construction (every kind but a focused beam) and
+the values near the crossing are normal floats, a few regula falsi
+trials first certify a point a above the crossing and a point b below
+it, each more than CERTIFY_MARGIN (about 1e4 ulps) from Gamma. The
+computed detection probability is then monotone in d to a few ulp, so
+a midpoint at or below a, or at or above b, would test the way the
+plain loop would find by evaluating it: the bisection takes that side
+without a call, and every bound and error stays bit-identical.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -42,6 +53,14 @@ from .links import BeamGeometry, FiberLink, ScenarioLink
 
 BISECT_REL_TOL = 1e-9
 MONOTONE_SAMPLES = 64
+# The certified skip of _bisect: a detection probability more than
+# Gamma * CERTIFY_MARGIN (about 1e4 ulps) from Gamma certifies its side of
+# the crossing. At most CERTIFY_TRIALS regula falsi trials look for the
+# crossing; one inside the margin is closed in by a probe at a relative
+# CERTIFY_PROBE on either side.
+CERTIFY_MARGIN = 1e-12
+CERTIFY_TRIALS = 6
+CERTIFY_PROBE = 1e-10
 # Bisection bracket in km for each link kind when a scenario sets none.
 DEFAULT_BRACKETS_KM = {
     "fiber": (1e-6, 1e5),
@@ -145,7 +164,8 @@ def omega(det: DetectorModel, src: SourceModel, g: GammaThreshold) -> OmegaValue
 
 
 def max_fiber_distance(link: FiberLink, o: OmegaValue) -> DistanceBound:
-    """Closed form d_max = -(10 / alpha) log10(Omega) for fiber loss."""
+    """Closed form d_max = -(10 / alpha) log10(Omega) for fiber loss;
+    unbounded where that overflows."""
     if o.omega >= 1.0:
         return DistanceBound(0.0, False, "closed-form", "infeasible", o.gamma, o)
     if o.omega <= 0.0:
@@ -153,23 +173,30 @@ def max_fiber_distance(link: FiberLink, o: OmegaValue) -> DistanceBound:
     d = -(10.0 / link.alpha_db_per_km) * math.log10(o.omega)
     if d <= 0.0:
         return DistanceBound(0.0, False, "closed-form", "infeasible", o.gamma, o)
-    return DistanceBound(d, True, "closed-form", "solved", o.gamma, o)
+    return DistanceBound(d, True, "closed-form", _solved_or_unbounded(d), o.gamma, o)
 
 
 def max_diffraction_distance(beam: BeamGeometry, o: OmegaValue) -> DistanceBound:
     """Far-field diffraction bound d < (pi w0 a_R / lambda) sqrt(2 / Omega').
 
     Uses the spreading envelope w_d >= w0 d / d_R, so it slightly
-    overestimates the exact crossing; reported in km.
+    overestimates the exact crossing; reported in km, and unbounded
+    where it overflows.
     """
     if o.omega_prime <= 0.0:
         return DistanceBound(math.inf, True, "closed-form", "unbounded", o.gamma, o)
     if math.isinf(o.omega_prime):
         return DistanceBound(0.0, False, "closed-form", "infeasible", o.gamma, o)
-    d_m = (
+    d_km = (
         math.pi * beam.w0_m * beam.aperture_radius_m / beam.wavelength_m
-    ) * math.sqrt(2.0 / o.omega_prime)
-    return DistanceBound(d_m / 1000.0, True, "closed-form", "solved", o.gamma, o)
+    ) * math.sqrt(2.0 / o.omega_prime) / 1000.0
+    return DistanceBound(d_km, True, "closed-form", _solved_or_unbounded(d_km), o.gamma, o)
+
+
+def _solved_or_unbounded(d_km: float) -> str:
+    """A closed-form crossing is solved, unless it overflows a float: then
+    no distance breaks the threshold, and the bound is unbounded."""
+    return "unbounded" if math.isinf(d_km) else "solved"
 
 
 def max_distance_numeric(
@@ -278,13 +305,23 @@ def _bisect(
     d_lo_km: float,
     d_hi_km: float,
     guards: dict,
+    never_rises: bool = False,
 ) -> DistanceBound:
     """The bisection bound of one point; _guard_grid checks the bracket
     first. guards is the caller's memo for one call: the model's values
     on the guard grid, keyed on the model object itself (held there, so
     its id cannot be reused), and the detection probabilities, keyed on
     (model, source, eta_eff); see _guard. The bisection runs until
-    hi - lo <= BISECT_REL_TOL * hi, or until no float lies between them."""
+    hi - lo <= BISECT_REL_TOL * hi, or until no float lies between them.
+
+    never_rises says that model is a package link kernel that cannot
+    rise with distance by construction (see _never_rises). With it, a
+    lazy guard and a Gamma that passes _normal_near, the computed
+    probability is monotone to a few ulp, well inside CERTIFY_MARGIN. So
+    each midpoint at or below the certified end a of _certified_bracket,
+    or at or above b, takes the side it would test to without a model
+    call, and the midpoints, the bound and every error are those of the
+    plain loop, bit for bit."""
     grid = _guard_grid(d_lo_km, d_hi_km)
     eta_eff = det.eta_eff
     prob, lazy = _guard(model, src, eta_eff, grid, guards)
@@ -306,14 +343,27 @@ def _bisect(
                 lo = mid
             else:
                 hi = mid
+    idx = hi
     if not (lazy and prob(lo) > target + 1e-12):
-        hi = next(i for i in range(1, hi + 1) if prob(i) <= target)
-    lo, hi = grid[hi - 1], grid[hi]
+        idx = next(i for i in range(1, hi + 1) if prob(i) <= target)
+    lo, hi = grid[idx - 1], grid[idx]
     gamma, isfinite, tol = src.gamma, math.isfinite, BISECT_REL_TOL
+    # a and b are the certified ends; without a certificate they are the
+    # cell's ends, which no midpoint reaches. The trials work in ln d, so
+    # a cell that starts at 0 gets none.
+    a, b = lo, hi
+    if lazy and never_rises and lo > 0.0 and _normal_near(src, target):
+        a, b = _certified_bracket(model, gamma, eta_eff, target, lo, hi, prob(idx - 1), prob(idx))
     while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
+        if mid <= a:
+            lo = mid
+            continue
+        if mid >= b:
+            hi = mid
+            continue
         eta_ch = model(mid)
         if not (isfinite(eta_ch) and 0.0 <= eta_ch <= 1.0):
             raise BracketError(f"model returned transmissivity {eta_ch!r} at d={mid}")
@@ -322,6 +372,72 @@ def _bisect(
         else:
             hi = mid
     return DistanceBound(0.5 * (lo + hi), True, "bisection", "solved", g)
+
+
+def _normal_near(src: SourceModel, target: float) -> bool:
+    """Whether Gamma(1 - CERTIFY_MARGIN) is a normal float even divided by
+    the source's photon scale (k, or mu when above 1): then every value
+    the link and src.gamma compute near the crossing is a normal float,
+    accurate to a few ulp. False for Gamma = 0 (y0 = 0)."""
+    scale = src.k if isinstance(src, SinglePhoton) else max(1.0, src.mu)
+    return target * (1.0 - CERTIFY_MARGIN) / scale >= sys.float_info.min
+
+
+def _certified_bracket(model, gamma, eta_eff, target, lo, hi, g_lo, g_hi):
+    """(a, b) around the crossing in the cell (lo, hi), whose detection
+    probabilities are g_lo > target >= g_hi: a is the largest distance
+    evaluated whose probability exceeds Gamma(1 + CERTIFY_MARGIN), b the
+    smallest whose probability is below Gamma(1 - CERTIFY_MARGIN); lo and
+    hi where there is none.
+
+    The trials are Illinois regula falsi in ln d on ln(gamma / Gamma)
+    (Dowell & Jarratt, BIT 11, 168-174, 1971), at most CERTIFY_TRIALS of
+    them. A trial inside the margin band ends the search, after one
+    probe on either side of it at a relative distance CERTIFY_PROBE.
+    Every distance tried lies inside the cell.
+    """
+    up, down = target * (1.0 + CERTIFY_MARGIN), target * (1.0 - CERTIFY_MARGIN)
+    log, exp, tiny = math.log, math.exp, sys.float_info.min
+    ln_target = log(target)
+    a, b = lo, hi
+    # x is ln d, f is ln(gamma / Gamma): falling, and close to straight
+    # over a cell for every link kind.
+    x0, f0 = log(lo), log(g_lo) - ln_target
+    x1, f1 = log(hi), log(max(g_hi, tiny)) - ln_target
+    side = 0
+    for _ in range(CERTIFY_TRIALS):
+        x = x0 + (x1 - x0) * f0 / (f0 - f1) if f0 > f1 else 0.5 * (x0 + x1)
+        d = exp(x)
+        if not a < d < b:
+            d = 0.5 * (a + b)
+            x = log(d)
+        v = gamma(eta_eff * model(d))
+        if v > up:
+            a = d
+        elif v < down:
+            b = d
+        else:
+            for p in (d * (1.0 - CERTIFY_PROBE), d * (1.0 + CERTIFY_PROBE)):
+                if a < p < b:
+                    v = gamma(eta_eff * model(p))
+                    if v > up:
+                        a = p
+                    elif v < down:
+                        b = p
+            break
+        # Illinois: a second step in a row on one side halves the other
+        # end's f, so that end moves too.
+        if v > target:
+            x0, f0 = x, log(v) - ln_target
+            if side > 0:
+                f1 *= 0.5
+            side = 1
+        else:
+            x1, f1 = x, log(max(v, tiny)) - ln_target
+            if side < 0:
+                f0 *= 0.5
+            side = -1
+    return a, b
 
 
 def _clip(bound: DistanceBound, bracket: tuple[float, float] | None) -> DistanceBound:
@@ -336,6 +452,17 @@ def _clip(bound: DistanceBound, bracket: tuple[float, float] | None) -> Distance
     if bound.d_max_km > d_hi_km:
         return replace(bound, d_max_km=d_hi_km, status="feasible-everywhere")
     return bound
+
+
+def _never_rises(link: ScenarioLink) -> bool:
+    """Whether link's transmissivity cannot rise with distance by more
+    than a few ulp, by construction: every kind but a focused beam (a
+    finite positive curvature_m), given a beam whose w0 squared is a
+    normal float, so that every w squared is one too."""
+    beam = link.beam
+    return beam is None or (
+        not 0.0 < beam.curvature_m < math.inf and beam.w0_m**2 >= sys.float_info.min
+    )
 
 
 def distance_bounds(
@@ -378,7 +505,7 @@ def distance_bounds(
             bound = _clip(max_diffraction_distance(link.beam, omega(det, src, g)), bracket)
         else:
             lo, hi = bracket or DEFAULT_BRACKETS_KM[link.kind]
-            bound = _bisect(link.transmissivity, src, det, g, lo, hi, guards)
+            bound = _bisect(link.transmissivity, src, det, g, lo, hi, guards, _never_rises(link))
         bounds.append(bound)
     return bounds
 

@@ -378,7 +378,7 @@ def distance_analysis(sc: Scenario) -> dict:
         results["eta_atmosphere"] = satellite_transmissivity(sat)
         if bound.status == "solved":
             results["altitude_km"] = bound.d_max_km * math.cos(sat.zenith_angle_rad)
-    if bound.status == "solved" and math.isfinite(bound.d_max_km):
+    if bound.status == "solved":
         eta_ch = link.transmissivity(bound.d_max_km)
         results["eta_channel_at_d_max"] = eta_ch
         results["plob_bits_per_use_at_d_max"] = _plob_bits(det.eta_eff * eta_ch)

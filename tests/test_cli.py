@@ -87,6 +87,19 @@ class TestThresholds:
         assert out == ""
         assert f"trials={trials}" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag, needs",
+        [
+            (["--seed", "5"], "--seed", "--mc-trials"),
+            (["--mc-trials", "0", "--seed", "5"], "--seed", "--mc-trials"),
+            (["--eta-eff", "0.5"], "--eta-eff", "--y0"),
+        ],
+    )
+    def test_a_flag_without_the_flags_it_needs_is_an_input_error(self, capsys, argv, flag, needs):
+        code, out, err = run_cli(capsys, ["thresholds", *argv])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag} needs {needs}")
+
     def test_monte_carlo_columns(self, capsys):
         code, rec, _ = run_json(
             capsys, ["thresholds", "--mc-trials", "20000", "--seed", "7"]
@@ -325,6 +338,61 @@ class TestMaxDistance:
         results = rec["results"]
         assert (got, results["method"], results["status"]) == (code, "closed-form", status)
         assert results["d_max_km"] == (float(d_hi) if code == 0 else 0.0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fiber", "--alpha", "5e-324"],
+            ["deepspace", "--w0", "1", "--wavelength", "1e-320", "--aperture", "1"],
+            # A finite Rayleigh range: only the closed form overflows.
+            ["deepspace", "--w0", "1e150", "--wavelength", "1e-6", "--aperture", "1e150"],
+        ],
+        ids=["fiber", "deepspace-wavelength", "deepspace-w0-aperture"],
+    )
+    def test_an_overflowing_closed_form_is_unbounded(self, capsys, argv):
+        code, rec, _ = run_json(
+            capsys, ["max-distance", *argv, "--mub", "2", "--y0", "1e-6", "--e-det", "0.01"]
+        )
+        results = rec["results"]
+        assert (code, results["method"], results["status"]) == (0, "closed-form", "unbounded")
+        assert (results["d_max_km"], results["feasible"]) == (None, True)
+
+    @pytest.mark.parametrize(
+        "model, flag, value",
+        [
+            ("deepspace", "--alpha", "0.2"),
+            ("fiber", "--w0", "0.05"),
+            ("fiber", "--wavelength", "8e-7"),
+            ("fiber", "--aperture", "0.25"),
+            ("fiber", "--curvature", "5e4"),
+            ("deepspace", "--alpha0", "0.01"),
+            ("satellite", "--scale-height", "5"),
+            ("deepspace", "--altitude", "1"),
+            ("freespace", "--zenith-angle", "0.3"),
+            ("deepspace", "--eta-zenith", "0.9"),
+        ],
+    )
+    def test_a_flag_of_another_model_is_an_input_error(self, capsys, model, flag, value):
+        argv = ["max-distance", model, "--mub", "2", "--y0", "1e-8", "--e-det", "0.01"]
+        if model != "fiber":
+            argv += ["--w0", "0.05", "--wavelength", "8e-7", "--aperture", "0.25"]
+        assert run_cli(capsys, argv)[0] == 0
+        code, out, err = run_cli(capsys, argv + [flag, value])
+        assert (code, out) == (1, "")
+        assert err == f"error: the {model} model does not take {flag}\n"
+
+    def test_a_negative_curvature_may_be_its_own_token(self, capsys):
+        argv = [
+            "max-distance", "deepspace", "--mub", "3", "--y0", "1e-8", "--e-det", "0.01",
+            "--w0", "2.0", "--wavelength", "8e-7", "--aperture", "0.5",
+        ]
+        joined = run_cli(capsys, argv + ["--curvature=-1e6", "--format", "json", "--no-timestamp"])
+        spaced = run_cli(capsys, argv + ["--curvature", "-1e6", "--format", "json", "--no-timestamp"])
+        assert spaced == joined
+        assert joined[0] == 0
+        code, out, err = run_cli(capsys, argv + ["--curvature", "--format", "json"])
+        assert (code, out) == (2, "")
+        assert "--curvature: expected one argument" in err
 
     def test_focused_beam_is_a_numeric_failure(self, capsys):
         code, _, err = run_cli(

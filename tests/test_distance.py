@@ -3,6 +3,7 @@
 import contextlib
 import math
 import random
+import statistics
 import sys
 
 import numpy as np
@@ -733,11 +734,16 @@ class TestLazyGuard:
         def source():
             r = rng.random()
             if r < 0.45:
-                return SinglePhoton(rng.choice((1, 1, 2, 3, 7)))
+                return SinglePhoton(rng.choice((1, 1, rng.randint(2, 7))))
             if r < 0.8:
                 return Attenuated(lu(-3, 1))
             mu = lu(-2, 0.5)
             return Decoy((mu, 0.2 * mu, 0.0), (0.6, 0.3, 0.1))
+
+        def y0():
+            # Gamma = 0 and a Gamma near 1e-300 keep the plain loop or take
+            # the certified skip at the edge of the normal floats.
+            return rng.choice((0.0, lu(-300.5, -299.5), lu(-12, -2), lu(-12, -2)))
 
         def link():
             kind = rng.choice(("fiber", "ground_atmosphere", "diffraction", "freespace", "satellite"))
@@ -746,8 +752,8 @@ class TestLazyGuard:
             atm = GroundAtmosphere(lu(-4, -1), rng.uniform(1, 10), rng.uniform(0, 5))
             if kind == "ground_atmosphere":
                 return ScenarioLink(kind, atmosphere=atm)
-            # Collimated, diverging and focused beams.
-            curvature = rng.choice((math.inf, math.inf, -lu(2, 9), lu(2, 12)))
+            # Collimated, diverging and focused beams, on every beam kind.
+            curvature = rng.choice((math.inf, math.inf, -lu(2, 9), -lu(2, 9), lu(2, 12)))
             beam = BeamGeometry(lu(-2.5, 0.5), lu(-7, -5.5), lu(-2, 0.5), curvature)
             if kind == "diffraction":
                 return ScenarioLink(kind, beam=beam)
@@ -762,12 +768,12 @@ class TestLazyGuard:
             lo = rng.choice((0.0, lu(-6, 2)))
             bracket = (lo, lo + lu(-1, 12))
         src = source()
-        det = DetectorModel(rng.choice((0.0, lu(-12, -2))), rng.uniform(0, 0.3), lu(-3, 0))
+        det = DetectorModel(y0(), rng.uniform(0, 0.3), lu(-3, 0))
         points = []
         for _ in range(rng.randint(1, 8)):
             r = rng.random()
             if r < 0.3:  # points that move only Gamma share one guard
-                det = DetectorModel(lu(-12, -1), rng.uniform(0, 0.3), det.eta_eff)
+                det = DetectorModel(y0(), rng.uniform(0, 0.3), det.eta_eff)
             elif r < 0.5:
                 det = DetectorModel(det.y0, det.e_det, lu(-4, 0))
             elif r < 0.7:
@@ -775,9 +781,19 @@ class TestLazyGuard:
             points.append((src, det, rng.choice(links[: rng.randint(1, 2)])))
         return points, rng.choice((2, 3)), bracket
 
-    def test_random_batches_equal_the_full_guard(self):
+    def test_random_batches_equal_the_full_guard(self, monkeypatch):
+        # The reference is the plain bisection, so this also checks that
+        # the certified skip leaves every bound and error as it was.
+        certified = []
+
+        def counted(*args):
+            certified.append(args[2])  # eta_eff
+            return certify(*args)
+
+        certify = distance._certified_bracket
+        monkeypatch.setattr(distance, "_certified_bracket", counted)
         rng, errors, solved = random.Random(20261019), set(), 0
-        for _ in range(2000):
+        for _ in range(5000):
             batch = self.random_batch(rng)
             got = _outcome(distance.distance_bounds, *batch)
             assert got == _outcome(_reference_bounds, *batch), batch
@@ -786,7 +802,8 @@ class TestLazyGuard:
             else:
                 solved += sum(b is not None and b[1].status == "solved" for b in got)
         assert errors == {"NonMonotonicModelError"}
-        assert solved > 2000
+        assert solved >= 5000
+        assert len(certified) > solved // 2
 
     def test_a_falling_model_computes_each_guard_value_at_most_once(self):
         link = ScenarioLink(
@@ -853,3 +870,95 @@ class TestLazyGuard:
             max_distance_numeric(
                 lambda d: math.exp(-d / 50.0), src, det, gamma_threshold(det, 2), 1.0, 1e4
             )
+
+
+class TestCertifiedBracket:
+    """Regula falsi certifies a point on each side of the crossing, and the
+    bisection takes the side of each midpoint beyond one without a model
+    call; its bounds stay those of the plain loop, bit for bit."""
+
+    @staticmethod
+    def points():
+        beam = BeamGeometry(w0_m=0.05, wavelength_m=8e-7, aperture_radius_m=0.25)
+        diverging = BeamGeometry(0.1, 1.55e-6, 0.5, curvature_m=-1e5)
+        links = [
+            ScenarioLink("ground_atmosphere", atmosphere=GroundAtmosphere()),
+            ScenarioLink("ground_atmosphere", atmosphere=GroundAtmosphere(altitude_km=2.0)),
+            ScenarioLink("satellite", beam=beam, satellite=SatellitePath(0.5)),
+            ScenarioLink("satellite", beam=diverging, satellite=SatellitePath()),
+            ScenarioLink("freespace", beam=beam, atmosphere=GroundAtmosphere()),
+            ScenarioLink("freespace", beam=diverging, atmosphere=GroundAtmosphere(altitude_km=1.0)),
+        ]
+        sources = (SinglePhoton(), SinglePhoton(k=3), Attenuated(0.5), Decoy((0.6, 0.1), (0.7, 0.3)))
+        for link in links:
+            for src in sources:
+                for y0 in (1e-10, 1e-8, 1e-6, 1e-4):
+                    yield src, DetectorModel(y0=y0, e_det=0.02, eta_eff=0.5), link
+
+    def test_a_certified_bracket_saves_most_model_calls(self):
+        def solve(src, det, link, never_rises):
+            """The bound and its model calls past the 64 of the guard."""
+            calls = []
+
+            def model(d):
+                calls.append(d)
+                return link.transmissivity(d)
+
+            g = gamma_threshold(det, 2)
+            lo, hi = distance.DEFAULT_BRACKETS_KM[link.kind]
+            bound = distance._bisect(model, src, det, g, lo, hi, {}, never_rises)
+            return bound, len(calls) - distance.MONOTONE_SAMPLES
+
+        cap = distance.CERTIFY_TRIALS + 2  # the trials and the two probes
+        certified, plain = [], []
+        for point in self.points():
+            bound, n = solve(*point, True)
+            want, n_plain = solve(*point, False)
+            assert (bound.d_max_km.hex(), bound) == (want.d_max_km.hex(), want)
+            assert n <= n_plain + cap
+            if bound.status == "solved":
+                certified.append(n)
+                plain.append(n_plain)
+        assert len(certified) >= 80
+        assert statistics.median(plain) >= 25
+        assert statistics.median(certified) <= 8
+
+    @pytest.mark.parametrize(
+        "curvature, w0, never_rises",
+        [(math.inf, 0.05, True), (-1e5, 0.05, True), (1e5, 0.05, False), (math.inf, 1e-160, False)],
+        ids=["collimated", "diverging", "focused", "subnormal-w0-squared"],
+    )
+    def test_only_a_beam_that_cannot_rise_is_certified(self, curvature, w0, never_rises):
+        beam = BeamGeometry(w0, 1e-6, 0.25, curvature)
+        for link in (
+            ScenarioLink("diffraction", beam=beam),
+            ScenarioLink("freespace", beam=beam, atmosphere=GroundAtmosphere()),
+            ScenarioLink("satellite", beam=beam, satellite=SatellitePath()),
+        ):
+            assert distance._never_rises(link) is never_rises
+        assert distance._never_rises(ScenarioLink("fiber", fiber=FIBER))
+        assert distance._never_rises(ScenarioLink("ground_atmosphere", atmosphere=GroundAtmosphere()))
+
+    @pytest.mark.parametrize(
+        "src, gamma_min, normal",
+        [
+            (SinglePhoton(), 1e-300, True),
+            (SinglePhoton(), 0.0, False),
+            (SinglePhoton(k=7), 2.3e-308, False),
+            (Attenuated(0.5), 2.3e-308, True),
+            (Attenuated(1e10), 1e-300, False),
+        ],
+    )
+    def test_gamma_near_the_subnormals_keeps_the_plain_loop(self, src, gamma_min, normal):
+        assert distance._normal_near(src, gamma_min) is normal
+
+    def test_a_model_of_the_callers_own_keeps_the_plain_loop(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("certified a model of the caller's own")
+
+        monkeypatch.setattr(distance, "_certified_bracket", refuse)
+        det = DetectorModel(y0=1e-6, e_det=0.01)
+        bound = max_distance_numeric(
+            lambda d: math.exp(-d / 50.0), SinglePhoton(), det, gamma_threshold(det, 2), 1.0, 1e4
+        )
+        assert bound.status == "solved"

@@ -37,6 +37,10 @@ _FLAG_CASES = [
     # A diverging beam is bisected, not sent to the far-field envelope.
     ["max-distance", "deepspace", "--mub", "3", "--y0", "1e-8", "--e-det", "0.01",
      "--w0", "2.0", "--wavelength", "8e-7", "--aperture", "0.5", "--curvature=-1e6"],
+    # The same beam with the value as its own token: argparse alone would
+    # take -1e6 for a flag.
+    ["max-distance", "deepspace", "--mub", "3", "--y0", "1e-8", "--e-det", "0.01",
+     "--w0", "2.0", "--wavelength", "8e-7", "--aperture", "0.5", "--curvature", "-1e6"],
 ]
 # Sweeps whose points change the source or the detector efficiency, so the
 # bisection's guard runs per point; the e_det sweep crosses the 1/4 limit.
