@@ -204,6 +204,7 @@ def _cmd_thresholds(args) -> ResultRecord:
         raise ValidationError("--eta-eff needs --y0 and --e-det")
     if args.seed is not None and not args.mc_trials:
         raise ValidationError("--seed needs --mc-trials")
+    seed = _given(args.seed, 0)
     results = {}
     for mub in protocols:
         row = {
@@ -213,7 +214,7 @@ def _cmd_thresholds(args) -> ResultRecord:
         # AttackConfig rejects a trial count below 1.
         if args.mc_trials:
             est, se = intercept_resend_qber_montecarlo(
-                AttackConfig(mub_count=mub, trials=args.mc_trials, seed=args.seed)
+                AttackConfig(mub_count=mub, trials=args.mc_trials, seed=seed)
             )
             row["intercept_resend_qber_mc"] = est
             row["intercept_resend_qber_mc_stderr"] = se
@@ -231,7 +232,7 @@ def _cmd_thresholds(args) -> ResultRecord:
         "e_det": args.e_det,
         "eta_eff": _given(args.eta_eff, 1.0),
         "mc_trials": args.mc_trials,
-        "seed": _given(args.seed, 0),
+        "seed": seed,
     }
     return ResultRecord(command="thresholds", inputs=inputs, results=results)
 
@@ -396,7 +397,10 @@ def _curvature_joined(argv: list[str]) -> list[str]:
     """argv with each `--curvature X` written `--curvature=X` where float()
     takes X. argparse reads a token that starts with '-' as a flag unless
     it looks like a negative number, and its pattern for one has no
-    exponent, so `--curvature -1e6` would lose its value."""
+    exponent, so `--curvature -1e6` would lose its value. Only
+    --curvature is joined: it is the one float flag whose negative values
+    are valid (a diverging beam). On the other float flags a negative
+    value is wrong either way, and their usage error (exit 2) stays."""
     out: list[str] = []
     for token in argv:
         if out and out[-1] == "--curvature" and _is_float(token):

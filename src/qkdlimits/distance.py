@@ -49,7 +49,7 @@ from .errors import (
     NonMonotonicModelError,
     ValidationError,
 )
-from .links import BeamGeometry, FiberLink, ScenarioLink
+from .links import BeamGeometry, FiberLink, ScenarioLink, _never_rises
 
 BISECT_REL_TOL = 1e-9
 MONOTONE_SAMPLES = 64
@@ -315,7 +315,7 @@ def _bisect(
     hi - lo <= BISECT_REL_TOL * hi, or until no float lies between them.
 
     never_rises says that model is a package link kernel that cannot
-    rise with distance by construction (see _never_rises). With it, a
+    rise with distance by construction (see links._never_rises). With it, a
     lazy guard and a Gamma that passes _normal_near, the computed
     probability is monotone to a few ulp, well inside CERTIFY_MARGIN. So
     each midpoint at or below the certified end a of _certified_bracket,
@@ -452,17 +452,6 @@ def _clip(bound: DistanceBound, bracket: tuple[float, float] | None) -> Distance
     if bound.d_max_km > d_hi_km:
         return replace(bound, d_max_km=d_hi_km, status="feasible-everywhere")
     return bound
-
-
-def _never_rises(link: ScenarioLink) -> bool:
-    """Whether link's transmissivity cannot rise with distance by more
-    than a few ulp, by construction: every kind but a focused beam (a
-    finite positive curvature_m), given a beam whose w0 squared is a
-    normal float, so that every w squared is one too."""
-    beam = link.beam
-    return beam is None or (
-        not 0.0 < beam.curvature_m < math.inf and beam.w0_m**2 >= sys.float_info.min
-    )
 
 
 def distance_bounds(

@@ -15,6 +15,7 @@ float passes nothing, 0.0, the limit of the aperture formula.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -289,3 +290,16 @@ def _flat_model(link: ScenarioLink) -> Callable[[float], float]:
     # A diffraction link's factor 1.0 leaves every value as it is.
     factor = satellite_transmissivity(link.satellite) if link.kind == "satellite" else 1.0
     return _beam_kernel(link.beam, 1000.0, link.atmosphere, factor)
+
+
+def _never_rises(link: ScenarioLink) -> bool:
+    """Whether link.transmissivity cannot rise with distance by more than
+    a few ulp, by construction of its kernel. The fiber and ground
+    kernels are exponentials of -d. _beam_kernel's spot size w never
+    shrinks unless the beam is focused (a finite positive curvature_m),
+    and when w0 squared is a normal float so is every w squared, so its
+    catch falls with d too."""
+    beam = link.beam
+    return beam is None or (
+        not 0.0 < beam.curvature_m < math.inf and beam.w0_m**2 >= sys.float_info.min
+    )

@@ -110,6 +110,13 @@ class TestThresholds:
         assert abs(row["intercept_resend_qber_mc"] - 0.25) < 5 * se
         assert row["intercept_resend_qber_mc_stderr"] > 0.0
 
+    def test_monte_carlo_seed_defaults_to_zero(self, capsys):
+        argv = ["thresholds", "--mc-trials", "2000"]
+        code, out, err = run_cli(capsys, argv + ["--format", "json", "--no-timestamp"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["inputs"]["seed"] == 0
+        assert run_cli(capsys, argv + ["--seed", "0", "--format", "json", "--no-timestamp"]) == (0, out, "")
+
 
 class TestChannel:
     def test_identity(self, capsys):
