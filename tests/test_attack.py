@@ -1,6 +1,7 @@
 """Intercept-resend statistics, analytic and sampled."""
 
 import concurrent.futures
+import hashlib
 import math
 import os
 import re
@@ -347,6 +348,64 @@ class TestChunkedKernelsMatchTheWholeBlockKernels:
             ):
                 assert intercept_resend_qber_montecarlo(cfg) == whole_block_intercept_resend(cfg)
                 assert pauli_channel_qber_montecarlo(p, mub, cfg) == whole_block_pauli(p, mub, cfg)
+
+
+PIN_TRIALS = [
+    1, 7, _CHUNK_SIZE - 1, _CHUNK_SIZE, _CHUNK_SIZE + 1, 10**5,
+    DEFAULT_BLOCK_SIZE - 1, DEFAULT_BLOCK_SIZE, DEFAULT_BLOCK_SIZE + 1, 10**6,
+]
+PIN_BLOCK_SIZES = [1, 3, 32767, DEFAULT_BLOCK_SIZE]
+PIN_SEEDS = [0, 12345, 2**64 - 1]
+# Point masses, zero entries (ties among the cumulative weights) and mixtures.
+PIN_CHANNELS = [
+    (1.0, 0.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0, 0.0),
+    (0.0, 0.0, 1.0, 0.0),
+    (0.0, 0.0, 0.0, 1.0),
+    (0.5, 0.0, 0.5, 0.0),
+    (0.0, 0.5, 0.0, 0.5),
+    (0.6, 0.2, 0.0, 0.2),
+    (0.7, 0.2, 0.1, 0.0),
+    (0.7, 0.1, 0.1, 0.1),
+    (0.1, 0.2, 0.3, 0.4),
+]
+
+
+def pinned_estimates():
+    """One line per estimate: its arguments, then the float.hex of its values.
+
+    Every (trials, block_size) pair of at most 64 blocks, both protocols;
+    all of PIN_SEEDS below 10^5 trials and one of them, in turn, above.
+    Each Pauli estimate takes the next channel of PIN_CHANNELS.
+    """
+    lines = []
+    for trials in PIN_TRIALS:
+        for block_size in PIN_BLOCK_SIZES:
+            if -(-trials // block_size) > 64:
+                continue
+            for mub in (2, 3):
+                turn = len(lines) // 2
+                seeds = PIN_SEEDS if trials < 10**5 else [PIN_SEEDS[turn % len(PIN_SEEDS)]]
+                for seed in seeds:
+                    cfg = AttackConfig(mub, trials, seed, block_size)
+                    est, se = intercept_resend_qber_montecarlo(cfg)
+                    lines.append(f"ir {cfg} {est.hex()} {se.hex()}")
+                    p = PIN_CHANNELS[len(lines) // 2 % len(PIN_CHANNELS)]
+                    q = pauli_channel_qber_montecarlo(PauliDistribution(p), mub, cfg)
+                    rates = (q.e_x, q.e_z) if mub == 2 else (q.e_x, q.e_z, q.e_y)
+                    lines.append(f"pauli {p} {cfg} " + " ".join(r.hex() for r in rates))
+    return lines
+
+
+def test_every_estimate_keeps_its_bits():
+    # The sha256 of pinned_estimates(), captured from the kernels that
+    # looked up every draw in the Born and flip tables.
+    lines = pinned_estimates()
+    assert len(lines) == 208
+    rates = {v for line in lines if line.startswith("pauli") for v in line.split()[-3:]}
+    assert {"0x0.0p+0", "0x1.0000000000000p+0"} <= rates
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "245cc76dc1fa2630b89759f0bce3a1391b56c93f052d781b7f5717d65fddc68d"
 
 
 class TestThreads:
