@@ -16,10 +16,23 @@ concurrently on up to os.cpu_count() threads (numpy releases the GIL
 while it draws and compares), unless no block holds more than one chunk:
 such a small call runs on the calling thread, since starting a pool
 would cost more than the threads save. Inside a block each array is
-drawn in chunks of _CHUNK_SIZE, and the sampled bases, bits and outcomes
-are kept as uint8 codes into flat Born tables: chunked draws return the same
-Philox stream as one whole-block draw, so the estimates are bit-identical
-to a serial, unchunked run while each thread holds about 1 MiB.
+drawn in chunks of _CHUNK_SIZE, and what must be kept is kept as uint8
+codes: chunked draws return the same Philox stream as one whole-block
+draw.
+
+Each kernel draws that stream but reads only the draws that can change
+its error count. With mutually unbiased bases Eve's outcome never changes
+Bob's reading: a right basis guess resends Alice's state, so Bob reads
+her bit, and after a wrong guess Bob reads 0 with probability 1/2
+whatever Eve saw. So the intercept-resend kernel reads the bases, the
+bit and Bob's uniform, and advances past Eve's uniforms unread. Pauli
+flip weights are exactly 0 or 1 and do not depend on the bit, so the
+Pauli kernel draws the bits without keeping them, counts the trials
+whose Pauli index flips, and never draws the uniforms a weight would be
+compared against: they come last in the block's stream. Both facts are
+checked once, when the tables are built. The estimates are therefore
+bit-identical to a serial, unchunked run that reads every draw, while
+each thread holds about 1 MiB.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .pauli import PAULI_MATRICES, PauliDistribution
 from .qber import QberSet
 
@@ -103,8 +116,25 @@ def _born_tensor(bases: tuple[str, ...]) -> np.ndarray:
             for e in range(n):
                 for m in range(2):
                     born[a, b, e, m] = np.trace(projs[e][m] @ projs[a][b]).real
+    _check_born(born)
     born.flags.writeable = False
     return born
+
+
+def _check_born(born: np.ndarray) -> None:
+    """Refuse a Born table on which Eve's outcome could change Bob's reading.
+
+    The Monte Carlo kernel never reads Eve's outcome, which is exact when
+    born[a, :, a, :] is the identity (a right guess measures Alice's bit
+    and resends her state, so Bob reads her bit) and born[a, 0, e, m] is
+    one threshold for every e != a and both m. Mutually unbiased bases
+    give both, with the threshold 1/2.
+    """
+    n = len(born)
+    wrong = [born[a, 0, e, m] for a in range(n) for e in range(n) if e != a for m in (0, 1)]
+    right = all((born[a, :, a, :] == np.eye(2)).all() for a in range(n))
+    if not (right and min(wrong) == max(wrong)):
+        raise NumericError("Eve's outcome changes Bob's reading in this Born table")
 
 
 def _enumerate_intercept_resend(bases: tuple[str, ...], eve_matches_alice: bool) -> float:
@@ -176,31 +206,31 @@ def _draw_codes(rng: np.random.Generator, high: int, size: int) -> np.ndarray:
 
 
 def _intercept_resend_block(
-    seed: int, stream: int, size: int, n: int, eve_p0: np.ndarray, bob_p0: np.ndarray
+    seed: int, stream: int, size: int, n: int, bob_threshold: float
 ) -> int:
-    """Errors in one block: the draws of a whole-block kernel, in chunks.
+    """Errors in one block, counted from the draws of a whole-block kernel.
 
-    eve_p0[(a*n + e)*2 + b] = born[a, b, e, 0] and
-    bob_p0[(a*n + e)*2 + m] = born[a, 0, e, m]. The stream order is all of
-    a, b, e, u_eve, then u_bob, as one call per array would draw it.
+    The stream order is all of a, b, e, u_eve, then u_bob, as one call per
+    array would draw it. Eve's outcome never changes Bob's reading
+    (_check_born): a trial errs exactly when e != a and
+    (u_bob >= bob_threshold) != b. So u_eve is advanced unread, one raw
+    output per uniform as random() would take, and a is kept only until
+    e is drawn.
     """
     rng = _block_rng(seed, stream)
-    key = _draw_codes(rng, n, size)  # a, then (a*n + e)*2, then + m
+    miss = _draw_codes(rng, n, size)  # a, then e != a
     b = _draw_codes(rng, 2, size)
     for lo in range(0, size, _CHUNK_SIZE):
-        seg = key[lo:lo + _CHUNK_SIZE]
-        seg[...] = (seg * n + rng.integers(0, n, size=len(seg))) * 2
+        seg = miss[lo:lo + _CHUNK_SIZE]
+        seg[...] = rng.integers(0, n, size=len(seg)) != seg
+    rng.bit_generator.random_raw(size, output=False)  # u_eve
     u = np.empty(min(size, _CHUNK_SIZE))
-    for lo in range(0, size, _CHUNK_SIZE):
-        seg = key[lo:lo + _CHUNK_SIZE]
-        rng.random(out=u[:len(seg)])
-        seg += u[:len(seg)] >= eve_p0[seg + b[lo:lo + _CHUNK_SIZE]]
     errors = 0
     for lo in range(0, size, _CHUNK_SIZE):
-        seg = key[lo:lo + _CHUNK_SIZE]
+        seg = miss[lo:lo + _CHUNK_SIZE]
         rng.random(out=u[:len(seg)])
-        r = u[:len(seg)] >= bob_p0[seg]
-        errors += int(np.count_nonzero(r != b[lo:lo + _CHUNK_SIZE]))
+        r = u[:len(seg)] >= bob_threshold
+        errors += int(np.count_nonzero(seg & (r != b[lo:lo + _CHUNK_SIZE])))
     return errors
 
 
@@ -213,13 +243,10 @@ def intercept_resend_qber_montecarlo(cfg: AttackConfig) -> tuple[float, float]:
     """
     _check_config(cfg)
     bases = _protocol_bases(cfg.mub_count)
-    n = len(bases)
-    born = _born_tensor(bases)
-    eve_p0 = born[:, :, :, 0].transpose(0, 2, 1).ravel()
-    bob_p0 = born[:, 0, :, :].ravel()
+    bob_threshold = _born_tensor(bases)[0, 0, 1, 0]  # any e != a reads the same
     sizes = _block_sizes(cfg.trials, cfg.block_size)
     blocks = [
-        partial(_intercept_resend_block, cfg.seed, stream, size, n, eve_p0, bob_p0)
+        partial(_intercept_resend_block, cfg.seed, stream, size, len(bases), bob_threshold)
         for stream, size in enumerate(sizes)
     ]
     est = sum(_run_blocks(blocks, sizes[0])) / cfg.trials
@@ -238,27 +265,42 @@ def _flip_probabilities(bases: tuple[str, ...]) -> np.ndarray:
             for b in (0, 1):
                 evolved = sigma @ projs[b] @ sigma.conj().T
                 flip[bi, k, b] = np.trace(projs[1 - b] @ evolved).real
+    _check_flips(flip)
     flip.flags.writeable = False
     return flip
 
 
-def _pauli_block(seed: int, stream: int, size: int, cum: np.ndarray, flip: np.ndarray) -> int:
-    """Errors in one block of one basis; flip[k*2 + b] is the flip weight.
+def _check_flips(flip: np.ndarray) -> None:
+    """Refuse a flip table whose weights are not 0 or 1 or depend on b:
+    the Monte Carlo kernel counts flip[basis, k, 0] for each Pauli index k
+    and never reads b or the uniform a weight would be compared against."""
+    if not (np.isin(flip, (0.0, 1.0)).all() and (flip[..., 0] == flip[..., 1]).all()):
+        raise NumericError("the Pauli flip table is not 0 or 1, or depends on the bit")
 
-    The stream order is all of b, then the uniforms that pick k, then u.
+
+def _pauli_block(seed: int, stream: int, size: int, cum: np.ndarray, flips: np.ndarray) -> int:
+    """Errors in one block of one basis; flips[k] is 1 where Pauli k flips.
+
+    The stream order is all of b, then the uniforms u_k that pick k, then
+    the uniforms u compared against the flip weight, as one call per array
+    would draw it. A flip weight is 0 or 1 for either bit (_check_flips),
+    so a trial errs exactly when flips[k] is 1: b is drawn but not kept,
+    and u, the last draws of the stream, is not drawn at all.
+
+    For u_k < 1 = cum[3], k = searchsorted(cum, u_k, side="right") is the
+    number of j < 3 with u_k >= cum[j], so flips[k] is flips[0] plus the
+    steps flips[j + 1] - flips[j] of those j; only nonzero steps are counted.
     """
+    steps = [(cum[j], int(flips[j + 1] - flips[j])) for j in range(3) if flips[j + 1] != flips[j]]
     rng = _block_rng(seed, stream)
-    key = _draw_codes(rng, 2, size)  # b, then k*2 + b
+    for lo in range(0, size, _CHUNK_SIZE):
+        rng.integers(0, 2, size=min(size - lo, _CHUNK_SIZE))  # b
     u = np.empty(min(size, _CHUNK_SIZE))
+    errors = int(flips[0]) * size
     for lo in range(0, size, _CHUNK_SIZE):
-        seg = key[lo:lo + _CHUNK_SIZE]
-        k = np.searchsorted(cum, rng.random(out=u[:len(seg)]), side="right")
-        seg[...] = seg + 2 * k
-    errors = 0
-    for lo in range(0, size, _CHUNK_SIZE):
-        seg = key[lo:lo + _CHUNK_SIZE]
-        rng.random(out=u[:len(seg)])
-        errors += int(np.count_nonzero(u[:len(seg)] < flip[seg]))
+        uk = rng.random(out=u[:min(size - lo, _CHUNK_SIZE)])
+        for edge, step in steps:
+            errors += step * int(np.count_nonzero(uk >= edge))
     return errors
 
 
@@ -286,7 +328,7 @@ def pauli_channel_qber_montecarlo(
     cum[-1] = 1.0
     sizes = _block_sizes(cfg.trials, cfg.block_size)
     blocks = [
-        partial(_pauli_block, cfg.seed, bi * len(sizes) + block, size, cum, flip[bi].ravel())
+        partial(_pauli_block, cfg.seed, bi * len(sizes) + block, size, cum, flip[bi, :, 0])
         for bi in range(len(bases))
         for block, size in enumerate(sizes)
     ]

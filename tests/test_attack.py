@@ -12,6 +12,7 @@ import pytest
 
 from qkdlimits import (
     AttackConfig,
+    NumericError,
     PauliDistribution,
     ValidationError,
     intercept_resend_qber_analytic,
@@ -240,6 +241,61 @@ class TestTables:
                 assert build(bases) is table
                 with pytest.raises(ValueError, match="read-only"):
                     table.flat[0] = 0.5
+
+    # The Monte Carlo kernels read neither Eve's outcome nor the Pauli
+    # kernel's bit and last uniform; these facts of the tables are why.
+
+    @pytest.mark.parametrize("mub", [2, 3])
+    def test_eves_outcome_never_changes_bobs_reading(self, mub):
+        born = _born_tensor(_protocol_bases(mub))
+        for a in range(mub):
+            for e in range(mub):
+                eve_p0 = born[a, :, e, 0].tolist()  # P(Eve reads 0 | b)
+                bob_p0 = born[a, 0, e, :].tolist()  # P(Bob reads 0 | Eve read m)
+                if set(eve_p0) <= {0.0, 1.0}:
+                    # Decided: Eve reads Alice's bit and Bob reads it after her.
+                    assert e == a and eve_p0 == bob_p0 == [1.0, 0.0]
+                else:
+                    assert e != a and bob_p0 == [0.5, 0.5]
+
+    @pytest.mark.parametrize("mub", [2, 3])
+    def test_pauli_flips_are_certain_and_independent_of_the_bit(self, mub):
+        flip = _flip_probabilities(_protocol_bases(mub))
+        assert set(flip.ravel().tolist()) == {0.0, 1.0}
+        assert (flip[..., 0] == flip[..., 1]).all()
+        # X errs under Y and Z, Z under X and Y, Y under X and Z.
+        want = [[0, 0, 1, 1], [0, 1, 1, 0], [0, 1, 0, 1]][:mub]
+        assert flip[..., 0].tolist() == want
+
+    def test_the_build_checks_refuse_a_doctored_table(self):
+        born = _born_tensor(("X", "Z", "Y"))
+        attack._check_born(born)
+        for index, value in (((0, 0, 1, 0), 0.25), ((0, 0, 0, 0), 0.5), ((2, 1, 2, 1), 0.5)):
+            doctored = born.copy()
+            doctored[index] = value
+            with pytest.raises(NumericError, match="Eve's outcome changes Bob's reading"):
+                attack._check_born(doctored)
+        flip = _flip_probabilities(("X", "Z", "Y"))
+        attack._check_flips(flip)
+        for index, value in (((0, 2, 0), 0.5), ((1, 1, 1), 0.0)):
+            doctored = flip.copy()
+            doctored[index] = value
+            with pytest.raises(NumericError, match="flip table"):
+                attack._check_flips(doctored)
+
+    def test_a_basis_that_is_not_unbiased_builds_no_table(self, monkeypatch):
+        # A real basis at an angle: its overlaps with X and Z are not 1/2.
+        monkeypatch.setitem(attack._MUB_KETS, "Y", ((2, 1), (1, -2)))
+        attack._born_tensor.cache_clear()
+        attack._flip_probabilities.cache_clear()
+        try:
+            with pytest.raises(NumericError, match="Eve's outcome"):
+                _born_tensor(("X", "Z", "Y"))
+            with pytest.raises(NumericError, match="flip table"):
+                _flip_probabilities(("X", "Z", "Y"))
+        finally:
+            attack._born_tensor.cache_clear()
+            attack._flip_probabilities.cache_clear()
 
 
 # The whole-block kernels the chunked, threaded estimators replaced: one
