@@ -51,9 +51,27 @@ from .scenario import (
 CLI_SIMPLEX_TOL = 1e-3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reads every token float() takes as a value.
+
+    argparse reads a token that starts with '-' as a flag unless it looks
+    like a negative number, and its pattern for one has no exponent, so
+    `--d-lo -1e-3` or `--p -1e-3 0.5 0.3 0.2` would lose a value to a
+    usage error. No flag here is a number, so such a token is always a
+    value: the value of a float flag, or a wrong one that its flag's type
+    or the input checks report. The subcommand parsers are of this class
+    too, since add_subparsers builds them from the parent's class.
+    """
+
+    def _parse_optional(self, arg_string):
+        if _is_float(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkdlimits",
         description="Fundamental limits on QBER and distance for qubit-based QKD.",
     )
@@ -393,23 +411,6 @@ def _emit_sweep(rows) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _curvature_joined(argv: list[str]) -> list[str]:
-    """argv with each `--curvature X` written `--curvature=X` where float()
-    takes X. argparse reads a token that starts with '-' as a flag unless
-    it looks like a negative number, and its pattern for one has no
-    exponent, so `--curvature -1e6` would lose its value. Only
-    --curvature is joined: it is the one float flag whose negative values
-    are valid (a diverging beam). On the other float flags a negative
-    value is wrong either way, and their usage error (exit 2) stays."""
-    out: list[str] = []
-    for token in argv:
-        if out and out[-1] == "--curvature" and _is_float(token):
-            out[-1] = f"--curvature={token}"
-        else:
-            out.append(token)
-    return out
-
-
 def _is_float(token: str) -> bool:
     try:
         float(token)
@@ -420,7 +421,7 @@ def _is_float(token: str) -> bool:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser().parse_args(_curvature_joined(argv))
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
             sc = scenario_from_file(args.scenario)

@@ -414,6 +414,82 @@ class TestMaxDistance:
         assert "numeric failure" in err
 
 
+_FIBER = ["max-distance", "fiber", "--mub", "2", "--y0", "1e-6", "--e-det", "0.01"]
+_BEAM = ["--w0", "0.05", "--wavelength", "8e-7", "--aperture", "0.25"]
+_DEEPSPACE = ["max-distance", "deepspace", "--mub", "2", "--y0", "1e-8", "--e-det", "0.01", *_BEAM]
+_FREESPACE = ["max-distance", "freespace", "--mub", "2", "--y0", "1e-8", "--e-det", "0.01", *_BEAM]
+_SATELLITE = ["max-distance", "satellite", "--mub", "2", "--y0", "1e-8", "--e-det", "0.01", *_BEAM]
+_SWEEP = ["sweep", "SCENARIO", "--param", "y0", "--points", "3", "--scale", "linear"]
+# Every float-valued option but --curvature (a negative curvature is a
+# valid input, tested above), after the arguments its command needs.
+NEGATIVE_VALUE_CASES = [
+    (["thresholds", "--e-det", "0.01"], "--y0"),
+    (["thresholds", "--y0", "1e-6"], "--e-det"),
+    (["thresholds", "--y0", "1e-6", "--e-det", "0.01"], "--eta-eff"),
+    (["qber", "--ez", "0.1"], "--ex"),
+    (["qber", "--ex", "0.1"], "--ez"),
+    (["qber", "--ex", "0.1", "--ez", "0.1"], "--ey"),
+    (["qber", "--ex", "0.1", "--ez", "0.1"], "--assumed-p2"),
+    (_FIBER, "--y0"),
+    (_FIBER, "--e-det"),
+    (_FIBER, "--eta-eff"),
+    (_FIBER, "--mu"),
+    (_FIBER, "--alpha"),
+    (_DEEPSPACE, "--w0"),
+    (_DEEPSPACE, "--wavelength"),
+    (_DEEPSPACE, "--aperture"),
+    (_FREESPACE, "--alpha0"),
+    (_FREESPACE, "--scale-height"),
+    (_FREESPACE, "--altitude"),
+    (_SATELLITE, "--zenith-angle"),
+    (_SATELLITE, "--eta-zenith"),
+    (_FIBER + ["--d-hi", "10"], "--d-lo"),
+    (_FIBER + ["--d-lo", "0"], "--d-hi"),
+    (_SWEEP + ["--to", "1e-4"], "--from"),
+    (_SWEEP + ["--from", "1e-8"], "--to"),
+]
+
+
+class TestNegativeValuesWithAnExponent:
+    """argparse's own pattern for a negative number has no exponent, so
+    without the parser's float rule these values were read as flags and
+    their option failed with a usage error (exit 2, the infeasible code)."""
+
+    def test_the_cases_cover_every_float_option(self):
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if a.choices and "qber" in a.choices]
+        floats = {
+            (name, a.option_strings[0])
+            for name, p in sub.choices.items()
+            for a in p._actions
+            if a.type is float
+        }
+        cases = {(argv[0], flag) for argv, flag in NEGATIVE_VALUE_CASES}
+        assert floats - cases == {("max-distance", "--curvature"), ("channel", "--p")}
+        assert cases <= floats
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        NEGATIVE_VALUE_CASES,
+        ids=[f"{argv[0]}{flag}" for argv, flag in NEGATIVE_VALUE_CASES],
+    )
+    def test_a_spaced_value_reads_as_the_joined_one(self, capsys, scenario_dir, argv, flag):
+        scenario = str(scenario_dir / "fiber_2mub_single_photon.json")
+        argv = [scenario if a == "SCENARIO" else a for a in argv] + ["--no-timestamp"]
+        spaced = run_cli(capsys, argv + [flag, "-1e-3"])
+        assert spaced == run_cli(capsys, argv + [f"{flag}=-1e-3"])
+        code, out, err = spaced
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_each_pauli_weight_may_be_negative_with_an_exponent(self, capsys, position):
+        weights = ["0.5", "0.3", "0.202"]
+        weights.insert(position, "-2e-3")
+        code, out, err = run_cli(capsys, ["channel", "--p", *weights])
+        assert (code, out, err) == (1, "", "error: probability -0.002 outside [0, 1]\n")
+
+
 class TestRepeater:
     def test_chain_scenario(self, capsys, scenario_dir):
         code, rec, _ = run_json(
