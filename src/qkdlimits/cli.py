@@ -64,9 +64,11 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def _parse_optional(self, arg_string):
-        if _is_float(arg_string):
-            return None
-        return super()._parse_optional(arg_string)
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 @functools.cache
@@ -409,14 +411,6 @@ def _emit_sweep(rows) -> str:
     writer.writerow(["param", "value", "d_max_km", "feasible"])
     writer.writerows([_csv_cell(v) for v in row] for row in rows)
     return buf.getvalue().rstrip("\n")
-
-
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
 
 
 def main(argv=None) -> int:
