@@ -451,9 +451,9 @@ NEGATIVE_VALUE_CASES = [
 
 
 class TestNegativeValuesWithAnExponent:
-    """argparse's own pattern for a negative number has no exponent, so
-    without the parser's float rule these values were read as flags and
-    their option failed with a usage error (exit 2, the infeasible code)."""
+    """argparse's own pattern for a negative number has no exponent. Such a
+    value must still reach its option's checks (exit 1), not end in a
+    usage error (exit 2, the code for an infeasible configuration)."""
 
     def test_the_cases_cover_every_float_option(self):
         parser = cli._build_parser()
