@@ -484,6 +484,21 @@ class TestDistanceBounds:
                 distance.distance_bounds(batch, 2, bracket)
         assert distance.distance_bounds(points, 2) == [self.expected(*p) for p in points]
 
+    @pytest.mark.parametrize("kind", ["freespace", "satellite", "diffraction"])
+    def test_a_bracket_that_overflows_in_metres_raises_first(self, kind):
+        # The top of (1, 1e306) km is inf in metres. That error comes
+        # before any status, so an infeasible detector raises it too.
+        diverging = BeamGeometry(0.05, 8e-7, 0.25, curvature_m=-1e4)
+        link = {
+            "freespace": ScenarioLink("freespace", beam=self.BEAM, atmosphere=GroundAtmosphere()),
+            "satellite": ScenarioLink("satellite", beam=self.BEAM, satellite=SatellitePath()),
+            "diffraction": ScenarioLink("diffraction", beam=diverging),
+        }[kind]
+        for det in (DetectorModel(y0=0.5, e_det=0.01), DET):
+            for src in (SinglePhoton(), SinglePhoton(k=3), Attenuated(0.5)):
+                with pytest.raises(ValidationError, match=r"^distance inf must be >= 0$"):
+                    distance.distance_bounds([(src, det, link)], 2, (1.0, 1e306))
+
     @pytest.mark.parametrize("kind", ["fiber", "diffraction"])
     def test_an_explicit_bracket_clips_a_closed_form(self, kind):
         link = (
@@ -763,8 +778,11 @@ class TestLazyGuard:
             return ScenarioLink(kind, beam=beam, satellite=SatellitePath(rng.uniform(0, 1), 0.9))
 
         links = [link(), link()]
-        if rng.random() < 0.5:
+        r = rng.random()
+        if r < 0.5:
             bracket = distance.DEFAULT_BRACKETS_KM[links[0].kind]
+        elif r < 0.55:  # a beam's top overflows in metres
+            bracket = (rng.choice((0.0, lu(-6, 2))), 1e306)
         else:
             lo = rng.choice((0.0, lu(-6, 2)))
             bracket = (lo, lo + lu(-1, 12))
@@ -802,7 +820,7 @@ class TestLazyGuard:
                 errors.add(got.split(":")[0])
             else:
                 solved += sum(b is not None and b[1].status == "solved" for b in got)
-        assert errors == {"NonMonotonicModelError"}
+        assert errors == {"NonMonotonicModelError", "ValidationError"}
         assert solved >= 5000
         assert len(certified) > solved // 2
 
