@@ -15,21 +15,25 @@ one, each point is bisected on its link kind's default bracket and the
 closed forms stand as they are. max_distance_numeric bisects one point
 on a model of the caller's own.
 
-The guard is lazy where it cannot fail: when the link's values on the
-guard grid never rise and the source is one of the package's own, only
-the detection probabilities the search for the crossing cell asks for
-are computed, and every bound stays bit-identical to the full guard's.
-The bisection runs until it meets its 1e-9 relative tolerance.
+One rule, how the point is built, picks the bisection's path. A point
+is monotone when its link cannot rise with distance by construction
+(every kind but a focused beam, or one whose w0 squared is subnormal)
+and its source's gamma is the package's own. Its guard is lazy: it
+reads each grid transmissivity and computes each detection probability
+only when the search for the crossing cell asks for it, and every bound
+stays bit-identical to the full guard's. Every other point, and every
+model of the caller's own, takes the full guard: all 64 values are
+computed and checked. The bisection runs until it meets its 1e-9
+relative tolerance.
 
-Most of its midpoints need no model call. Where the guard is lazy, the
-link cannot rise by construction (every kind but a focused beam) and
-the values near the crossing are normal floats, a few regula falsi
-trials first certify a point a above the crossing and a point b below
-it, each more than CERTIFY_MARGIN (about 1e4 ulps) from Gamma. The
-computed detection probability is then monotone in d to a few ulp, so
-a midpoint at or below a, or at or above b, would test the way the
-plain loop would find by evaluating it: the bisection takes that side
-without a call, and every bound and error stays bit-identical.
+Most of a monotone point's midpoints need no model call. Where the
+values near the crossing are normal floats, a few regula falsi trials
+first certify a point a above the crossing and a point b below it, each
+more than CERTIFY_MARGIN (about 1e4 ulps) from Gamma. The computed
+detection probability is then monotone in d to a few ulp, so a midpoint
+at or below a, or at or above b, would test the way the plain loop
+would find by evaluating it: the bisection takes that side without a
+call, and every bound and error stays bit-identical.
 """
 
 from __future__ import annotations
@@ -209,9 +213,10 @@ def max_distance_numeric(
 ) -> DistanceBound:
     """Invert gamma(eta_eff * model(d)) = Gamma by bisection on [d_lo, d_hi].
 
-    The model must be a non-increasing transmissivity of distance in km;
-    64 log-spaced samples guard against non-monotone models (for
-    example a focused beam measured past its waist), which raise
+    The model must be a non-increasing transmissivity of distance in km.
+    It always takes the full guard: 64 log-spaced samples, all computed
+    and checked, guard against non-monotone models (for example a
+    focused beam measured past its waist), which raise
     NonMonotonicModelError. Converges to 1e-9 relative in d. The
     one-point entry for a model of the caller's own; distance_bounds
     solves many points.
@@ -251,50 +256,54 @@ _PACKAGE_GAMMAS = {
 }
 
 
-def _guard(model, src: SourceModel, eta_eff: float, grid, guards: dict):
+def _guard(model, src: SourceModel, eta_eff: float, grid, guards: dict, monotone: bool):
     """The detection probability at each guard grid index of (model, src,
-    eta_eff), as a function of the index, and whether it is lazy; both
-    kept in the call's memo.
+    eta_eff), as a function of the index, kept in the call's memo.
 
-    The memo also holds the model's values on the grid, checked once, and
-    whether they never rise (b <= a, no tolerance). If so, and src's
-    gamma is the package's own, the probabilities are lazy: each is
-    computed, once, when the cell search asks for it. Otherwise all are
-    computed and every rise above 1e-12 raises NonMonotonicModelError, as
-    it does for a focused beam or a model with a bump.
+    The memo also holds the model's values on the grid, each read through
+    _transmissivity once, when first needed. A monotone point (see
+    _bisect) reads the grid's far end first: a package kernel checks its
+    distance, so it fails there if it fails anywhere, with the same
+    message. Then each probability is computed once, when the cell search
+    asks for it. Every other point reads all the grid's values, then
+    computes every probability, and a rise above 1e-12 raises
+    NonMonotonicModelError, as it does for a focused beam or a model with
+    a bump.
     """
     key = (model, src, eta_eff)
-    memo = guards.get(key)
-    if memo is not None:
-        return memo
-    if model not in guards:
-        etas = [_transmissivity(model, d) for d in grid]
-        guards[model] = etas, all(b <= a for a, b in zip(etas, etas[1:]))
-    etas, falls = guards[model]
+    prob = guards.get(key)
+    if prob is not None:
+        return prob
+    n = len(grid)
+    etas, vals = guards.setdefault(model, [None] * n), [None] * n
+
+    def eta(i: int) -> float:
+        if etas[i] is None:
+            etas[i] = _transmissivity(model, grid[i])
+        return etas[i]
+
+    def prob(i: int) -> float:
+        if vals[i] is None:
+            vals[i] = gamma(eta_eff * eta(i))
+        return vals[i]
+
+    # The far end alone for a monotone point, every value for the rest.
+    for i in range(n - 1 if monotone else 0, n):
+        eta(i)
     if not isinstance(src, SourceModel):
         raise ValidationError(f"unknown source model {src!r}")
-    gamma, own = src.gamma, _PACKAGE_GAMMAS.get(type(src))
-    if falls and own is not None and getattr(gamma, "__func__", None) is own:
-        vals = [None] * len(etas)
-
-        def prob(i: int) -> float:
-            v = vals[i]
-            if v is None:
-                v = vals[i] = gamma(eta_eff * etas[i])
-            return v
-
-        memo = guards[key] = prob, True
-        return memo
-    vals = [gamma(eta_eff * eta_ch) for eta_ch in etas]
-    for i in range(len(vals) - 1):
-        if vals[i + 1] > vals[i] + 1e-12:
-            raise NonMonotonicModelError(
-                f"detection probability rises from {vals[i]} to {vals[i + 1]} "
-                f"between d={grid[i]} and d={grid[i + 1]} km; restrict the "
-                "interval to the monotone side of the focus"
-            )
-    memo = guards[key] = vals.__getitem__, False
-    return memo
+    gamma = src.gamma
+    if not monotone:
+        vals[:] = [gamma(eta_eff * eta_ch) for eta_ch in etas]
+        for i in range(n - 1):
+            if vals[i + 1] > vals[i] + 1e-12:
+                raise NonMonotonicModelError(
+                    f"detection probability rises from {vals[i]} to {vals[i + 1]} "
+                    f"between d={grid[i]} and d={grid[i + 1]} km; restrict the "
+                    "interval to the monotone side of the focus"
+                )
+    guards[key] = prob
+    return prob
 
 
 def _bisect(
@@ -305,7 +314,7 @@ def _bisect(
     d_lo_km: float,
     d_hi_km: float,
     guards: dict,
-    never_rises: bool = False,
+    monotone: bool = False,
 ) -> DistanceBound:
     """The bisection bound of one point; _guard_grid checks the bracket
     first. guards is the caller's memo for one call: the model's values
@@ -314,17 +323,20 @@ def _bisect(
     (model, source, eta_eff); see _guard. The bisection runs until
     hi - lo <= BISECT_REL_TOL * hi, or until no float lies between them.
 
-    never_rises says that model is a package link kernel that cannot
-    rise with distance by construction (see links._never_rises). With it, a
-    lazy guard and a Gamma that passes _normal_near, the computed
-    probability is monotone to a few ulp, well inside CERTIFY_MARGIN. So
-    each midpoint at or below the certified end a of _certified_bracket,
-    or at or above b, takes the side it would test to without a model
-    call, and the midpoints, the bound and every error are those of the
-    plain loop, bit for bit."""
+    monotone says how the point is built: model is a package link kernel
+    that cannot rise with distance (see links._never_rises), and src's
+    gamma is the package's own (_PACKAGE_GAMMAS). Its computed detection
+    probability then rises by less than 1e-15 between any two distances,
+    so its guard is lazy and cannot fail. Where Gamma also passes
+    _normal_near, that probability is monotone to a few ulp, well inside
+    CERTIFY_MARGIN. So each midpoint at or below the certified end a of
+    _certified_bracket, or at or above b, takes the side it would test to
+    without a model call, and the midpoints, the bound and every error
+    are those of the plain loop, bit for bit. Every other point takes the
+    full guard and the plain loop."""
     grid = _guard_grid(d_lo_km, d_hi_km)
     eta_eff = det.eta_eff
-    prob, lazy = _guard(model, src, eta_eff, grid, guards)
+    prob = _guard(model, src, eta_eff, grid, guards, monotone)
     target = g.gamma_min
     lo, hi = 0, len(grid) - 1
     if prob(lo) <= target:
@@ -332,11 +344,11 @@ def _bisect(
     if prob(hi) > target:
         return DistanceBound(d_hi_km, True, "bisection", "feasible-everywhere", g)
     # Find the grid cell of the first crossing, so that a wide bracket
-    # starts the bisection from one cell. On lazy values, halving finds a
-    # crossing, and it is the first if the value before it exceeds the
-    # target by more than 1e-12, since those values rise by less than
+    # starts the bisection from one cell. On monotone values, halving
+    # finds a crossing, and it is the first if the value before it exceeds
+    # the target by more than 1e-12, since those values rise by less than
     # 1e-15. Otherwise, and on checked values, scan from the near end.
-    if lazy:
+    if monotone:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if prob(mid) > target:
@@ -344,15 +356,15 @@ def _bisect(
             else:
                 hi = mid
     idx = hi
-    if not (lazy and prob(lo) > target + 1e-12):
+    if not (monotone and prob(lo) > target + 1e-12):
         idx = next(i for i in range(1, hi + 1) if prob(i) <= target)
     lo, hi = grid[idx - 1], grid[idx]
-    gamma, isfinite, tol = src.gamma, math.isfinite, BISECT_REL_TOL
+    gamma, tol = src.gamma, BISECT_REL_TOL
     # a and b are the certified ends; without a certificate they are the
     # cell's ends, which no midpoint reaches. The trials work in ln d, so
     # a cell that starts at 0 gets none.
     a, b = lo, hi
-    if lazy and never_rises and lo > 0.0 and _normal_near(src, target):
+    if monotone and lo > 0.0 and _normal_near(src, target):
         a, b = _certified_bracket(model, gamma, eta_eff, target, lo, hi, prob(idx - 1), prob(idx))
     while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
@@ -364,10 +376,7 @@ def _bisect(
         if mid >= b:
             hi = mid
             continue
-        eta_ch = model(mid)
-        if not (isfinite(eta_ch) and 0.0 <= eta_ch <= 1.0):
-            raise BracketError(f"model returned transmissivity {eta_ch!r} at d={mid}")
-        if gamma(eta_eff * eta_ch) > target:
+        if gamma(eta_eff * _transmissivity(model, mid)) > target:
             lo = mid
         else:
             hi = mid
@@ -466,7 +475,9 @@ def distance_bounds(
     collimated beam (infinite curvature_m: the far-field envelope does
     not bound a focused or diverging one), and its source is
     single-photon with k=1, attenuated or decoy. Every other point is
-    bisected by _bisect, with one guard memo for the whole call. bracket
+    bisected by _bisect, with one guard memo for the whole call; it is
+    monotone when links._never_rises holds for its link and its source's
+    gamma is the package's own. bracket
     is (d_lo_km, d_hi_km): when given, it is checked first and holds on
     every route, the closed forms clipped to it by _clip; when None,
     each point is bisected on its link kind's DEFAULT_BRACKETS_KM and
@@ -494,7 +505,10 @@ def distance_bounds(
             bound = _clip(max_diffraction_distance(link.beam, omega(det, src, g)), bracket)
         else:
             lo, hi = bracket or DEFAULT_BRACKETS_KM[link.kind]
-            bound = _bisect(link.transmissivity, src, det, g, lo, hi, guards, _never_rises(link))
+            own = _PACKAGE_GAMMAS.get(type(src))
+            monotone = own is not None and getattr(src.gamma, "__func__", None) is own
+            monotone = monotone and _never_rises(link)
+            bound = _bisect(link.transmissivity, src, det, g, lo, hi, guards, monotone)
         bounds.append(bound)
     return bounds
 

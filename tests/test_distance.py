@@ -437,7 +437,7 @@ class TestDistanceBounds:
         assert [b is None for b in bounds] == [p[1] is hopeless for p in points]
         assert {b.method for b in bounds if b is not None} == {"closed-form", "bisection"}
 
-    def test_interleaved_links_evaluate_each_guard_grid_once(self):
+    def test_interleaved_links_read_each_grid_distance_at_most_once(self):
         calls = []
 
         def link(alpha):
@@ -454,15 +454,19 @@ class TestDistanceBounds:
 
         a, b, src = link(0.2), link(0.5), SinglePhoton(k=3)
         points = [(src, DetectorModel(y0=1e-7, e_det=0.01), a), (src, DET, b), (src, DET, a)]
-        alone = [distance.distance_bounds([p], 2, self.BRACKET)[0] for p in points]
+        grid = set(distance._guard_grid(*self.BRACKET))
+        alone = []
+        for p in points:
+            calls.clear()
+            alone.append(distance.distance_bounds([p], 2, self.BRACKET)[0])
+            assert len([d for _, d in calls if d in grid]) < 64
         assert alone == [self.expected(*p) for p in points]
         assert {bound.status for bound in alone} == {"solved"}
         calls.clear()
         assert distance.distance_bounds(points, 2, self.BRACKET) == alone
-        grid = list(distance._guard_grid(*self.BRACKET))
         for alpha in (0.2, 0.5):
-            seen = [d for x, d in calls if x == alpha]
-            assert seen[:64] == grid and sum(d in grid for d in seen) == 64
+            seen = [d for x, d in calls if x == alpha and d in grid]
+            assert len(seen) == len(set(seen)) < 64
 
     @pytest.mark.parametrize(
         "bracket, message",
@@ -846,7 +850,9 @@ class TestLazyGuard:
                 on_grid = [eta for eta in calls if eta in grid_etas]
                 assert len(on_grid) == len(set(on_grid)) < 64
 
-    def test_one_upward_ulp_takes_the_full_guard(self):
+    def test_a_model_of_the_callers_own_takes_the_full_guard(self):
+        # Falling on the grid or not, a model that the package did not
+        # build has every guard value computed and checked.
         grid = distance._guard_grid(1.0, 1e4)
 
         def falling(d):
@@ -857,14 +863,53 @@ class TestLazyGuard:
 
         det = DetectorModel(y0=1e-6, e_det=0.01)
         g = gamma_threshold(det, 2)
-        for model, full in ((falling, False), (bumped, True)):
+        for model in (falling, bumped):
             grid_etas = {model(d) for d in grid}
             with _gamma_calls() as calls:
                 bound = max_distance_numeric(model, SinglePhoton(), det, g, 1.0, 1e4)
             assert bound == _full_guard_bound(model, SinglePhoton(), det, g, 1.0, 1e4)
             assert bound.status == "solved"
-            on_grid = [eta for eta in calls if eta in grid_etas]
-            assert (len(on_grid) == 64) == full
+            assert len([eta for eta in calls if eta in grid_etas]) == 64
+
+    def test_a_focused_beam_past_its_focus_takes_the_full_guard(self):
+        # Past its focus near 1 km the beam spreads, so its values fall on
+        # this bracket's grid; but a focused beam can rise, so its guard
+        # computes and checks every probability.
+        beam = BeamGeometry(w0_m=0.05, wavelength_m=8e-7, aperture_radius_m=0.25, curvature_m=1e3)
+        link, bracket = ScenarioLink("diffraction", beam=beam), (2.0, 1e6)
+        etas = [link.transmissivity(d) for d in distance._guard_grid(*bracket)]
+        assert all(b <= a for a, b in zip(etas, etas[1:]))
+        src, det = SinglePhoton(), DetectorModel(y0=1e-6, e_det=0.01, eta_eff=0.5)
+        with _gamma_calls() as calls:
+            [bound] = distance.distance_bounds([(src, det, link)], 2, bracket)
+        g = gamma_threshold(det, 2)
+        assert bound == _full_guard_bound(link.transmissivity, src, det, g, *bracket)
+        assert bound.status == "solved"
+        assert len([eta for eta in calls if eta in {0.5 * eta for eta in etas}]) == 64
+
+    @pytest.mark.parametrize(
+        "kind", ["fiber", "ground_atmosphere", "diffraction", "freespace", "satellite"]
+    )
+    def test_a_link_that_cannot_rise_reads_few_grid_values(self, kind):
+        beam = BeamGeometry(w0_m=0.05, wavelength_m=8e-7, aperture_radius_m=0.25)
+        link = {
+            "fiber": ScenarioLink("fiber", fiber=FIBER),
+            "ground_atmosphere": ScenarioLink("ground_atmosphere", atmosphere=GroundAtmosphere()),
+            "diffraction": ScenarioLink("diffraction", beam=BeamGeometry(0.05, 8e-7, 0.25, curvature_m=-1e4)),
+            "freespace": ScenarioLink("freespace", beam=beam, atmosphere=GroundAtmosphere()),
+            "satellite": ScenarioLink("satellite", beam=beam, satellite=SatellitePath()),
+        }[kind]
+        model, calls = link.transmissivity, []
+        object.__setattr__(link, "transmissivity", lambda d: calls.append(d) or model(d))
+        grid = set(distance._guard_grid(*distance.DEFAULT_BRACKETS_KM[kind]))
+        for src in (SinglePhoton(k=2), SinglePhoton(k=3)):
+            calls.clear()
+            point = [(src, DetectorModel(y0=1e-7, e_det=0.01, eta_eff=0.5), link)]
+            [bound] = distance.distance_bounds(point, 2)
+            on_grid = [d for d in calls if d in grid]
+            assert len(on_grid) == len(set(on_grid)) < 64
+            assert [bound] == _reference_bounds(point, 2, None)
+            assert bound.method == "bisection" and bound.status == "solved"
 
     @pytest.mark.parametrize("own_gamma", ["method", "staticmethod", "instance"])
     def test_a_source_with_a_gamma_of_its_own_takes_the_full_guard(self, own_gamma):
@@ -915,8 +960,8 @@ class TestCertifiedBracket:
                     yield src, DetectorModel(y0=y0, e_det=0.02, eta_eff=0.5), link
 
     def test_a_certified_bracket_saves_most_model_calls(self):
-        def solve(src, det, link, never_rises):
-            """The bound and its model calls past the 64 of the guard."""
+        def solve(src, det, link, monotone):
+            """The bound and its model calls off the guard grid."""
             calls = []
 
             def model(d):
@@ -925,8 +970,9 @@ class TestCertifiedBracket:
 
             g = gamma_threshold(det, 2)
             lo, hi = distance.DEFAULT_BRACKETS_KM[link.kind]
-            bound = distance._bisect(model, src, det, g, lo, hi, {}, never_rises)
-            return bound, len(calls) - distance.MONOTONE_SAMPLES
+            bound = distance._bisect(model, src, det, g, lo, hi, {}, monotone)
+            grid = set(distance._guard_grid(lo, hi))
+            return bound, sum(d not in grid for d in calls)
 
         cap = distance.CERTIFY_TRIALS + 2  # the trials and the two probes
         certified, plain = [], []
