@@ -197,16 +197,21 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _csv(header, rows) -> str:
+    """CSV text of a header and rows of cells, without its last newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    return buf.getvalue().rstrip("\n")
+
+
 def _emit_record(record: ResultRecord, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(record.to_dict(), indent=2, sort_keys=True)
     if fmt == "csv":
         flat = _flatten(record.results)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(flat.keys())
-        writer.writerow([_csv_cell(v) for v in flat.values()])
-        return buf.getvalue().rstrip("\n")
+        return _csv(flat.keys(), [flat.values()])
     header = f"# qkdlimits {record.command}"
     if record.timestamp:
         header += f" ({record.timestamp})"
@@ -265,7 +270,10 @@ def _cmd_channel(args) -> ResultRecord:
     total = math.fsum(p)
     if abs(total - 1.0) > CLI_SIMPLEX_TOL:
         raise ValidationError(f"probabilities sum to {total!r}, more than {CLI_SIMPLEX_TOL} from 1")
-    dist = PauliDistribution([max(x, 0.0) / total for x in p])
+    # A weight down to -1e-3 counts as 0; the rest are renormalized to sum to 1.
+    weights = [max(x, 0.0) for x in p]
+    total = math.fsum(weights)
+    dist = PauliDistribution([x / total for x in weights])
     v = capacity_verdict(dist)
     results = {
         "p_normalized": list(dist.p),
@@ -405,14 +413,6 @@ def _cmd_scenario(args) -> ResultRecord:
         return ResultRecord(command=args.command, inputs=sc.raw, results=results)
 
 
-def _emit_sweep(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["param", "value", "d_max_km", "feasible"])
-    writer.writerows([_csv_cell(v) for v in row] for row in rows)
-    return buf.getvalue().rstrip("\n")
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(argv)
@@ -420,7 +420,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             sc = scenario_from_file(args.scenario)
             rows = sweep_scenario(sc, args.param, args.start, args.stop, args.points, args.scale)
-            print(_emit_sweep(rows))
+            print(_csv(["param", "value", "d_max_km", "feasible"], rows))
             return 0
         if args.command == "thresholds":
             record = _cmd_thresholds(args)

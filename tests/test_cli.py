@@ -142,6 +142,15 @@ class TestChannel:
         assert math.fsum(rec["results"]["p_normalized"]) == pytest.approx(1.0, abs=1e-12)
         assert rec["results"]["zero_capacity"] is True
 
+    def test_a_small_negative_weight_is_clipped_and_renormalized(self, capsys):
+        # The weights sum to 1, but clipping -5e-4 to 0 leaves 1.0005:
+        # the clipped weights are divided by their own sum.
+        code, rec, err = run_json(capsys, ["channel", "--p", "-0.0005", "0.5", "0.3", "0.2005"])
+        assert (code, err) == (0, "")
+        p = rec["results"]["p_normalized"]
+        assert p[0] == 0.0
+        assert math.fsum(p) == pytest.approx(1.0, abs=1e-12)
+
     def test_far_from_normalized_is_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["channel", "--p", "0.5", "0.17", "0.17", "0.17"])
         assert code == 1
