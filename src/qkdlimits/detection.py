@@ -145,10 +145,15 @@ class QberBreakdown:
     weights: tuple[float, ...] | None = field(default=None)
 
 
-def k_photon_transmissivity(eta: float, k: int) -> float:
-    """Probability 1 - (1 - eta)^k that at least one of k photons survives."""
+def _check_eta(eta: float) -> None:
+    """Raise ValidationError unless eta is a transmissivity in [0, 1]."""
     if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
         raise ValidationError(f"eta={eta!r} outside [0, 1]")
+
+
+def k_photon_transmissivity(eta: float, k: int) -> float:
+    """Probability 1 - (1 - eta)^k that at least one of k photons survives."""
+    _check_eta(eta)
     if isinstance(k, bool) or not (isinstance(k, int) and k >= 0):
         raise ValidationError(f"photon number k={k!r} must be an integer >= 0")
     # A pulse with no photon is never detected, even over a lossless channel.
@@ -177,8 +182,7 @@ def qber_attenuated(eta: float, mu: float, det: DetectorModel) -> QberBreakdown:
 
 
 def _per_intensity(eta: float, src: Decoy, det: DetectorModel) -> list[QberBreakdown]:
-    if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
-        raise ValidationError(f"eta={eta!r} outside [0, 1]")
+    _check_eta(eta)
     out = []
     for mu in src.intensities:
         gamma = -math.expm1(-eta * mu)
@@ -240,8 +244,7 @@ def detection_probability(src: SourceModel, eta: float) -> float:
 
     Decoy sources evaluate at their largest intensity, mu.
     """
-    if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
-        raise ValidationError(f"eta={eta!r} outside [0, 1]")
+    _check_eta(eta)
     if not isinstance(src, SourceModel):
         raise ValidationError(f"unknown source model {src!r}")
     return src.gamma(eta)
