@@ -743,9 +743,10 @@ def _gamma_calls():
 
 
 class TestLazyGuard:
-    """A guard on transmissivities that never rise computes only the
-    detection probabilities its cell search asks for; every bound and
-    every error stays the one the full guard gives."""
+    """The guard of a monotone point, a link that cannot rise by
+    construction and a source with the package's own gamma, reads only
+    the grid values its cell search asks for; every bound and every
+    error stays the one the full guard gives."""
 
     def random_batch(self, rng: random.Random):
         def lu(a, b):
