@@ -270,7 +270,8 @@ def _cmd_channel(args) -> ResultRecord:
     total = math.fsum(p)
     if abs(total - 1.0) > CLI_SIMPLEX_TOL:
         raise ValidationError(f"probabilities sum to {total!r}, more than {CLI_SIMPLEX_TOL} from 1")
-    # A weight down to -1e-3 counts as 0; the rest are renormalized to sum to 1.
+    # A weight up to CLI_SIMPLEX_TOL below 0 counts as 0; the clipped weights
+    # are divided by their own sum, so that they sum to 1.
     weights = [max(x, 0.0) for x in p]
     total = math.fsum(weights)
     dist = PauliDistribution([x / total for x in weights])
