@@ -270,7 +270,11 @@ def _guard(model, src: SourceModel, eta_eff: float, grid, guards: dict, monotone
     NonMonotonicModelError, as it does for a focused beam or a model with
     a bump.
     """
-    key = (model, src, eta_eff)
+    # A source compares by its fields, so the key also holds its gamma
+    # function: one whose instance gamma was replaced must not share an
+    # entry with a package source, while equal package sources still do.
+    own = getattr(src, "gamma", None)
+    key = (model, src, getattr(own, "__func__", own), eta_eff)
     prob = guards.get(key)
     if prob is not None:
         return prob
@@ -320,7 +324,7 @@ def _bisect(
     first. guards is the caller's memo for one call: the model's values
     on the guard grid, keyed on the model object itself (held there, so
     its id cannot be reused), and the detection probabilities, keyed on
-    (model, source, eta_eff); see _guard. The bisection runs until
+    (model, source, the source's gamma function, eta_eff); see _guard. The bisection runs until
     hi - lo <= BISECT_REL_TOL * hi, or until no float lies between them.
 
     monotone says how the point is built: model is a package link kernel

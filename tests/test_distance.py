@@ -936,6 +936,36 @@ class TestLazyGuard:
                 lambda d: math.exp(-d / 50.0), src, det, gamma_threshold(det, 2), 1.0, 1e4
             )
 
+    def test_a_replaced_instance_gamma_gets_a_guard_of_its_own(self):
+        # mine equals SinglePhoton() field by field; only its gamma, which
+        # rises as the link falls, differs. A package point before it in the
+        # same call must not lend it its guard values.
+        link = ScenarioLink(
+            "freespace",
+            beam=BeamGeometry(w0_m=0.1, wavelength_m=8e-7, aperture_radius_m=0.5),
+            atmosphere=GroundAtmosphere(alpha0_per_km=0.005),
+        )
+        det = DetectorModel(y0=1e-6, e_det=0.01, eta_eff=1.0)
+        mine = SinglePhoton()
+        object.__setattr__(mine, "gamma", lambda eta: 1.0 - eta)
+        assert mine == SinglePhoton()
+        for points in ([(mine, det, link)], [(SinglePhoton(), det, link), (mine, det, link)]):
+            with pytest.raises(NonMonotonicModelError):
+                distance.distance_bounds(points, 2)
+
+    @pytest.mark.parametrize("monotone", [False, True])
+    def test_equal_package_sources_share_one_guard_entry(self, monotone):
+        link = ScenarioLink("ground_atmosphere", atmosphere=GroundAtmosphere())
+        det = DetectorModel(y0=1e-6, e_det=0.01)
+        g, guards = gamma_threshold(det, 2), {}
+        for make in (SinglePhoton, lambda: Decoy((0.5, 0.1), (0.5, 0.5))):
+            bounds = [
+                distance._bisect(link.transmissivity, make(), det, g, 1e-3, 1e4, guards, monotone)
+                for _ in range(2)
+            ]
+            assert bounds[0] == bounds[1]
+        assert len([key for key in guards if isinstance(key, tuple)]) == 2
+
 
 class TestCertifiedBracket:
     """Regula falsi certifies a point on each side of the crossing, and the
