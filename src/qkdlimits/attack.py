@@ -20,19 +20,21 @@ drawn in chunks of _CHUNK_SIZE, and what must be kept is kept as uint8
 codes: chunked draws return the same Philox stream as one whole-block
 draw.
 
-Each kernel draws that stream but reads only the draws that can change
-its error count. With mutually unbiased bases Eve's outcome never changes
-Bob's reading: a right basis guess resends Alice's state, so Bob reads
-her bit, and after a wrong guess Bob reads 0 with probability 1/2
-whatever Eve saw. So the intercept-resend kernel reads the bases, the
-bit and Bob's uniform, and advances past Eve's uniforms unread. Pauli
-flip weights are exactly 0 or 1 and do not depend on the bit, so the
-Pauli kernel draws the bits without keeping them, counts the trials
-whose Pauli index flips, and never draws the uniforms a weight would be
-compared against: they come last in the block's stream. Both facts are
-checked once, when the tables are built. The estimates are therefore
-bit-identical to a serial, unchunked run that reads every draw, while
-each thread holds about 1 MiB.
+Each kernel keeps that stream's positions but reads only the draws that
+can change its error count. With mutually unbiased bases Eve's outcome
+never changes Bob's reading: a right basis guess resends Alice's state,
+so Bob reads her bit, and after a wrong guess Bob reads 0 with
+probability 1/2 whatever Eve saw. So the intercept-resend kernel reads
+the bases, the bit and Bob's uniform, and jumps the Philox counter past
+Eve's uniforms (_skip_raw) instead of computing them. Pauli flip weights
+are exactly 0 or 1 and do not depend on the bit, so the Pauli kernel
+jumps past the bits the same way, counts the trials whose Pauli index
+flips, and never draws the uniforms a weight would be compared against:
+they come last in the block's stream. Both facts are checked once, when
+the tables are built, and the facts about numpy's draws the jumps rest
+on are checked once per process (_check_skips). The estimates are
+therefore bit-identical to a serial, unchunked run that reads every
+draw, while each thread holds about 1 MiB.
 """
 
 from __future__ import annotations
@@ -205,6 +207,78 @@ def _draw_codes(rng: np.random.Generator, high: int, size: int) -> np.ndarray:
     return codes
 
 
+def _skip_raw(bitgen: np.random.Philox, n: int) -> None:
+    """Leave bitgen in the state random_raw(n, output=False) leaves it in,
+    without computing the Philox blocks that call would compute.
+
+    Philox holds the 4 outputs of its current counter block in a buffer.
+    The rest of that buffer is read out first; advance(q) then moves the
+    counter over q whole blocks, and random_raw computes the last block,
+    1 to 4 outputs of it, so that the buffer holds what random_raw(n)
+    leaves there. advance also clears the buffered 32-bit half that
+    integers() keeps and random_raw never touches, so it is put back.
+    """
+    state = bitgen.state
+    head = min(n, 4 - state["buffer_pos"])
+    bitgen.random_raw(head, output=False)
+    if n == head:
+        return
+    q, r = divmod(n - head - 1, 4)
+    if q:
+        bitgen.advance(q)
+        now = bitgen.state
+        now["has_uint32"], now["uinteger"] = state["has_uint32"], state["uinteger"]
+        bitgen.state = now
+    bitgen.random_raw(r + 1, output=False)
+
+
+def _skip_facts() -> list[tuple[dict, dict]]:
+    """Pairs of Philox states that the kernels' skips take to be equal.
+
+    integers(0, 2) takes one 32-bit half of a raw output per bit, so 3
+    bits move the stream as 2 raw outputs do; the uniforms that follow
+    read whole outputs, never the buffered half, so that half is left out
+    of the first pair. The second pair is _skip_raw(9) against
+    random_raw(9) on a fresh generator: two whole blocks jumped, one
+    computed.
+    """
+    def fresh():
+        return np.random.Philox(key=np.array([1, 2], dtype=np.uint64))
+
+    bits, raw = fresh(), fresh()
+    np.random.Generator(bits).integers(0, 2, 3)
+    raw.random_raw(2)
+    skipped, drawn = fresh(), fresh()
+    _skip_raw(skipped, 9)
+    drawn.random_raw(9)
+    half = ("has_uint32", "uinteger")
+    return [
+        ({k: v for k, v in bits.state.items() if k not in half},
+         {k: v for k, v in raw.state.items() if k not in half}),
+        (skipped.state, drawn.state),
+    ]
+
+
+def _plain(state):
+    """A bit generator state with its arrays as lists, for comparing."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def _check_skips(facts: list[tuple[dict, dict]]) -> None:
+    """Refuse numpy draws the kernels' skips would not reproduce."""
+    if any(_plain(got) != _plain(want) for got, want in facts):
+        raise NumericError("skipping Philox draws does not reproduce drawing them")
+
+
+@cache
+def _skips_checked() -> None:
+    """_check_skips on this numpy, once per process, on the calling
+    thread like _born_tensor; an exception is not cached."""
+    _check_skips(_skip_facts())
+
+
 def _intercept_resend_block(
     seed: int, stream: int, size: int, n: int, bob_threshold: float
 ) -> int:
@@ -213,9 +287,9 @@ def _intercept_resend_block(
     The stream order is all of a, b, e, u_eve, then u_bob, as one call per
     array would draw it. Eve's outcome never changes Bob's reading
     (_check_born): a trial errs exactly when e != a and
-    (u_bob >= bob_threshold) != b. So u_eve is advanced unread, one raw
-    output per uniform as random() would take, and a is kept only until
-    e is drawn.
+    (u_bob >= bob_threshold) != b. So the counter jumps past u_eve, one
+    raw output per uniform as random() would take, without computing
+    them (_skip_raw), and a is kept only until e is drawn.
     """
     rng = _block_rng(seed, stream)
     miss = _draw_codes(rng, n, size)  # a, then e != a
@@ -223,7 +297,7 @@ def _intercept_resend_block(
     for lo in range(0, size, _CHUNK_SIZE):
         seg = miss[lo:lo + _CHUNK_SIZE]
         seg[...] = rng.integers(0, n, size=len(seg)) != seg
-    rng.bit_generator.random_raw(size, output=False)  # u_eve
+    _skip_raw(rng.bit_generator, size)  # u_eve
     u = np.empty(min(size, _CHUNK_SIZE))
     errors = 0
     for lo in range(0, size, _CHUNK_SIZE):
@@ -244,6 +318,7 @@ def intercept_resend_qber_montecarlo(cfg: AttackConfig) -> tuple[float, float]:
     _check_config(cfg)
     bases = _protocol_bases(cfg.mub_count)
     bob_threshold = _born_tensor(bases)[0, 0, 1, 0]  # any e != a reads the same
+    _skips_checked()
     sizes = _block_sizes(cfg.trials, cfg.block_size)
     blocks = [
         partial(_intercept_resend_block, cfg.seed, stream, size, len(bases), bob_threshold)
@@ -284,8 +359,11 @@ def _pauli_block(seed: int, stream: int, size: int, cum: np.ndarray, flips: np.n
     The stream order is all of b, then the uniforms u_k that pick k, then
     the uniforms u compared against the flip weight, as one call per array
     would draw it. A flip weight is 0 or 1 for either bit (_check_flips),
-    so a trial errs exactly when flips[k] is 1: b is drawn but not kept,
-    and u, the last draws of the stream, is not drawn at all.
+    so a trial errs exactly when flips[k] is 1: the counter jumps past b
+    without computing it (_skip_raw), and u, the last draws of the
+    stream, is not drawn at all. From a fresh generator integers(0, 2)
+    takes one 32-bit half of a raw output per bit, and the uniforms read
+    whole outputs, so b spans (size + 1) // 2 raw outputs (_skip_facts).
 
     For u_k < 1 = cum[3], k = searchsorted(cum, u_k, side="right") is the
     number of j < 3 with u_k >= cum[j], so flips[k] is flips[0] plus the
@@ -293,8 +371,7 @@ def _pauli_block(seed: int, stream: int, size: int, cum: np.ndarray, flips: np.n
     """
     steps = [(cum[j], int(flips[j + 1] - flips[j])) for j in range(3) if flips[j + 1] != flips[j]]
     rng = _block_rng(seed, stream)
-    for lo in range(0, size, _CHUNK_SIZE):
-        rng.integers(0, 2, size=min(size - lo, _CHUNK_SIZE))  # b
+    _skip_raw(rng.bit_generator, (size + 1) // 2)  # b
     u = np.empty(min(size, _CHUNK_SIZE))
     errors = int(flips[0]) * size
     for lo in range(0, size, _CHUNK_SIZE):
@@ -324,6 +401,7 @@ def pauli_channel_qber_montecarlo(
         )
     bases = _protocol_bases(mub_count)
     flip = _flip_probabilities(bases)
+    _skips_checked()
     cum = np.cumsum(p.as_array())
     cum[-1] = 1.0
     sizes = _block_sizes(cfg.trials, cfg.block_size)

@@ -5,6 +5,7 @@ import hashlib
 import math
 import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -296,6 +297,124 @@ class TestTables:
         finally:
             attack._born_tensor.cache_clear()
             attack._flip_probabilities.cache_clear()
+
+
+def philox_state(bg):
+    """A Philox state with its arrays as lists, so states compare with ==."""
+    state = bg.state
+    return {
+        **state,
+        "state": {k: v.tolist() for k, v in state["state"].items()},
+        "buffer": state["buffer"].tolist(),
+    }
+
+
+def counter(state) -> int:
+    """The 256-bit Philox counter of a philox_state."""
+    return sum(int(word) << (64 * i) for i, word in enumerate(state["state"]["counter"]))
+
+
+class TestSkipRaw:
+    """_skip_raw leaves a Philox generator in the whole state that
+    random_raw(n, output=False) leaves it in, without computing the
+    blocks it skips."""
+
+    KEY = np.array([2**64 - 1, 12345], dtype=np.uint64)
+    SIZES = (0, 1, 2, 3, 4, 5, 7, 8, 9, 2**15 - 1, 2**15, 2**15 + 1, 10**5, 2**18 + 1)
+
+    @classmethod
+    def start(cls, pos, draws):
+        """A generator after `draws` integers(0, 3) draws (has_uint32 is
+        draws % 2; 2 draws leave a spent half in uinteger), moved on to
+        buffer_pos pos; pos 0 replays the buffer a block left, through
+        the state."""
+        bg = np.random.Philox(key=cls.KEY)
+        np.random.Generator(bg).integers(0, 3, draws)
+        if draws == 0:
+            bg.random_raw(4)  # a block in the buffer
+        bg.random_raw(((pos or 4) - bg.state["buffer_pos"]) % 4)
+        if pos == 0:
+            state = bg.state
+            state["buffer_pos"] = 0
+            bg.state = state
+        state = bg.state
+        assert (state["buffer_pos"], state["has_uint32"]) == (pos, draws % 2)
+        return bg
+
+    @pytest.mark.parametrize("draws", [0, 1, 2, 3])
+    @pytest.mark.parametrize("pos", [0, 1, 2, 3, 4])
+    def test_the_state_equals_that_of_drawing(self, pos, draws):
+        for n in self.SIZES:
+            skipped, drawn = self.start(pos, draws), self.start(pos, draws)
+            attack._skip_raw(skipped, n)
+            drawn.random_raw(n, output=False)
+            assert philox_state(skipped) == philox_state(drawn), n
+
+    @pytest.mark.parametrize("pos", [0, 1, 2, 3, 4])
+    def test_a_skip_of_two_to_the_forty_moves_the_counter_only(self, pos):
+        # Drawing 2**40 outputs would take hours; the state follows from
+        # counter arithmetic: the buffered outputs first, then one counter
+        # step per block of 4, the last block held in the buffer.
+        n = 2**40
+        bg = self.start(pos, 3)
+        before = philox_state(bg)
+        attack._skip_raw(bg, n)
+        after = philox_state(bg)
+        rest = n - (4 - pos)
+        assert counter(after) == counter(before) + -(-rest // 4)
+        assert after["buffer_pos"] == (rest - 1) % 4 + 1
+        assert after["state"]["key"] == before["state"]["key"]
+        for half in ("has_uint32", "uinteger"):
+            assert after[half] == before[half]
+        last = np.random.Philox(key=self.KEY, counter=counter(after) - 1)
+        last.random_raw(4)
+        assert after["buffer"] == last.state["buffer"].tolist()
+
+    def test_the_one_time_check_refuses_a_doctored_fact(self):
+        facts = attack._skip_facts()
+        attack._check_skips(facts)
+        for i, field in ((0, "buffer_pos"), (1, "has_uint32"), (1, "uinteger")):
+            doctored = [(dict(got), dict(want)) for got, want in facts]
+            doctored[i][0][field] += 1
+            with pytest.raises(NumericError, match="skipping Philox draws"):
+                attack._check_skips(doctored)
+        doctored = [(dict(got), dict(want)) for got, want in facts]
+        doctored[1][0]["state"] = {**facts[1][0]["state"], "counter": np.zeros(4, np.uint64)}
+        with pytest.raises(NumericError, match="skipping Philox draws"):
+            attack._check_skips(doctored)
+
+    def test_an_estimate_refuses_a_numpy_whose_skips_differ(self, monkeypatch):
+        facts = attack._skip_facts()
+        doctored = [facts[0], ({**facts[1][0], "buffer_pos": 3}, facts[1][1])]
+        monkeypatch.setattr(attack, "_skip_facts", lambda: doctored)
+        attack._skips_checked.cache_clear()
+        try:
+            p = PauliDistribution((1.0, 0.0, 0.0, 0.0))
+            with pytest.raises(NumericError, match="skipping Philox draws"):
+                intercept_resend_qber_montecarlo(AttackConfig(2, 10, 0))
+            with pytest.raises(NumericError, match="skipping Philox draws"):
+                pauli_channel_qber_montecarlo(p, 2, AttackConfig(2, 10, 0))
+        finally:
+            attack._skips_checked.cache_clear()
+
+    def test_the_check_runs_once_on_the_calling_thread(self, monkeypatch):
+        facts, threads = attack._skip_facts, []
+
+        def counted():
+            threads.append(threading.get_ident())
+            return facts()
+
+        monkeypatch.setattr(attack, "_skip_facts", counted)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        attack._skips_checked.cache_clear()
+        try:
+            cfg = AttackConfig(3, 2 * (_CHUNK_SIZE + 1), 5, block_size=_CHUNK_SIZE + 1)
+            p = PauliDistribution((0.6, 0.2, 0.0, 0.2))
+            intercept_resend_qber_montecarlo(cfg)
+            pauli_channel_qber_montecarlo(p, 3, cfg)
+            assert threads == [threading.get_ident()]
+        finally:
+            attack._skips_checked.cache_clear()
 
 
 # The whole-block kernels the chunked, threaded estimators replaced: one
