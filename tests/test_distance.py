@@ -1,6 +1,7 @@
 """Maximum-distance solvers: closed forms, bisection, sweeps."""
 
 import contextlib
+import hashlib
 import math
 import random
 import statistics
@@ -1058,3 +1059,119 @@ class TestCertifiedBracket:
             lambda d: math.exp(-d / 50.0), SinglePhoton(), det, gamma_threshold(det, 2), 1.0, 1e4
         )
         assert bound.status == "solved"
+
+
+# ---------------------------------------------------------------- basis-count pin
+
+PIN_MUBS = [2, 3, 2.0, 3.0, True, None, "2", 0, 1, 4]
+
+
+def _pin_bits(v) -> str:
+    """float.hex of a float, repr of anything else, fields of a result."""
+    if isinstance(v, float):
+        return v.hex()
+    if v is None or isinstance(v, (bool, int, str)):
+        return repr(v)
+    if isinstance(v, (tuple, list)):
+        return "(" + " ".join(_pin_bits(x) for x in v) + ")"
+    return type(v).__name__ + "(" + " ".join(_pin_bits(x) for x in vars(v).values()) + ")"
+
+
+def _pin_line(name: str, fn, *args, shown=None) -> str:
+    """name, the arguments (or shown, in their place) and what fn returned."""
+    try:
+        out = _pin_bits(fn(*args))
+    except Exception as exc:  # the type and the text are pinned too
+        out = f"{type(exc).__name__}: {exc}"
+    return f"{name} {args if shown is None else shown!r} {out}"
+
+
+def pinned_basis_rules():
+    """One line per call: the arguments, then the float.hex of the result
+    or the type and text of the exception.
+
+    Covers every rule that follows from the basis count (the thresholds,
+    Gamma, the verdict and the protocol's bases) and both closed forms,
+    alone and through distance_bounds, over a seeded grid holding the
+    1/4 and 1/3 boundaries, y0 = 0, non-integer basis counts, and
+    assumed_p2 of -0.0 and NaN. The diffraction crossing that rounds to
+    0 km has its own test.
+    """
+    from qkdlimits.attack import _protocol_bases
+    from qkdlimits.qber import QberSet, security_verdict
+
+    rng = random.Random(20261019)
+    lines = []
+    for m in PIN_MUBS:
+        lines.append(_pin_line("threshold", symmetric_threshold, m))
+        lines.append(_pin_line("bases", _protocol_bases, m))
+
+    quarter, third = 0.25, 1.0 / 3.0
+    e_dets = [0.0, 0.01, quarter, third, 0.49]
+    e_dets += [math.nextafter(x, s) for x in (quarter, third) for s in (0.0, 1.0)]
+    e_dets += [rng.uniform(0.0, 0.4) for _ in range(6)]
+    y0s = [0.0, 5e-324, 1e-300, 1e-8, 1e-3, 0.3, math.nextafter(1.0, 0.0)]
+    y0s += [10 ** rng.uniform(-12, -1) for _ in range(4)]
+    dets = [DetectorModel(y0, e, eta) for y0 in y0s for e in e_dets for eta in (1.0, 0.3)]
+    for m in PIN_MUBS:
+        for det in dets[:: 1 if m in (2, 3) else 17]:
+            lines.append(_pin_line("gamma", gamma_threshold, det, m))
+
+    p2s = [0.0, -0.0, 0, 0.1, 0.25, 0.5, math.nextafter(0.5, 1.0), -0.1, math.nan]
+    p2s += [rng.uniform(0.0, 0.5) for _ in range(2)]
+    rates = [0.0, 0.1, quarter, third, 0.5, 1.0] + [rng.random() for _ in range(3)]
+    for e_x in rates:
+        for e_z in rates:
+            q2 = QberSet(e_x, e_z)
+            for p2 in p2s:
+                lines.append(_pin_line("verdict", security_verdict, q2, p2))
+            for e_y in rates[::2]:
+                q3 = QberSet(e_x, e_z, e_y)
+                for p2 in (0.0, -0.0, 0, 0.1, math.nan):
+                    lines.append(_pin_line("verdict", security_verdict, q3, p2))
+    lines.append(_pin_line("verdict", security_verdict, QberSet(0.25, 0.25), 0.0))
+    lines.append(_pin_line("verdict", security_verdict, QberSet(third, third, third), 0.0))
+
+    sources = [SinglePhoton(), Attenuated(0.5), Attenuated(1e-3), Decoy((0.5, 0.1), (0.5, 0.5))]
+    fibers = [FiberLink(a) for a in (5e-324, 1e-3, 0.17, 0.2, 1e3, 1e300)]
+    beams = [
+        BeamGeometry(w0, lam, ap)
+        for w0, lam, ap in [
+            (0.05, 8e-7, 0.25), (2.0, 8e-7, 0.5), (1e-3, 1.55e-6, 1e-3), (1.0, 1e-320, 1.0),
+        ]
+    ]
+    brackets = [None, (1e-6, 1e5), (1.0, 50.0), (100.0, 200.0), (0.0, 1e-9)]
+    for m in (2, 3):
+        for det in dets[::3]:
+            try:
+                g = gamma_threshold(det, m)
+            except InfeasibleConfigurationError:
+                continue
+            for src in sources:
+                o = omega(det, src, g)
+                for link in fibers:
+                    lines.append(_pin_line("fiber", max_fiber_distance, link, o))
+                for beam in beams:
+                    lines.append(_pin_line("diffraction", max_diffraction_distance, beam, o))
+    points = [
+        (src, det, ScenarioLink("fiber", fiber=link))
+        for src in sources for det in dets[::5] for link in fibers[1:5]
+    ] + [
+        (src, det, ScenarioLink("diffraction", beam=beam))
+        for src in sources for det in dets[::5] for beam in beams
+    ]
+    for m in PIN_MUBS:
+        for bracket in brackets if m in (2, 3) else [None]:
+            lines.append(
+                _pin_line("bounds", distance.distance_bounds, points, m, bracket, shown=(m, bracket))
+            )
+    return lines
+
+
+def test_every_basis_count_rule_keeps_its_bits():
+    # The sha256 of pinned_basis_rules(), captured from the per-protocol
+    # branches in qber, distance and attack.
+    lines = pinned_basis_rules()
+    assert len(lines) == 9684
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d9d63baeb49b152e9f2a94db120e1b5f50bd58c2201ada310d24039fb57e9408"
