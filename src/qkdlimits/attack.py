@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .pauli import PAULI_MATRICES, PauliDistribution
-from .qber import QberSet
+from .qber import MUB_COUNTS, QberSet, check_mub_count
 
 DEFAULT_BLOCK_SIZE = 1 << 18
 # Draws per numpy call inside a block: small enough that a chunk's
@@ -74,7 +74,7 @@ class AttackConfig:
     block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
-        if not (_is_int(self.mub_count) and self.mub_count in (2, 3)):
+        if not (_is_int(self.mub_count) and self.mub_count in MUB_COUNTS):
             raise ValidationError(f"mub_count must be 2 or 3, got {self.mub_count!r}")
         if not (_is_int(self.trials) and self.trials >= 1):
             raise ValidationError(f"trials={self.trials!r} must be an integer >= 1")
@@ -99,11 +99,8 @@ def _projector(ket) -> np.ndarray:
 
 
 def _protocol_bases(mub_count: int) -> tuple[str, ...]:
-    if mub_count == 2:
-        return ("X", "Z")
-    if mub_count == 3:
-        return ("X", "Z", "Y")
-    raise ValidationError(f"mub_count must be 2 or 3, got {mub_count!r}")
+    check_mub_count(mub_count)
+    return tuple(_MUB_KETS)[: int(mub_count)]
 
 
 @cache
@@ -415,6 +412,4 @@ def pauli_channel_qber_montecarlo(
         sum(counts[bi * len(sizes):(bi + 1) * len(sizes)]) / cfg.trials
         for bi in range(len(bases))
     ]
-    if mub_count == 2:
-        return QberSet(e_x=rates[0], e_z=rates[1])
-    return QberSet(e_x=rates[0], e_z=rates[1], e_y=rates[2])
+    return QberSet(*rates)

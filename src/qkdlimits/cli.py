@@ -32,6 +32,7 @@ from .errors import (
 from .links import DEFAULT_ALPHA0_PER_KM, DEFAULT_ETA_ZENITH, DEFAULT_SCALE_HEIGHT_KM
 from .pauli import PauliDistribution, capacity_verdict
 from .qber import (
+    MUB_COUNTS,
     QberSet,
     pauli_from_qbers,
     security_verdict,
@@ -94,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta-eff", type=float, default=None, help="receiver efficiency (default 1)")
 
     p = sub.add_parser("thresholds", help="QBER thresholds and minimum detection probability")
-    p.add_argument("--mub", type=int, choices=(2, 3), help="restrict to one protocol")
+    p.add_argument("--mub", type=int, choices=MUB_COUNTS, help="restrict to one protocol")
     detector_flags(p, required=False)
     p.add_argument("--mc-trials", type=int, default=0, help="verify the attack QBER by Monte Carlo")
     p.add_argument("--seed", type=int, default=None, help="RNG seed for --mc-trials (default 0)")
@@ -113,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("max-distance", help="maximum secure distance for a link model")
     p.add_argument("model", choices=("fiber", "freespace", "deepspace", "satellite"))
-    p.add_argument("--mub", type=int, choices=(2, 3), required=True)
+    p.add_argument("--mub", type=int, choices=MUB_COUNTS, required=True)
     detector_flags(p, required=True)
     p.add_argument("--k", type=int, default=None, help="photon number (single-photon source)")
     p.add_argument("--mu", type=float, default=None, help="mean photon number (attenuated source)")
@@ -219,7 +220,7 @@ def _emit_record(record: ResultRecord, fmt: str) -> str:
 
 
 def _cmd_thresholds(args) -> ResultRecord:
-    protocols = (args.mub,) if args.mub else (2, 3)
+    protocols = (args.mub,) if args.mub else MUB_COUNTS
     det = None
     if args.y0 is not None or args.e_det is not None:
         if args.y0 is None or args.e_det is None:

@@ -54,6 +54,7 @@ from .errors import (
     ValidationError,
 )
 from .links import BeamGeometry, FiberLink, ScenarioLink, _never_rises
+from .qber import MUB_COUNTS, MUB_NAMES, check_mub_count, symmetric_threshold
 
 BISECT_REL_TOL = 1e-9
 MONOTONE_SAMPLES = 64
@@ -117,29 +118,30 @@ class DistanceBound:
     omega: OmegaValue | None = None
 
 
+# Each basis count's (m - 1)/(2m), m - 1, 2m and name, for gamma_threshold.
+_GAMMA_TERMS = {
+    m: (symmetric_threshold(m), m - 1.0, 2.0 * m, name) for m, name in zip(MUB_COUNTS, MUB_NAMES)
+}
+
+
 def gamma_threshold(det: DetectorModel, mub_count: int) -> GammaThreshold:
     """Minimum gamma keeping the symmetric QBER under the protocol threshold.
 
-    Two bases need E < 1/4, giving Gamma = Y0 / (1 + Y0 - 4 e_det);
-    three bases need E < 1/3, giving Gamma = Y0 / (2 + Y0 - 6 e_det).
-    Misalignment at or above the threshold is infeasible outright.
+    m bases need E < (m - 1)/(2m) (1/4, 1/3), giving
+    Gamma = Y0 / ((m - 1) + Y0 - 2m e_det). Misalignment at or above the
+    threshold is infeasible outright.
     """
-    if mub_count == 2:
-        if det.e_det >= 0.25:
-            raise InfeasibleConfigurationError(
-                f"e_det={det.e_det} is at or above the two-basis threshold 1/4; "
-                "the QBER floor from misalignment alone already breaks security"
-            )
-        g = det.y0 / (1.0 + det.y0 - 4.0 * det.e_det)
-    elif mub_count == 3:
-        if det.e_det >= 1.0 / 3.0:
-            raise InfeasibleConfigurationError(
-                f"e_det={det.e_det} is at or above the three-basis threshold 1/3; "
-                "the QBER floor from misalignment alone already breaks security"
-            )
-        g = det.y0 / (2.0 + det.y0 - 6.0 * det.e_det)
-    else:
-        raise ValidationError(f"mub_count must be 2 or 3, got {mub_count!r}")
+    try:
+        e_t, below, scale, name = _GAMMA_TERMS[mub_count]
+    except (KeyError, TypeError):  # not a basis count: check_mub_count raises
+        check_mub_count(mub_count)
+        raise
+    if det.e_det >= e_t:
+        raise InfeasibleConfigurationError(
+            f"e_det={det.e_det} is at or above the {name} threshold 1/{round(1 / e_t)}; "
+            "the QBER floor from misalignment alone already breaks security"
+        )
+    g = det.y0 / (below + det.y0 - scale * det.e_det)
     return GammaThreshold(gamma_min=g, mub_count=mub_count)
 
 
@@ -169,38 +171,32 @@ def omega(det: DetectorModel, src: SourceModel, g: GammaThreshold) -> OmegaValue
 
 def max_fiber_distance(link: FiberLink, o: OmegaValue) -> DistanceBound:
     """Closed form d_max = -(10 / alpha) log10(Omega) for fiber loss;
-    unbounded where that overflows."""
-    if o.omega >= 1.0:
-        return DistanceBound(0.0, False, "closed-form", "infeasible", o.gamma, o)
-    if o.omega <= 0.0:
-        return DistanceBound(math.inf, True, "closed-form", "unbounded", o.gamma, o)
-    d = -(10.0 / link.alpha_db_per_km) * math.log10(o.omega)
-    if d <= 0.0:
-        return DistanceBound(0.0, False, "closed-form", "infeasible", o.gamma, o)
-    return DistanceBound(d, True, "closed-form", _solved_or_unbounded(d), o.gamma, o)
+    its status by _closed_form."""
+    d_km = -(10.0 / link.alpha_db_per_km) * math.log10(o.omega) if 0.0 < o.omega < 1.0 else math.nan
+    return _closed_form(d_km, o)
 
 
 def max_diffraction_distance(beam: BeamGeometry, o: OmegaValue) -> DistanceBound:
     """Far-field diffraction bound d < (pi w0 a_R / lambda) sqrt(2 / Omega').
 
     Uses the spreading envelope w_d >= w0 d / d_R, so it slightly
-    overestimates the exact crossing; reported in km, and unbounded
-    where it overflows.
+    overestimates the exact crossing; reported in km, with the status of
+    _closed_form (a crossing that rounds to 0 km is infeasible).
     """
-    if o.omega_prime <= 0.0:
+    scale = math.pi * beam.w0_m * beam.aperture_radius_m / beam.wavelength_m
+    d_km = scale * math.sqrt(2.0 / o.omega_prime) / 1000.0 if 0.0 < o.omega < 1.0 else math.nan
+    return _closed_form(d_km, o)
+
+
+def _closed_form(d_km: float, o: OmegaValue) -> DistanceBound:
+    """The bound of a crossing d_km (NaN unless 0 < Omega < 1): unbounded for Omega <= 0
+    or d_km = inf, infeasible for Omega >= 1 or d_km <= 0, solved otherwise."""
+    if o.omega <= 0.0:
         return DistanceBound(math.inf, True, "closed-form", "unbounded", o.gamma, o)
-    if math.isinf(o.omega_prime):
+    if o.omega >= 1.0 or d_km <= 0.0:
         return DistanceBound(0.0, False, "closed-form", "infeasible", o.gamma, o)
-    d_km = (
-        math.pi * beam.w0_m * beam.aperture_radius_m / beam.wavelength_m
-    ) * math.sqrt(2.0 / o.omega_prime) / 1000.0
-    return DistanceBound(d_km, True, "closed-form", _solved_or_unbounded(d_km), o.gamma, o)
-
-
-def _solved_or_unbounded(d_km: float) -> str:
-    """A closed-form crossing is solved, unless it overflows a float: then
-    no distance breaks the threshold, and the bound is unbounded."""
-    return "unbounded" if math.isinf(d_km) else "solved"
+    status = "unbounded" if math.isinf(d_km) else "solved"
+    return DistanceBound(d_km, True, "closed-form", status, o.gamma, o)
 
 
 def max_distance_numeric(

@@ -1,10 +1,10 @@
 """QBER thresholds for two- and three-basis prepare-and-measure protocols.
 
 A Pauli channel induces error rates E_X = p2 + p3, E_Z = p1 + p2 and
-E_Y = p1 + p3 in the three mutually unbiased bases. Security (nonzero
-two-way capacity) is possible exactly when E_X + E_Z < 1/2 for a
-two-basis protocol and E_X + E_Z + E_Y < 1 for a three-basis one; the
-boundaries themselves are insecure.
+E_Y = p1 + p3 in the three mutually unbiased bases. A protocol uses m of
+them (m in MUB_COUNTS), and security (nonzero two-way capacity) is
+possible exactly when its m rates sum to less than (m - 1)/2:
+E_X + E_Z < 1/2 or E_X + E_Z + E_Y < 1. Boundaries are insecure.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ from .errors import InconsistentQberError, ValidationError
 from .pauli import PauliDistribution
 
 CONSISTENCY_TOL = 1e-12
+# The protocols' numbers of mutually unbiased bases, and their names.
+MUB_COUNTS = (2, 3)
+MUB_NAMES = ("two-basis", "three-basis")
 
 
 @dataclass(frozen=True)
@@ -114,13 +117,16 @@ def pauli_from_qbers(q: QberSet, assumed_p2: float = 0.0) -> PauliDistribution:
     return pauli_from_qbers_2mub_worstcase(q, assumed_p2)
 
 
+def check_mub_count(mub_count: int) -> None:
+    """Raise ValidationError unless mub_count is one of MUB_COUNTS."""
+    if mub_count not in MUB_COUNTS:
+        raise ValidationError(f"mub_count must be 2 or 3, got {mub_count!r}")
+
+
 def symmetric_threshold(mub_count: int) -> float:
-    """Per-basis QBER threshold when all bases see the same rate."""
-    if mub_count == 2:
-        return 0.25
-    if mub_count == 3:
-        return 1.0 / 3.0
-    raise ValidationError(f"mub_count must be 2 or 3, got {mub_count!r}")
+    """Per-basis QBER threshold (m - 1)/(2m) (1/4, 1/3) when all m rates are equal."""
+    check_mub_count(mub_count)
+    return (mub_count - 1) / (2 * mub_count)
 
 
 def _regime_warning(q: QberSet, assumed_p2: float) -> bool:
@@ -134,19 +140,16 @@ def _regime_warning(q: QberSet, assumed_p2: float) -> bool:
 def security_verdict(q: QberSet, assumed_p2: float = 0.0) -> SecurityVerdict:
     """Evaluate the security threshold inequality for an observed QBER set.
 
-    Two bases: secure iff E_X + E_Z < 1/2 + assumed_p2. Three bases:
-    secure iff E_X + E_Z + E_Y < 1 (assumed_p2 must stay 0, the third
-    rate already fixes p2). Never raises for in-range rates; sets that
-    fall outside the identity-dominant regime only get regime_warning.
+    Secure iff the m rates sum to less than (m - 1)/2 + assumed_p2; with
+    three, assumed_p2 must stay 0 (the third rate already fixes p2).
+    Never raises for in-range rates; sets that fall outside the
+    identity-dominant regime only get regime_warning.
     """
-    if q.mub_count == 3:
-        if assumed_p2 != 0.0:
-            raise ValidationError("assumed_p2 applies only to two-basis sets")
-        threshold = 1.0
-    else:
-        if not 0.0 <= assumed_p2 <= 0.5:
-            raise ValidationError(f"assumed_p2={assumed_p2!r} outside [0, 1/2]")
-        threshold = 0.5 + assumed_p2
+    if q.e_y is not None and assumed_p2 != 0.0:
+        raise ValidationError("assumed_p2 applies only to two-basis sets")
+    if not 0.0 <= assumed_p2 <= 0.5:
+        raise ValidationError(f"assumed_p2={assumed_p2!r} outside [0, 1/2]")
+    threshold = (q.mub_count - 1) / 2 + assumed_p2
     total = q.qber_sum
     margin = threshold - total
     return SecurityVerdict(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .pauli import PauliDistribution, binary_entropy, capacity_verdicts
 from .qber import QberSet, SecurityVerdict, security_verdict
 
@@ -76,7 +76,7 @@ def chain_verdict(chain: ChainSpec) -> ChainVerdict:
     # Cross-check against the per-link verdicts; both routes must agree.
     per_link = min(v.phi_upper_bound for v in capacity_verdicts(chain.links))
     if abs(per_link - bound) > 1e-12:
-        raise ValidationError(
+        raise NumericError(
             f"bottleneck bound {bound!r} disagrees with per-link minimum {per_link!r}"
         )
     return ChainVerdict(

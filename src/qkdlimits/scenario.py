@@ -35,7 +35,7 @@ from .links import (
     satellite_transmissivity,
 )
 from .pauli import PauliDistribution
-from .qber import QberSet, symmetric_threshold
+from .qber import MUB_COUNTS, QberSet, symmetric_threshold
 from .repeater import ChainSpec, chain_qber_verdict, chain_verdict
 
 SCHEMA_VERSION = 1
@@ -166,21 +166,24 @@ def _check_keys(obj, allowed, path: str):
         raise ValidationError(f"scenario field {path}: unknown keys [{', '.join(shown)}]")
 
 
+def _build(path: str, cls, fields: dict):
+    """cls(**fields); a ValidationError it raises names path.field, or path."""
+    try:
+        return cls(**fields)
+    except ValidationError as exc:
+        name = path if getattr(exc, "field", None) is None else f"{path}.{exc.field}"
+        raise ValidationError(f"scenario field {name}: {exc}") from None
+
+
 def _record(cls, obj, path: str, **given):
     """The dataclass cls with each field read from obj under its own name,
-    as a number unless it is given. A field with a default may be absent.
-    An error that names its field (a `field` attribute) gets the path."""
+    as a number unless it is given. A field with a default may be absent."""
     fields = cls.__dataclass_fields__
     _check_keys(obj, fields.keys(), path)
     for name, f in fields.items():
         if name not in given:
             given[name] = _number(obj, name, path, f.default)
-    try:
-        return cls(**given)
-    except ValidationError as exc:
-        if not hasattr(exc, "field"):
-            raise
-        raise ValidationError(f"scenario field {path}.{exc.field}: {exc}") from None
+    return _build(path, cls, given)
 
 
 def _kind(obj, kinds: tuple[str, ...], path: str) -> tuple[str, dict]:
@@ -204,7 +207,7 @@ def _parse_source(obj) -> SourceModel:
                 f"scenario field source.k: expected an integer, got {_REPR.repr(k)}"
             )
         _number(params, "k", "source", 1)  # k enters the models as a float
-        return SinglePhoton(k=k)
+        return _build("source", SinglePhoton, {"k": k})
     if kind == "attenuated":
         return _record(Attenuated, params, "source")
     lists = {}
@@ -245,7 +248,8 @@ def _parse_chain(obj, mub_count: int) -> ChainSpec:
     for i, p in enumerate(_list(_require(obj, "links", "chain"), "chain.links")):
         path = f"chain.links[{i}]"
         p = _list(p, path)
-        links.append(PauliDistribution([_number(p, j, path) for j in range(len(p))]))
+        weights = [_number(p, j, path) for j in range(len(p))]
+        links.append(_build(path, PauliDistribution, {"p": weights}))
     qbers = obj.get("qbers")
     if qbers is not None:
         qbers = tuple(
@@ -258,7 +262,7 @@ def _parse_chain(obj, mub_count: int) -> ChainSpec:
                     f"scenario field chain.qbers[{i}]: a {q.mub_count}-basis QBER set "
                     f"under protocol.mub_count {mub_count}; e_y is present iff three bases"
                 )
-    return ChainSpec(links=tuple(links), qbers=qbers)
+    return _build("chain", ChainSpec, {"links": tuple(links), "qbers": qbers})
 
 
 def _parse_solver(obj) -> tuple[float, float]:
@@ -291,7 +295,7 @@ def parse_scenario(doc: dict) -> Scenario:
     protocol = _require(doc, "protocol", "<root>")
     _check_keys(protocol, {"mub_count"}, "protocol")
     mub_count = _require(protocol, "mub_count", "protocol")
-    if type(mub_count) is not int or mub_count not in (2, 3):
+    if type(mub_count) is not int or mub_count not in MUB_COUNTS:
         raise ValidationError(
             "scenario field protocol.mub_count: must be the integer 2 or 3, "
             f"got {_REPR.repr(mub_count)}"

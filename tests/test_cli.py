@@ -217,6 +217,18 @@ class TestMaxDistance:
         assert math.isclose(rec["results"]["d_max_km"], 469.54536691549816, rel_tol=1e-12)
         assert rec["results"]["method"] == "closed-form"
 
+    def test_an_unbounded_distance_prints_as_none_and_an_empty_cell(self, capsys):
+        argv = ["max-distance", "fiber", "--mub", "2", "--y0", "0", "--e-det", "0.01",
+                "--no-timestamp"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert "d_max_km        none\n" in out
+        code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+        assert code == 0
+        header, row = out.strip().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["d_max_km"], cells["status"]) == ("", "unbounded")
+
     def test_fiber_attenuated(self, capsys):
         code, rec, _ = run_json(
             capsys,

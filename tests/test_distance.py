@@ -162,6 +162,21 @@ class TestClosedFormDistances:
         bound = max_diffraction_distance(beam, o)
         assert math.isclose(bound.d_max_km, 77352748.39061429, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("mub", [2, 3])
+    def test_a_diffraction_crossing_at_0_km_is_infeasible(self, mub):
+        # pi w0 a_R / lambda is subnormal, so the crossing rounds to 0 km:
+        # infeasible, as a fiber crossing at 0 km and _clip report it.
+        beam = BeamGeometry(w0_m=1e-161, wavelength_m=1.0, aperture_radius_m=1e-161)
+        det = DetectorModel(y0=0.3, e_det=0.0)
+        o = omega(det, SinglePhoton(), gamma_threshold(det, mub))
+        assert 0.0 < o.omega < 1.0
+        bound = max_diffraction_distance(beam, o)
+        assert (bound.d_max_km, bound.feasible, bound.status) == (0.0, False, "infeasible")
+        [through] = distance.distance_bounds(
+            [(SinglePhoton(), det, ScenarioLink("diffraction", beam=beam))], mub
+        )
+        assert through == bound
+
     def test_qber_at_the_boundary_hits_the_threshold(self):
         # Solving for d then evaluating the QBER at d must land back on
         # the protocol threshold.

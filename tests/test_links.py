@@ -115,6 +115,11 @@ class TestSatellitePath:
         with pytest.raises(ValidationError):
             satellite_slant_distance_km(0.0, 0.5)
 
+    @pytest.mark.parametrize("zenith", [-0.1, 1.01, math.nan])
+    def test_slant_distance_checks_the_zenith_angle(self, zenith):
+        with pytest.raises(ValidationError, match=r"zenith angle .* outside \[0, 1\] rad"):
+            satellite_slant_distance_km(500.0, zenith)
+
 
 class TestBeamGeometry:
     BEAM = BeamGeometry(w0_m=2.0, wavelength_m=8e-7, aperture_radius_m=0.5)

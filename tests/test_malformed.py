@@ -15,6 +15,8 @@ import json
 import math
 import pathlib
 
+import pytest
+
 from qkdlimits import QkdLimitError, ValidationError, parse_scenario, run_scenario
 from qkdlimits.cli import main
 
@@ -113,3 +115,31 @@ def test_every_field_set_to_every_wrong_value(tmp_path):
             if _cli(argv) != 1:
                 problems.append(f"{site}: sweep with an infeasible detector does not exit 1")
     assert not problems, "\n".join(problems)
+
+
+# A value of the right type that its model rejects, and the path of the
+# object that holds it: the model's message follows that path.
+_MODEL_ERRORS = [
+    ("fiber_2mub_single_photon.json", ("link", "alpha_db_per_km"), -1, "link"),
+    ("freespace_ground_2mub.json", ("link", "beam", "w0_m"), -1, "link.beam"),
+    ("fiber_2mub_single_photon.json", ("detector", "y0"), 2, "detector"),
+    ("fiber_2mub_attenuated_mu03.json", ("source", "mu"), -1, "source"),
+    ("fiber_2mub_single_photon.json", ("source", "k"), 0, "source"),
+    ("satellite_2mub.json", ("link", "zenith_angle_rad"), 2, "link"),
+    ("fiber_2mub_decoy.json", ("source", "probabilities"), [1.0, 0.5, 0.5], "source"),
+    ("repeater_chain.json", ("chain", "links", 0), [1.0, 1.0, 0.0, 0.0], "chain.links[0]"),
+    ("repeater_chain.json", ("chain", "links"), [], "chain"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, path, value, where", _MODEL_ERRORS, ids=[_label(c[1]) for c in _MODEL_ERRORS]
+)
+def test_a_value_its_model_rejects_names_its_path(tmp_path, capsys, name, path, value, where):
+    doc = _set(json.loads((SCENARIOS / name).read_text()), path, value)
+    file = tmp_path / "mutant.json"
+    file.write_text(json.dumps(doc))
+    assert main(["run", str(file), "--no-timestamp"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario field {where}: "), err
+    assert err.count("scenario field") == 1

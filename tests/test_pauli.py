@@ -113,6 +113,12 @@ class TestStatesAndChannels:
         with pytest.raises(ValidationError):
             QubitState(np.array([[2.0, 0.0], [0.0, -1.0]]))
 
+    def test_states_check_their_shape(self):
+        with pytest.raises(ValidationError, match=r"expected a 2x2 matrix, got shape \(3, 3\)"):
+            QubitState(np.eye(3) / 3)
+        with pytest.raises(ValidationError, match=r"expected a 4x4 matrix, got shape \(2, 2\)"):
+            ChoiState(np.eye(2) / 2)
+
     def test_qubit_state_rejects_non_finite_entries(self):
         with pytest.raises(ValidationError, match="not Hermitian"):
             QubitState([[1.0, math.inf], [math.inf, 0.0]])

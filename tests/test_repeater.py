@@ -1,13 +1,16 @@
 """Chain verdicts: the weakest link decides."""
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
+from qkdlimits import cli, repeater
 from qkdlimits import (
     ChainSpec,
+    NumericError,
     PauliDistribution,
     QberSet,
     ValidationError,
@@ -103,6 +106,25 @@ class TestChainVerdict:
         rng = random.Random(8)
         chain_verdict(ChainSpec(links=tuple(pick_distribution(rng) for _ in range(8))))
         assert calls == [(8, 4, 4)]
+
+    def test_a_route_disagreement_is_a_numeric_failure(self, monkeypatch, capsys, scenario_dir):
+        # The bottleneck bound and the per-link verdicts are two routes to
+        # one number: a gap between them is the package's failure, not
+        # the input's.
+        verdicts = repeater.capacity_verdicts
+
+        def shifted(ps):
+            return [
+                dataclasses.replace(v, phi_upper_bound=v.phi_upper_bound + 1e-9)
+                for v in verdicts(ps)
+            ]
+
+        monkeypatch.setattr(repeater, "capacity_verdicts", shifted)
+        chain = ChainSpec(links=(PauliDistribution((0.6, 0.4, 0.0, 0.0)),))
+        with pytest.raises(NumericError, match="disagrees with per-link minimum"):
+            chain_verdict(chain)
+        assert cli.main(["repeater", str(scenario_dir / "repeater_chain.json")]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: bottleneck bound")
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValidationError):

@@ -322,6 +322,12 @@ class TestParsing:
         assert sc.link.fiber == FiberLink(alpha_db_per_km=0.17)
         assert sc.chain is None
 
+    def test_a_dict_past_maxdict_keys_is_cut_to_an_ellipsis(self):
+        doc = make(protocol={"mub_count": {k: i for i, k in enumerate("abcde")}})
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(doc)
+        assert str(info.value).endswith("got {'a': 0, 'b': 1, 'c': 2, 'd': 3, ...}")
+
     def test_missing_schema_version(self):
         doc = make()
         del doc["schema_version"]
@@ -498,6 +504,13 @@ class TestScenarioFromFile:
 
 
 class TestSweep:
+    def test_a_chain_only_scenario_has_no_link_to_analyze_or_sweep(self, scenario_dir):
+        sc = scenario_from_file(str(scenario_dir / "repeater_chain.json"))
+        with pytest.raises(ValidationError, match="scenario has no link to analyze"):
+            distance_analysis(sc)
+        with pytest.raises(ValidationError, match="sweep needs a scenario with a link"):
+            sweep_scenario(sc, "y0", 1e-9, 1e-6, 3, "log")
+
     def test_single_point_sweep_equals_run(self):
         sc = parse_scenario(FIBER_SINGLE)
         rows = sweep_scenario(sc, "y0", 1e-8, 1e-8, 1, "log")
