@@ -167,7 +167,7 @@ def _check_keys(obj, allowed, path: str):
 
 
 def _build(path: str, cls, fields: dict):
-    """cls(**fields); a ValidationError it raises names path.field, or path."""
+    """cls(**fields), a ValidationError it raises put under path (path.field if it has one)."""
     try:
         return cls(**fields)
     except ValidationError as exc:
