@@ -85,9 +85,11 @@ def _mutants():
 
 
 def test_every_field_set_to_every_wrong_value(tmp_path):
-    path_file = tmp_path / "mutant.json"
+    # Each document gets a file of its own: rewriting one file truncates
+    # it, which on some file systems costs tens of milliseconds a time.
     problems = []
-    for path, site, old, value, doc in _mutants():
+    for i, (path, site, old, value, doc) in enumerate(_mutants()):
+        path_file = tmp_path / f"mutant{i}.json"
         try:
             outcome = _library(doc)
             path_file.write_text(json.dumps(doc))
@@ -109,8 +111,9 @@ def test_every_field_set_to_every_wrong_value(tmp_path):
             twin = _set(doc, ("detector", "e_det"), 0.45)
             if not isinstance(_library(twin), ValidationError):
                 problems.append(f"{site}: infeasible detector hides the malformed link")
-            path_file.write_text(json.dumps(twin))
-            argv = ["sweep", str(path_file), "--param", "y0", "--from", "1e-9",
+            twin_file = tmp_path / f"twin{i}.json"
+            twin_file.write_text(json.dumps(twin))
+            argv = ["sweep", str(twin_file), "--param", "y0", "--from", "1e-9",
                     "--to", "0.5", "--points", "11"]
             if _cli(argv) != 1:
                 problems.append(f"{site}: sweep with an infeasible detector does not exit 1")
