@@ -131,11 +131,8 @@ def gamma_threshold(det: DetectorModel, mub_count: int) -> GammaThreshold:
     Gamma = Y0 / ((m - 1) + Y0 - 2m e_det). Misalignment at or above the
     threshold is infeasible outright.
     """
-    try:
-        e_t, below, scale, name = _GAMMA_TERMS[mub_count]
-    except (KeyError, TypeError):  # not a basis count: check_mub_count raises
-        check_mub_count(mub_count)
-        raise
+    check_mub_count(mub_count)
+    e_t, below, scale, name = _GAMMA_TERMS[mub_count]
     if det.e_det >= e_t:
         raise InfeasibleConfigurationError(
             f"e_det={det.e_det} is at or above the {name} threshold 1/{round(1 / e_t)}; "

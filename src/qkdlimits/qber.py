@@ -118,8 +118,10 @@ def pauli_from_qbers(q: QberSet, assumed_p2: float = 0.0) -> PauliDistribution:
 
 
 def check_mub_count(mub_count: int) -> None:
-    """Raise ValidationError unless mub_count is one of MUB_COUNTS."""
-    if mub_count not in MUB_COUNTS:
+    """Raise ValidationError unless mub_count is an int (not a bool) in
+    MUB_COUNTS: 2.0 is refused here as by the scenario parser."""
+    is_int = isinstance(mub_count, int) and not isinstance(mub_count, bool)
+    if not (is_int and mub_count in MUB_COUNTS):
         raise ValidationError(f"mub_count must be 2 or 3, got {mub_count!r}")
 
 

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import math
 import random
+import re
 import statistics
 import sys
 
@@ -1185,8 +1186,27 @@ def pinned_basis_rules():
 
 def test_every_basis_count_rule_keeps_its_bits():
     # The sha256 of pinned_basis_rules(), captured from the per-protocol
-    # branches in qber, distance and attack.
+    # branches in qber, distance and attack; then the lines for m = 2.0
+    # and 3.0 alone changed, to the ValidationError every entry point
+    # raises for a float basis count.
     lines = pinned_basis_rules()
     assert len(lines) == 9684
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "d9d63baeb49b152e9f2a94db120e1b5f50bd58c2201ada310d24039fb57e9408"
+    assert digest == "a4885cef1844d08fb8f9293b8bb144358751cd7076a3439c52ef10fedb87bfce"
+
+
+@pytest.mark.parametrize("m", [2.0, 3.0, True, np.int64(2)], ids=repr)
+def test_a_basis_count_that_is_not_an_int_is_refused(m):
+    from qkdlimits.attack import AttackConfig, _protocol_bases
+
+    det = DetectorModel(1e-6, 0.01)
+    message = f"mub_count must be 2 or 3, got {m!r}"
+    for call in (
+        lambda: symmetric_threshold(m),
+        lambda: gamma_threshold(det, m),
+        lambda: _protocol_bases(m),
+        lambda: distance.distance_bounds([(SinglePhoton(), det, FiberLink(0.2))], m),
+        lambda: AttackConfig(m, 100, 0),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            call()
