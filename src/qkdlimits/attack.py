@@ -11,14 +11,29 @@ The Monte Carlo path uses numpy's Philox counter-based generator with
 explicit 64-bit seeding. Trials are split into fixed-size blocks, each
 drawing from its own substream keyed by (seed, stream index); block
 counts are merged by summation, so the estimate depends only on
-(seed, trials, block_size) and never on scheduling. Blocks run
-concurrently on up to os.cpu_count() threads (numpy releases the GIL
-while it draws and compares), unless no block holds more than one chunk:
-such a small call runs on the calling thread, since starting a pool
-would cost more than the threads save. Inside a block each array is
-drawn in chunks of _CHUNK_SIZE, and what must be kept is kept as uint8
-codes: chunked draws return the same Philox stream as one whole-block
-draw.
+(seed, trials, block_size) and never on scheduling. Inside a block each
+array is drawn in chunks of _CHUNK_SIZE, and what must be kept is kept
+as uint8 codes: chunked draws return the same Philox stream as one
+whole-block draw.
+
+The unit of parallel work is a trial range of a block. A block of more
+than one chunk is cut into min(usable CPUs, its chunks) ranges at even
+trials. Philox reaches any place in a stream in O(1), so each range
+moves its own generator to its segment of each array (_skip_raw, plus
+one bit for an odd 32-bit half) and draws only that. A block's count is
+the sum of its ranges' counts. numpy draws a basis of three with
+Lemire's method, which rejects a 32-bit draw with probability 2^-32 and
+then takes one half more, so each intercept-resend range reports the
+Philox place where each of its segments started and ended, and the sum
+stands only if every segment ends where the next one in stream order
+starts (_tiled). Otherwise the block is drawn again as one range on the
+calling thread; one range [0, size) is the whole-block kernel. The
+Pauli kernel reads only uniforms, which never reject, and needs no
+check. Ranges run on the process's one thread pool (numpy releases the
+GIL while it draws and compares), built by the first call that cuts a
+block and built anew in a forked child. A call that cuts no block (one
+usable CPU, or no block larger than a chunk) runs on the calling
+thread, since a pool would cost more than the threads save.
 
 Each kernel keeps that stream's positions but reads only the draws that
 can change its error count. With mutually unbiased bases Eve's outcome
@@ -48,7 +63,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .pauli import PAULI_MATRICES, PauliDistribution
-from .qber import MUB_COUNTS, QberSet, check_mub_count
+from .qber import QberSet, check_mub_count
 
 DEFAULT_BLOCK_SIZE = 1 << 18
 # Draws per numpy call inside a block: small enough that a chunk's
@@ -74,8 +89,7 @@ class AttackConfig:
     block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
-        if not (_is_int(self.mub_count) and self.mub_count in MUB_COUNTS):
-            raise ValidationError(f"mub_count must be 2 or 3, got {self.mub_count!r}")
+        check_mub_count(self.mub_count)
         if not (_is_int(self.trials) and self.trials >= 1):
             raise ValidationError(f"trials={self.trials!r} must be an integer >= 1")
         if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
@@ -100,7 +114,7 @@ def _projector(ket) -> np.ndarray:
 
 def _protocol_bases(mub_count: int) -> tuple[str, ...]:
     check_mub_count(mub_count)
-    return tuple(_MUB_KETS)[: int(mub_count)]
+    return tuple(_MUB_KETS)[:mub_count]
 
 
 @cache
@@ -177,22 +191,55 @@ def _block_sizes(trials: int, block_size: int):
     return sizes
 
 
-def _run_blocks(blocks, largest: int) -> list[int]:
-    """Call each block (a callable returning its error count); counts in order.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (a process pinned by taskset sees its own count),
+    else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Blocks draw from their own substreams and hold no shared state, so
-    running them on threads changes nothing in the counts. A single
-    block, a single core, or blocks of at most one chunk each (largest
-    is the most trials any block holds) run on the calling thread: below
-    that size starting a pool costs more than the threads save.
-    """
-    workers = min(len(blocks), os.cpu_count() or 1)
-    if workers == 1 or largest <= _CHUNK_SIZE:
-        return [block() for block in blocks]
+
+@cache
+def _pool():
+    """The process's one thread pool for Monte Carlo ranges, built by the
+    first call that cuts a block; a forked child builds its own."""
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda block: block(), blocks))
+    return ThreadPoolExecutor(max_workers=_usable_cpus(), thread_name_prefix="qkdlimits-mc")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _ranges(size: int, cpus: int) -> list[tuple[int, int]]:
+    """The [lo, hi) trial ranges of a block: min(cpus, its chunks) of them,
+    cut at even trials, so a block of at most one chunk is one range and
+    every range's first a code starts a raw output."""
+    k = min(cpus, -(-size // _CHUNK_SIZE))
+    edges = [2 * (size * i // (2 * k)) for i in range(k)] + [size]
+    return list(zip(edges, edges[1:]))
+
+
+def _run_ranges(blocks, sizes: list[int]) -> list[list]:
+    """Each block's range results, in order: block(lo, hi) for each of
+    its _ranges.
+
+    Ranges draw from their own generators and share no state, so running
+    them on threads changes no result. When no block is cut (one CPU, or
+    no block larger than a chunk) every block is one range on the calling
+    thread, where a pool would cost more than it saves; otherwise every
+    range goes to the process's pool and the calling thread waits.
+    """
+    cpus = _usable_cpus()
+    spans = [_ranges(size, cpus) for size in sizes]
+    calls = [partial(block, lo, hi) for block, span in zip(blocks, spans) for lo, hi in span]
+    if len(calls) == len(blocks):
+        results = iter([call() for call in calls])
+    else:
+        results = _pool().map(lambda call: call(), calls)
+    return [[next(results) for _ in span] for span in spans]
 
 
 def _draw_codes(rng: np.random.Generator, high: int, size: int) -> np.ndarray:
@@ -227,6 +274,31 @@ def _skip_raw(bitgen: np.random.Philox, n: int) -> None:
         now["has_uint32"], now["uinteger"] = state["has_uint32"], state["uinteger"]
         bitgen.state = now
     bitgen.random_raw(r + 1, output=False)
+
+
+def _skip_halves(rng: np.random.Generator, n: int) -> None:
+    """Move rng on by n 32-bit halves, as n integers(0, 2) bits would: a
+    buffered half first, then whole raw outputs (_skip_raw), then one bit
+    for an odd rest, which leaves the other half of its output buffered."""
+    if not n:
+        return
+    if rng.bit_generator.state["has_uint32"]:
+        rng.integers(0, 2, 1)
+        n -= 1
+    _skip_raw(rng.bit_generator, n // 2)
+    if n % 2:
+        rng.integers(0, 2, 1)
+
+
+def _mark(bitgen: np.random.Philox) -> tuple[int, int]:
+    """A Philox generator's place in its stream, read from its counter,
+    buffer_pos and has_uint32: (raw outputs drawn, whether half of the
+    last one is buffered). A counter step computes 4 outputs, of which
+    buffer_pos have been read; a fresh generator holds counter 0 and
+    buffer_pos 4, and the kernels never set buffer_pos 0."""
+    state = bitgen.state
+    counter = sum(int(w) << 64 * i for i, w in enumerate(state["state"]["counter"]))
+    return 4 * counter - 4 + state["buffer_pos"], state["has_uint32"]
 
 
 def _skip_facts() -> list[tuple[dict, dict]]:
@@ -276,33 +348,80 @@ def _skips_checked() -> None:
     _check_skips(_skip_facts())
 
 
-def _intercept_resend_block(
-    seed: int, stream: int, size: int, n: int, bob_threshold: float
-) -> int:
-    """Errors in one block, counted from the draws of a whole-block kernel.
+def _intercept_resend_range(
+    seed: int, stream: int, size: int, n: int, bob_threshold: float, lo: int, hi: int
+) -> tuple[int, list]:
+    """Errors in trials [lo, hi) of one block, and the marks where the
+    range's segments of a, b, e and u_bob started and ended.
 
-    The stream order is all of a, b, e, u_eve, then u_bob, as one call per
-    array would draw it. Eve's outcome never changes Bob's reading
-    (_check_born): a trial errs exactly when e != a and
+    The block's stream order is all of a, b, e, u_eve, then u_bob, as one
+    call per array would draw it. Eve's outcome never changes Bob's
+    reading (_check_born): a trial errs exactly when e != a and
     (u_bob >= bob_threshold) != b. So the counter jumps past u_eve, one
     raw output per uniform as random() would take, without computing
     them (_skip_raw), and a is kept only until e is drawn.
+
+    Between its segments the range moves the generator past the other
+    ranges' draws as if none of theirs were rejected: size - (hi - lo)
+    halves between integer segments, and from the end of e to u_bob[lo]
+    in raw outputs. A single range [0, size) moves nothing between a, b
+    and e and jumps exactly u_eve, which is the whole-block kernel.
     """
     rng = _block_rng(seed, stream)
-    miss = _draw_codes(rng, n, size)  # a, then e != a
-    b = _draw_codes(rng, 2, size)
-    for lo in range(0, size, _CHUNK_SIZE):
-        seg = miss[lo:lo + _CHUNK_SIZE]
+    bitgen = rng.bit_generator
+    count = hi - lo
+    # A whole block is one unbroken stream, so only a cut block's ranges
+    # read their marks, for _tiled.
+    mark = _mark if count < size else lambda _: None
+    marks = []
+    _skip_halves(rng, lo)
+    start = mark(bitgen)
+    miss = _draw_codes(rng, n, count)  # a, then e != a
+    marks.append((start, mark(bitgen)))
+    _skip_halves(rng, size - count)
+    start = mark(bitgen)
+    b = _draw_codes(rng, 2, count)
+    marks.append((start, mark(bitgen)))
+    _skip_halves(rng, size - count)
+    start = mark(bitgen)
+    for at in range(0, count, _CHUNK_SIZE):
+        seg = miss[at:at + _CHUNK_SIZE]
         seg[...] = rng.integers(0, n, size=len(seg)) != seg
-    _skip_raw(rng.bit_generator, size)  # u_eve
-    u = np.empty(min(size, _CHUNK_SIZE))
+    marks.append((start, mark(bitgen)))
+    # The uniforms start at the raw output after the block's last e.
+    _skip_raw(bitgen, (3 * size + 1) // 2 + size + lo - (2 * size + hi + 1) // 2)
+    start = mark(bitgen)
+    u = np.empty(min(count, _CHUNK_SIZE))
     errors = 0
-    for lo in range(0, size, _CHUNK_SIZE):
-        seg = miss[lo:lo + _CHUNK_SIZE]
+    for at in range(0, count, _CHUNK_SIZE):
+        seg = miss[at:at + _CHUNK_SIZE]
         rng.random(out=u[:len(seg)])
         r = u[:len(seg)] >= bob_threshold
-        errors += int(np.count_nonzero(seg & (r != b[lo:lo + _CHUNK_SIZE])))
-    return errors
+        errors += int(np.count_nonzero(seg & (r != b[at:at + _CHUNK_SIZE])))
+    marks.append((start, mark(bitgen)))
+    return errors, marks
+
+
+def _tiled(marks: list[list], size: int) -> bool:
+    """Whether a block's ranges drew its stream without gap or overlap.
+
+    marks[r] holds range r's (start, end) marks of a, b, e and u_bob. In
+    stream order the integer segments are a of every range, then b, then
+    e, and each must start where the one before ended, buffered half and
+    all. A rejected draw (Lemire's method, for three bases) ends its
+    segment one half late and fails this. u_eve's size raw outputs follow
+    the last e, and each u_bob segment must start at the raw output where
+    the one before it ended.
+    """
+    ints = [m[j] for j in range(3) for m in marks]
+    if any(prev[1] != seg[0] for prev, seg in zip(ints, ints[1:])):
+        return False
+    end = ints[-1][1][0] + size
+    for start, stop in (m[3] for m in marks):
+        if start[0] != end:
+            return False
+        end = stop[0]
+    return True
 
 
 def intercept_resend_qber_montecarlo(cfg: AttackConfig) -> tuple[float, float]:
@@ -318,10 +437,15 @@ def intercept_resend_qber_montecarlo(cfg: AttackConfig) -> tuple[float, float]:
     _skips_checked()
     sizes = _block_sizes(cfg.trials, cfg.block_size)
     blocks = [
-        partial(_intercept_resend_block, cfg.seed, stream, size, len(bases), bob_threshold)
+        partial(_intercept_resend_range, cfg.seed, stream, size, len(bases), bob_threshold)
         for stream, size in enumerate(sizes)
     ]
-    est = sum(_run_blocks(blocks, sizes[0])) / cfg.trials
+    errors = 0
+    for block, size, results in zip(blocks, sizes, _run_ranges(blocks, sizes)):
+        if len(results) > 1 and not _tiled([marks for _, marks in results], size):
+            results = [block(0, size)]
+        errors += sum(count for count, _ in results)
+    est = errors / cfg.trials
     return est, math.sqrt(est * (1.0 - est) / cfg.trials)
 
 
@@ -350,17 +474,22 @@ def _check_flips(flip: np.ndarray) -> None:
         raise NumericError("the Pauli flip table is not 0 or 1, or depends on the bit")
 
 
-def _pauli_block(seed: int, stream: int, size: int, cum: np.ndarray, flips: np.ndarray) -> int:
-    """Errors in one block of one basis; flips[k] is 1 where Pauli k flips.
+def _pauli_range(
+    seed: int, stream: int, size: int, cum: np.ndarray, flips: np.ndarray, lo: int, hi: int
+) -> int:
+    """Errors in trials [lo, hi) of one block of one basis; flips[k] is 1
+    where Pauli k flips.
 
     The stream order is all of b, then the uniforms u_k that pick k, then
     the uniforms u compared against the flip weight, as one call per array
     would draw it. A flip weight is 0 or 1 for either bit (_check_flips),
     so a trial errs exactly when flips[k] is 1: the counter jumps past b
-    without computing it (_skip_raw), and u, the last draws of the
-    stream, is not drawn at all. From a fresh generator integers(0, 2)
-    takes one 32-bit half of a raw output per bit, and the uniforms read
-    whole outputs, so b spans (size + 1) // 2 raw outputs (_skip_facts).
+    and the u_k before lo without computing them (_skip_raw), and u, the
+    last draws of the stream, is not drawn at all. From a fresh generator
+    integers(0, 2) takes one 32-bit half of a raw output per bit, and the
+    uniforms read whole outputs, so b spans (size + 1) // 2 raw outputs
+    (_skip_facts). random() never rejects a draw, so every range starts
+    where the one before it ended.
 
     For u_k < 1 = cum[3], k = searchsorted(cum, u_k, side="right") is the
     number of j < 3 with u_k >= cum[j], so flips[k] is flips[0] plus the
@@ -368,11 +497,12 @@ def _pauli_block(seed: int, stream: int, size: int, cum: np.ndarray, flips: np.n
     """
     steps = [(cum[j], int(flips[j + 1] - flips[j])) for j in range(3) if flips[j + 1] != flips[j]]
     rng = _block_rng(seed, stream)
-    _skip_raw(rng.bit_generator, (size + 1) // 2)  # b
-    u = np.empty(min(size, _CHUNK_SIZE))
-    errors = int(flips[0]) * size
-    for lo in range(0, size, _CHUNK_SIZE):
-        uk = rng.random(out=u[:min(size - lo, _CHUNK_SIZE)])
+    _skip_raw(rng.bit_generator, (size + 1) // 2 + lo)  # b, then u_k before lo
+    count = hi - lo
+    u = np.empty(min(count, _CHUNK_SIZE))
+    errors = int(flips[0]) * count
+    for at in range(0, count, _CHUNK_SIZE):
+        uk = rng.random(out=u[:min(count - at, _CHUNK_SIZE)])
         for edge, step in steps:
             errors += step * int(np.count_nonzero(uk >= edge))
     return errors
@@ -403,11 +533,11 @@ def pauli_channel_qber_montecarlo(
     cum[-1] = 1.0
     sizes = _block_sizes(cfg.trials, cfg.block_size)
     blocks = [
-        partial(_pauli_block, cfg.seed, bi * len(sizes) + block, size, cum, flip[bi, :, 0])
+        partial(_pauli_range, cfg.seed, bi * len(sizes) + block, size, cum, flip[bi, :, 0])
         for bi in range(len(bases))
         for block, size in enumerate(sizes)
     ]
-    counts = _run_blocks(blocks, sizes[0])
+    counts = [sum(results) for results in _run_ranges(blocks, sizes * len(bases))]
     rates = [
         sum(counts[bi * len(sizes):(bi + 1) * len(sizes)]) / cfg.trials
         for bi in range(len(bases))

@@ -1,10 +1,12 @@
 """Intercept-resend statistics, analytic and sampled."""
 
-import concurrent.futures
 import hashlib
 import math
 import os
+import pathlib
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -33,6 +35,8 @@ from qkdlimits.attack import (
     _protocol_bases,
 )
 from qkdlimits.qber import QberSet
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_analytic_values_are_exact():
@@ -405,7 +409,7 @@ class TestSkipRaw:
             return facts()
 
         monkeypatch.setattr(attack, "_skip_facts", counted)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
         attack._skips_checked.cache_clear()
         try:
             cfg = AttackConfig(3, 2 * (_CHUNK_SIZE + 1), 5, block_size=_CHUNK_SIZE + 1)
@@ -583,43 +587,213 @@ def test_every_estimate_keeps_its_bits():
     assert digest == "245cc76dc1fa2630b89759f0bce3a1391b56c93f052d781b7f5717d65fddc68d"
 
 
+def halves_of_a_b_e(seed, size):
+    """The 32-bit halves that a block's a, b and e codes of three bases
+    take from their stream: 3 * size unless a draw was rejected."""
+    rng = _block_rng(seed, 0)
+    for high in (3, 2, 3):
+        rng.integers(0, high, size)
+    words, half = attack._mark(rng.bit_generator)
+    return 2 * words - half
+
+
+class TestRanges:
+    """A block of more than one chunk is cut into trial ranges, one per
+    usable CPU; every estimate equals the whole-block oracle's."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_ranges_cut_a_block_at_even_trials(self, cpus):
+        for size in (1, 2, 3, _CHUNK_SIZE, _CHUNK_SIZE + 1, 3 * _CHUNK_SIZE, 10**5, 2**18):
+            ranges = attack._ranges(size, cpus)
+            assert len(ranges) == min(cpus, -(-size // _CHUNK_SIZE))
+            edges = [lo for lo, _ in ranges] + [size]
+            assert [hi for _, hi in ranges] == edges[1:] and edges[0] == 0
+            assert all(lo < hi for lo, hi in ranges)
+            assert all(lo % 2 == 0 for lo, _ in ranges)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_the_usable_cpus_do_not_change_the_result(self, monkeypatch, cpus):
+        monkeypatch.setattr(attack, "_usable_cpus", lambda: cpus)
+        check, tiled = attack._tiled, []
+
+        def recorded(marks, size):
+            tiled.append(check(marks, size))
+            return tiled[-1]
+
+        monkeypatch.setattr(attack, "_tiled", recorded)
+        p = PauliDistribution((0.6, 0.2, 0.0, 0.2))
+        cases = [(t, bs, seeds_for(t, bs)[0]) for t, bs in GRID]
+        cases += [(10**5, DEFAULT_BLOCK_SIZE, 12345), (10**6, DEFAULT_BLOCK_SIZE, 31)]
+        for trials, block_size, seed in cases:
+            for mub in (2, 3):
+                cfg = AttackConfig(mub, trials, seed, block_size)
+                assert intercept_resend_qber_montecarlo(cfg) == whole_block_intercept_resend(cfg)
+                assert pauli_channel_qber_montecarlo(p, mub, cfg) == whole_block_pauli(p, mub, cfg)
+        # No draw on this grid is rejected, so no block is drawn twice.
+        assert all(tiled) and bool(tiled) == (cpus > 1)
+
+    @pytest.mark.parametrize("seed", [127939, 1344])
+    def test_a_rejected_draw_redraws_the_block_as_one_range(self, monkeypatch, seed):
+        # A 32-bit draw of 0 is the one Lemire's method rejects for a
+        # range of 3; these seeds hold one among a (127939) or e (1344).
+        assert halves_of_a_b_e(seed, 10**5) == 3 * 10**5 + 1
+        monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
+        ranges = TestThreads.record_ranges(monkeypatch, "_intercept_resend_range")
+        cfg = AttackConfig(3, 10**5, seed)
+        assert intercept_resend_qber_montecarlo(cfg) == whole_block_intercept_resend(cfg)
+        assert sorted(ranges) == [(0, 50000, False), (0, 10**5, True), (50000, 10**5, False)]
+
+    def test_a_segment_that_ends_late_redraws_the_block(self, monkeypatch):
+        # As a rejection would, every segment of a and b takes one half more.
+        draw = attack._draw_codes
+
+        def late(rng, high, size):
+            codes = draw(rng, high, size)
+            rng.integers(0, 2, 1)
+            return codes
+
+        cfg = AttackConfig(2, 10**5, 12345)
+        monkeypatch.setattr(attack, "_draw_codes", late)
+        monkeypatch.setattr(attack, "_usable_cpus", lambda: 1)
+        one_range = intercept_resend_qber_montecarlo(cfg)
+        monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
+        ranges = TestThreads.record_ranges(monkeypatch, "_intercept_resend_range")
+        assert intercept_resend_qber_montecarlo(cfg) == one_range
+        assert sorted(ranges) == [(0, 50000, False), (0, 10**5, True), (50000, 10**5, False)]
+        assert one_range[0] != 0.25217
+
+    def test_the_usable_cpus_are_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert attack._usable_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert attack._usable_cpus() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert attack._usable_cpus() == 1
+
+
 class TestThreads:
     @staticmethod
     def forbid_pools(monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise RuntimeError("a ThreadPoolExecutor was built")
+        def no_pool():
+            raise RuntimeError("the thread pool was used")
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(attack, "_pool", no_pool)
 
-    def test_a_single_block_builds_no_pool(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        self.forbid_pools(monkeypatch)
+    @staticmethod
+    def record_ranges(monkeypatch, name):
+        """Replace the kernel attack.<name> by one that records each
+        range's (lo, hi) and whether it ran on the calling thread."""
+        kernel, ranges = getattr(attack, name), []
+        caller = threading.get_ident()
+
+        def recorded(*args):
+            ranges.append((*args[-2:], threading.get_ident() == caller))
+            return kernel(*args)
+
+        monkeypatch.setattr(attack, name, recorded)
+        return ranges
+
+    def test_a_single_block_is_drawn_as_pooled_ranges(self, monkeypatch):
+        monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
+        pool, maps = attack._pool(), []
+
+        class Recorded:
+            def map(self, fn, calls):
+                calls = list(calls)
+                maps.append(len(calls))
+                return pool.map(fn, calls)
+
+        monkeypatch.setattr(attack, "_pool", Recorded)
+        ranges = self.record_ranges(monkeypatch, "_intercept_resend_range")
         est, _ = intercept_resend_qber_montecarlo(
             AttackConfig(mub_count=2, trials=10**5, seed=12345)
         )
         assert est == 0.25217
-        # Several blocks do build one, so the patch above is where it is built.
-        with pytest.raises(RuntimeError, match="ThreadPoolExecutor"):
-            intercept_resend_qber_montecarlo(AttackConfig(mub_count=2, trials=10**6, seed=0))
+        assert maps == [2]
+        assert sorted(ranges) == [(0, 50000, False), (50000, 10**5, False)]
 
     def test_small_blocks_build_no_pool(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(attack, "_usable_cpus", lambda: 8)
         self.forbid_pools(monkeypatch)
         p = PauliDistribution((0.6, 0.2, 0.0, 0.2))
         cfg = AttackConfig(mub_count=3, trials=10**3, seed=7)  # one block per basis
         assert pauli_channel_qber_montecarlo(p, 3, cfg) == whole_block_pauli(p, 3, cfg)
         cfg = AttackConfig(mub_count=3, trials=10**5, seed=8, block_size=_CHUNK_SIZE)
         assert intercept_resend_qber_montecarlo(cfg) == whole_block_intercept_resend(cfg)
-        # One trial more per block than a chunk does build one.
+        # One trial more per block than a chunk cuts each block in two.
         cfg = AttackConfig(mub_count=3, trials=10**5, seed=8, block_size=_CHUNK_SIZE + 1)
-        with pytest.raises(RuntimeError, match="ThreadPoolExecutor"):
+        with pytest.raises(RuntimeError, match="thread pool"):
             intercept_resend_qber_montecarlo(cfg)
 
     def test_a_single_core_builds_no_pool(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(attack, "_usable_cpus", lambda: 1)
         self.forbid_pools(monkeypatch)
         cfg = AttackConfig(mub_count=3, trials=10**5, seed=5, block_size=30000)
         assert intercept_resend_qber_montecarlo(cfg) == whole_block_intercept_resend(cfg)
+
+    def test_one_pool_serves_every_call(self, monkeypatch):
+        monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
+        attack._pool.cache_clear()
+        p = PauliDistribution((0.6, 0.2, 0.0, 0.2))
+        intercept_resend_qber_montecarlo(AttackConfig(2, 10**5, 1))
+        pauli_channel_qber_montecarlo(p, 3, AttackConfig(3, 10**5, 2))
+        info = attack._pool.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        # More callers than CPUs, each waiting on its own ranges in the one
+        # pool, with thread switches forced often.
+        monkeypatch.setattr(attack, "_usable_cpus", lambda: 3)
+        cfgs = [AttackConfig(3, 10**5, seed) for seed in range(6)]
+        got = [None] * len(cfgs)
+
+        def run(i):
+            got[i] = intercept_resend_qber_montecarlo(cfgs[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [whole_block_intercept_resend(cfg) for cfg in cfgs]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_builds_its_own_pool(self):
+        # The parent's workers do not exist in the child: a pool kept
+        # across the fork would take the child's ranges and never run them.
+        # The alarm ends a child that hangs.
+        code = """if True:
+            import os, signal, sys, warnings
+            # Python 3.12+ warns that fork() in a threaded process may deadlock.
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+            from qkdlimits import AttackConfig, attack, intercept_resend_qber_montecarlo
+            attack._usable_cpus = lambda: 2
+            cfg = AttackConfig(3, 10**5, 12345)
+            want = intercept_resend_qber_montecarlo(cfg)
+            pool = attack._pool()
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(30)
+                ok = intercept_resend_qber_montecarlo(cfg) == want and attack._pool() is not pool
+                os._exit(0 if ok else 1)
+            print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (out.returncode, out.stdout.strip(), out.stderr) == (0, "0", "")
 
     def test_peak_memory_of_a_threaded_million_trial_call(self, monkeypatch):
         # The whole-block kernel peaked at 16.25 MiB here: about 16 MiB of

@@ -112,8 +112,11 @@ def test_no_numpy_closeness_test(path):
 
 
 def test_importing_the_cli_loads_no_thread_pool():
-    # The Monte Carlo estimators import their executor only when a call
-    # has several blocks, so the CLI's start-up and memory do not pay for it.
+    # The Monte Carlo estimators cut a block of more than one chunk into
+    # trial ranges, one per usable CPU, and check that the ranges' draws
+    # tile the block's stream. The ranges run on one thread pool per
+    # process, imported and built by the first call that cuts a block, so
+    # the CLI's start-up and memory do not pay for it.
     code = "import sys, qkdlimits.cli; print('concurrent.futures.thread' in sys.modules)"
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
