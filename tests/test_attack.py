@@ -597,6 +597,20 @@ def halves_of_a_b_e(seed, size):
     return 2 * words - half
 
 
+def record_ranges(monkeypatch):
+    """Replace the intercept-resend kernel by one that records each
+    range's (lo, hi) and whether it ran on the calling thread."""
+    kernel, ranges = attack._intercept_resend_range, []
+    caller = threading.get_ident()
+
+    def recorded(*args):
+        ranges.append((*args[-2:], threading.get_ident() == caller))
+        return kernel(*args)
+
+    monkeypatch.setattr(attack, "_intercept_resend_range", recorded)
+    return ranges
+
+
 class TestRanges:
     """A block of more than one chunk is cut into trial ranges, one per
     usable CPU; every estimate equals the whole-block oracle's."""
@@ -638,7 +652,7 @@ class TestRanges:
         # range of 3; these seeds hold one among a (127939) or e (1344).
         assert halves_of_a_b_e(seed, 10**5) == 3 * 10**5 + 1
         monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
-        ranges = TestThreads.record_ranges(monkeypatch, "_intercept_resend_range")
+        ranges = record_ranges(monkeypatch)
         cfg = AttackConfig(3, 10**5, seed)
         assert intercept_resend_qber_montecarlo(cfg) == whole_block_intercept_resend(cfg)
         assert sorted(ranges) == [(0, 50000, False), (0, 10**5, True), (50000, 10**5, False)]
@@ -657,7 +671,7 @@ class TestRanges:
         monkeypatch.setattr(attack, "_usable_cpus", lambda: 1)
         one_range = intercept_resend_qber_montecarlo(cfg)
         monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
-        ranges = TestThreads.record_ranges(monkeypatch, "_intercept_resend_range")
+        ranges = record_ranges(monkeypatch)
         assert intercept_resend_qber_montecarlo(cfg) == one_range
         assert sorted(ranges) == [(0, 50000, False), (0, 10**5, True), (50000, 10**5, False)]
         assert one_range[0] != 0.25217
@@ -680,20 +694,6 @@ class TestThreads:
 
         monkeypatch.setattr(attack, "_pool", no_pool)
 
-    @staticmethod
-    def record_ranges(monkeypatch, name):
-        """Replace the kernel attack.<name> by one that records each
-        range's (lo, hi) and whether it ran on the calling thread."""
-        kernel, ranges = getattr(attack, name), []
-        caller = threading.get_ident()
-
-        def recorded(*args):
-            ranges.append((*args[-2:], threading.get_ident() == caller))
-            return kernel(*args)
-
-        monkeypatch.setattr(attack, name, recorded)
-        return ranges
-
     def test_a_single_block_is_drawn_as_pooled_ranges(self, monkeypatch):
         monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
         pool, maps = attack._pool(), []
@@ -705,7 +705,7 @@ class TestThreads:
                 return pool.map(fn, calls)
 
         monkeypatch.setattr(attack, "_pool", Recorded)
-        ranges = self.record_ranges(monkeypatch, "_intercept_resend_range")
+        ranges = record_ranges(monkeypatch)
         est, _ = intercept_resend_qber_montecarlo(
             AttackConfig(mub_count=2, trials=10**5, seed=12345)
         )
