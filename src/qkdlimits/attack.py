@@ -19,21 +19,20 @@ whole-block draw.
 The unit of parallel work is a trial range of a block. A block of more
 than one chunk is cut into min(usable CPUs, its chunks) ranges at even
 trials. Philox reaches any place in a stream in O(1), so each range
-moves its own generator to its segment of each array (_skip_raw, plus
-one bit for an odd 32-bit half) and draws only that. A block's count is
-the sum of its ranges' counts. numpy draws a basis of three with
-Lemire's method, which rejects a 32-bit draw with probability 2^-32 and
-then takes one half more, so each intercept-resend range reports the
-Philox place where each of its segments started and ended, and the sum
-stands only if every segment ends where the next one in stream order
-starts (_tiled). Otherwise the block is drawn again as one range on the
-calling thread; one range [0, size) is the whole-block kernel. The
-Pauli kernel reads only uniforms, which never reject, and needs no
-check. Ranges run on the process's one thread pool (numpy releases the
-GIL while it draws and compares), built by the first call that cuts a
-block and built anew in a forked child. A call that cuts no block (one
-usable CPU, or no block larger than a chunk) runs on the calling
-thread, since a pool would cost more than the threads save.
+moves its own generator to its segment of each array (_skip_raw) and
+draws only that; a block's count is the sum of its ranges' counts. The
+intercept-resend kernel maps raw 32-bit halves to codes as numpy does
+(_read_codes). For three bases numpy rejects a half of 0 (probability
+2^-32) and takes one more, which moves the rest of the block's stream,
+so a cut range that meets one flags its block, and the block is drawn
+again as one range on the calling thread: one range [0, size) is the
+whole-block kernel, and drops each zero half. The Pauli kernel reads
+only uniforms, which never reject. Ranges run on the process's one
+thread pool (numpy releases the GIL while it draws and compares), built
+by the first call that cuts a block and built anew in a forked child. A
+call that cuts no block (one usable CPU, or no block larger than a
+chunk) runs on the calling thread, since a pool would cost more than the
+threads save.
 
 Each kernel keeps that stream's positions but reads only the draws that
 can change its error count. With mutually unbiased bases Eve's outcome
@@ -45,9 +44,9 @@ Eve's uniforms (_skip_raw) instead of computing them. Pauli flip weights
 are exactly 0 or 1 and do not depend on the bit, so the Pauli kernel
 jumps past the bits the same way, counts the trials whose Pauli index
 flips, and never draws the uniforms a weight would be compared against:
-they come last in the block's stream. Both facts are checked once, when
-the tables are built, and the facts about numpy's draws the jumps rest
-on are checked once per process (_check_skips). The estimates are
+they come last in the block's stream. Both facts are checked when the
+tables are built, and the facts about numpy's draws that the jumps and
+raw reads rest on once per process (_check_skips). The estimates are
 therefore bit-identical to a serial, unchunked run that reads every
 draw, while each thread holds about 1 MiB.
 """
@@ -178,9 +177,7 @@ def intercept_resend_qber_analytic(mub_count: int, eve_matches_alice: bool = Fal
 
 
 def _block_rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
-    )
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def _block_sizes(trials: int, block_size: int):
@@ -216,7 +213,7 @@ if hasattr(os, "register_at_fork"):
 def _ranges(size: int, cpus: int) -> list[tuple[int, int]]:
     """The [lo, hi) trial ranges of a block: min(cpus, its chunks) of them,
     cut at even trials, so a block of at most one chunk is one range and
-    every range's first a code starts a raw output."""
+    every range's a and e segments start at a raw output."""
     k = min(cpus, -(-size // _CHUNK_SIZE))
     edges = [2 * (size * i // (2 * k)) for i in range(k)] + [size]
     return list(zip(edges, edges[1:]))
@@ -240,15 +237,6 @@ def _run_ranges(blocks, sizes: list[int]) -> list[list]:
     else:
         results = _pool().map(lambda call: call(), calls)
     return [[next(results) for _ in span] for span in spans]
-
-
-def _draw_codes(rng: np.random.Generator, high: int, size: int) -> np.ndarray:
-    """rng.integers(0, high, size) as uint8, drawn chunk by chunk."""
-    codes = np.empty(size, dtype=np.uint8)
-    for lo in range(0, size, _CHUNK_SIZE):
-        seg = codes[lo:lo + _CHUNK_SIZE]
-        seg[...] = rng.integers(0, high, size=len(seg))
-    return codes
 
 
 def _skip_raw(bitgen: np.random.Philox, n: int) -> None:
@@ -276,40 +264,78 @@ def _skip_raw(bitgen: np.random.Philox, n: int) -> None:
     bitgen.random_raw(r + 1, output=False)
 
 
-def _skip_halves(rng: np.random.Generator, n: int) -> None:
-    """Move rng on by n 32-bit halves, as n integers(0, 2) bits would: a
-    buffered half first, then whole raw outputs (_skip_raw), then one bit
-    for an odd rest, which leaves the other half of its output buffered."""
-    if not n:
-        return
-    if rng.bit_generator.state["has_uint32"]:
-        rng.integers(0, 2, 1)
-        n -= 1
-    _skip_raw(rng.bit_generator, n // 2)
-    if n % 2:
-        rng.integers(0, 2, 1)
+class _Halves:
+    """A Philox generator read as 32-bit halves, low half first, as
+    integers() takes them. at counts the halves read or passed; at an odd
+    at, the high half of the last raw output drawn is held."""
+
+    def __init__(self, bitgen: np.random.Philox):
+        self.bitgen, self.at, self.held = bitgen, 0, None
+
+    def skip(self, n: int) -> None:
+        """Pass n halves: whole raw outputs by _skip_raw, then at an odd
+        end one raw output drawn for its high half."""
+        to, drawn = self.at + n, (self.at + 1) // 2
+        if to > 2 * drawn:
+            _skip_raw(self.bitgen, to // 2 - drawn)
+            if to % 2:
+                self.held = self.bitgen.random_raw(1).view(np.uint32)[1:]
+        self.at = to
+
+    def read(self, n: int) -> np.ndarray:
+        """The next n halves, as uint32."""
+        odd = self.at % 2
+        x = self.bitgen.random_raw((n - odd + 1) // 2).view(np.uint32)
+        if odd:
+            x = np.concatenate((self.held, x))
+        self.at += n
+        if self.at % 2:
+            self.held = x[-1:]
+        return x[:n]
 
 
-def _mark(bitgen: np.random.Philox) -> tuple[int, int]:
-    """A Philox generator's place in its stream, read from its counter,
-    buffer_pos and has_uint32: (raw outputs drawn, whether half of the
-    last one is buffered). A counter step computes 4 outputs, of which
-    buffer_pos have been read; a fresh generator holds counter 0 and
-    buffer_pos 4, and the kernels never set buffer_pos 0."""
-    state = bitgen.state
-    counter = sum(int(w) << 64 * i for i, w in enumerate(state["state"]["counter"]))
-    return 4 * counter - 4 + state["buffer_pos"], state["has_uint32"]
+def _codes(x: np.ndarray, n: int, out: np.ndarray) -> None:
+    """out[...] = (x * n) >> 32 for uint32 halves x, as uint8: numpy's
+    Lemire map of a half to a code below n, which steps up at each half
+    ceil(j * 2^32 / n), j = 1 .. n - 1."""
+    np.greater_equal(x, np.uint32(-(-(1 << 32) // n)), out=out.view(np.bool_))
+    for j in range(2, n):
+        out += x >= np.uint32(-(-(j << 32) // n))
 
 
-def _skip_facts() -> list[tuple[dict, dict]]:
-    """Pairs of Philox states that the kernels' skips take to be equal.
+def _read_codes(halves: _Halves, n: int, out: np.ndarray, drop: bool) -> bool:
+    """Fill out with the next codes below n, 2 or 3, chunk by chunk.
+
+    A half of 0 is the one half Lemire's method rejects, for n = 3 only
+    (2^32 % 3 is 1), and numpy then takes the next half. With drop set,
+    each zero half is dropped as numpy drops it; without, the read
+    returns False at the first chunk that holds one.
+    """
+    for lo in range(0, len(out), _CHUNK_SIZE):
+        seg = out[lo:lo + _CHUNK_SIZE]
+        x = halves.read(len(seg))
+        if n == 3 and not x.all():
+            if not drop:
+                return False
+            x = x[x != 0]
+            while len(x) < len(seg):
+                more = halves.read(len(seg) - len(x))
+                x = np.concatenate((x, more[more != 0]))
+        _codes(x, n, seg)
+    return True
+
+
+def _skip_facts() -> list[tuple]:
+    """Pairs that the kernels' skips and raw reads take to be equal.
 
     integers(0, 2) takes one 32-bit half of a raw output per bit, so 3
     bits move the stream as 2 raw outputs do; the uniforms that follow
     read whole outputs, never the buffered half, so that half is left out
     of the first pair. The second pair is _skip_raw(9) against
     random_raw(9) on a fresh generator: two whole blocks jumped, one
-    computed.
+    computed. The last two hold integers(0, n) against _read_codes for
+    n = 2 and 3, each after a buffered half of 0, which n = 2 reads as
+    code 0 and n = 3 drops: the halves' order and their map to codes.
     """
     def fresh():
         return np.random.Philox(key=np.array([1, 2], dtype=np.uint64))
@@ -321,24 +347,32 @@ def _skip_facts() -> list[tuple[dict, dict]]:
     _skip_raw(skipped, 9)
     drawn.random_raw(9)
     half = ("has_uint32", "uinteger")
-    return [
+    facts = [
         ({k: v for k, v in bits.state.items() if k not in half},
          {k: v for k, v in raw.state.items() if k not in half}),
         (skipped.state, drawn.state),
     ]
+    for n in (2, 3):
+        held, halves = fresh(), _Halves(fresh())
+        held.state = {**held.state, "has_uint32": 1, "uinteger": 0}
+        halves.at, halves.held = 1, np.zeros(1, dtype=np.uint32)  # as held holds it
+        codes = np.empty(999, dtype=np.uint8)
+        _read_codes(halves, n, codes, drop=True)
+        facts.append((np.random.Generator(held).integers(0, n, 999), codes))
+    return facts
 
 
 def _plain(state):
-    """A bit generator state with its arrays as lists, for comparing."""
+    """A bit generator state or an array, its arrays as lists, for comparing."""
     if isinstance(state, dict):
         return {k: _plain(v) for k, v in state.items()}
     return state.tolist() if isinstance(state, np.ndarray) else state
 
 
-def _check_skips(facts: list[tuple[dict, dict]]) -> None:
-    """Refuse numpy draws the kernels' skips would not reproduce."""
+def _check_skips(facts: list[tuple]) -> None:
+    """Refuse numpy draws the kernels' skips and raw reads would not reproduce."""
     if any(_plain(got) != _plain(want) for got, want in facts):
-        raise NumericError("skipping Philox draws does not reproduce drawing them")
+        raise NumericError("skipping Philox draws or reading them raw differs from drawing them")
 
 
 @cache
@@ -350,47 +384,33 @@ def _skips_checked() -> None:
 
 def _intercept_resend_range(
     seed: int, stream: int, size: int, n: int, bob_threshold: float, lo: int, hi: int
-) -> tuple[int, list]:
-    """Errors in trials [lo, hi) of one block, and the marks where the
-    range's segments of a, b, e and u_bob started and ended.
+) -> int | None:
+    """Errors in trials [lo, hi) of one block, or None when the range is
+    cut and meets a half that numpy rejects (_read_codes).
 
     The block's stream order is all of a, b, e, u_eve, then u_bob, as one
     call per array would draw it. Eve's outcome never changes Bob's
     reading (_check_born): a trial errs exactly when e != a and
     (u_bob >= bob_threshold) != b. So the counter jumps past u_eve, one
     raw output per uniform as random() would take, without computing
-    them (_skip_raw), and a is kept only until e is drawn.
+    them (_skip_raw).
 
-    Between its segments the range moves the generator past the other
-    ranges' draws as if none of theirs were rejected: size - (hi - lo)
-    halves between integer segments, and from the end of e to u_bob[lo]
-    in raw outputs. A single range [0, size) moves nothing between a, b
-    and e and jumps exactly u_eve, which is the whole-block kernel.
+    a, b and e take one 32-bit half per code, so a range passes lo halves
+    before its a, size - (hi - lo) between its segments and size - hi
+    after its e; the uniforms start at the next whole raw output. A
+    single range [0, size) passes none and drops each rejected half.
     """
     rng = _block_rng(seed, stream)
-    bitgen = rng.bit_generator
+    halves = _Halves(rng.bit_generator)
     count = hi - lo
-    # A whole block is one unbroken stream, so only a cut block's ranges
-    # read their marks, for _tiled.
-    mark = _mark if count < size else lambda _: None
-    marks = []
-    _skip_halves(rng, lo)
-    start = mark(bitgen)
-    miss = _draw_codes(rng, n, count)  # a, then e != a
-    marks.append((start, mark(bitgen)))
-    _skip_halves(rng, size - count)
-    start = mark(bitgen)
-    b = _draw_codes(rng, 2, count)
-    marks.append((start, mark(bitgen)))
-    _skip_halves(rng, size - count)
-    start = mark(bitgen)
-    for at in range(0, count, _CHUNK_SIZE):
-        seg = miss[at:at + _CHUNK_SIZE]
-        seg[...] = rng.integers(0, n, size=len(seg)) != seg
-    marks.append((start, mark(bitgen)))
-    # The uniforms start at the raw output after the block's last e.
-    _skip_raw(bitgen, (3 * size + 1) // 2 + size + lo - (2 * size + hi + 1) // 2)
-    start = mark(bitgen)
+    a, b, e = np.empty((3, count), dtype=np.uint8)
+    for gap, codes, high in ((lo, a, n), (size - count, b, 2), (size - count, e, n)):
+        halves.skip(gap)
+        if not _read_codes(halves, high, codes, drop=count == size):
+            return None
+    miss = np.not_equal(a, e, out=a.view(np.bool_))
+    halves.skip(size - hi)
+    _skip_raw(rng.bit_generator, size + lo)  # u_eve, then u_bob before lo
     u = np.empty(min(count, _CHUNK_SIZE))
     errors = 0
     for at in range(0, count, _CHUNK_SIZE):
@@ -398,30 +418,7 @@ def _intercept_resend_range(
         rng.random(out=u[:len(seg)])
         r = u[:len(seg)] >= bob_threshold
         errors += int(np.count_nonzero(seg & (r != b[at:at + _CHUNK_SIZE])))
-    marks.append((start, mark(bitgen)))
-    return errors, marks
-
-
-def _tiled(marks: list[list], size: int) -> bool:
-    """Whether a block's ranges drew its stream without gap or overlap.
-
-    marks[r] holds range r's (start, end) marks of a, b, e and u_bob. In
-    stream order the integer segments are a of every range, then b, then
-    e, and each must start where the one before ended, buffered half and
-    all. A rejected draw (Lemire's method, for three bases) ends its
-    segment one half late and fails this. u_eve's size raw outputs follow
-    the last e, and each u_bob segment must start at the raw output where
-    the one before it ended.
-    """
-    ints = [m[j] for j in range(3) for m in marks]
-    if any(prev[1] != seg[0] for prev, seg in zip(ints, ints[1:])):
-        return False
-    end = ints[-1][1][0] + size
-    for start, stop in (m[3] for m in marks):
-        if start[0] != end:
-            return False
-        end = stop[0]
-    return True
+    return errors
 
 
 def intercept_resend_qber_montecarlo(cfg: AttackConfig) -> tuple[float, float]:
@@ -442,9 +439,9 @@ def intercept_resend_qber_montecarlo(cfg: AttackConfig) -> tuple[float, float]:
     ]
     errors = 0
     for block, size, results in zip(blocks, sizes, _run_ranges(blocks, sizes)):
-        if len(results) > 1 and not _tiled([marks for _, marks in results], size):
+        if None in results:  # a cut range met a rejected half
             results = [block(0, size)]
-        errors += sum(count for count, _ in results)
+        errors += sum(results)
     est = errors / cfg.trials
     return est, math.sqrt(est * (1.0 - est) / cfg.trials)
 

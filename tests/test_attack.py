@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -378,14 +379,28 @@ class TestSkipRaw:
         facts = attack._skip_facts()
         attack._check_skips(facts)
         for i, field in ((0, "buffer_pos"), (1, "has_uint32"), (1, "uinteger")):
-            doctored = [(dict(got), dict(want)) for got, want in facts]
+            doctored = [(dict(got), dict(want)) for got, want in facts[:2]] + facts[2:]
             doctored[i][0][field] += 1
             with pytest.raises(NumericError, match="skipping Philox draws"):
                 attack._check_skips(doctored)
-        doctored = [(dict(got), dict(want)) for got, want in facts]
+        doctored = [(dict(got), dict(want)) for got, want in facts[:2]] + facts[2:]
         doctored[1][0]["state"] = {**facts[1][0]["state"], "counter": np.zeros(4, np.uint64)}
         with pytest.raises(NumericError, match="skipping Philox draws"):
             attack._check_skips(doctored)
+
+    def test_the_one_time_check_refuses_a_doctored_code_fact(self):
+        # The last two facts pair numpy's integers(0, n) for n = 2 and 3,
+        # after a buffered half of 0, with the codes read from raw halves.
+        facts = attack._skip_facts()
+        for i, n in ((2, 2), (3, 3)):
+            drawn, read = facts[i]
+            assert len(drawn) == len(read) == 999 and set(read.tolist()) == set(range(n))
+            for at in (0, 998):
+                codes = read.copy()
+                codes[at] = (codes[at] + 1) % n
+                doctored = facts[:i] + [(drawn, codes)] + facts[i + 1:]
+                with pytest.raises(NumericError, match="reading them raw"):
+                    attack._check_skips(doctored)
 
     def test_an_estimate_refuses_a_numpy_whose_skips_differ(self, monkeypatch):
         facts = attack._skip_facts()
@@ -518,7 +533,7 @@ class TestChunkedKernelsMatchTheWholeBlockKernels:
 
     @pytest.mark.parametrize("cpus", [1, 8])
     def test_the_core_count_does_not_change_the_result(self, monkeypatch, cpus):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(attack, "_usable_cpus", lambda: cpus)
         p = PauliDistribution((0.6, 0.2, 0.0, 0.2))
         for mub in (2, 3):
             for cfg in (
@@ -587,14 +602,40 @@ def test_every_estimate_keeps_its_bits():
     assert digest == "245cc76dc1fa2630b89759f0bce3a1391b56c93f052d781b7f5717d65fddc68d"
 
 
-def halves_of_a_b_e(seed, size):
-    """The 32-bit halves that a block's a, b and e codes of three bases
-    take from their stream: 3 * size unless a draw was rejected."""
+def zero_halves(seed, size):
+    """Where the first 3 * size 32-bit halves of block 0's stream are 0."""
+    x = _block_rng(seed, 0).bit_generator.random_raw(-(-3 * size // 2)).view(np.uint32)
+    return np.flatnonzero(x[:3 * size] == 0).tolist()
+
+
+def block_by_numpy_rules(seed, size, n, zeros=()):
+    """Errors in block 0 of (seed, size) as numpy draws it, from its raw
+    halves with those at the places in zeros set to 0.
+
+    Each code takes the next half x, low half first, as (x * n) >> 32 in
+    Python's ints; for three bases a zero half is dropped (Lemire's
+    method rejects it). The uniforms start at the raw output after the
+    last e, and the trial is read through the Born table as
+    whole_block_intercept_resend reads it.
+    """
+    x = [int(v) for v in _block_rng(seed, 0).bit_generator.random_raw(2 * size).view(np.uint32)]
+    for place in zeros:
+        x[place] = 0
+    at, codes = 0, []
+    for high in (n, 2, n):
+        drawn = []
+        while len(drawn) < size:
+            if x[at] or high == 2:
+                drawn.append(x[at] * high >> 32)
+            at += 1
+        codes.append(np.array(drawn))
+    a, b, e = codes
     rng = _block_rng(seed, 0)
-    for high in (3, 2, 3):
-        rng.integers(0, high, size)
-    words, half = attack._mark(rng.bit_generator)
-    return 2 * words - half
+    rng.bit_generator.random_raw(-(-at // 2))
+    u_eve, u_bob = rng.random(size), rng.random(size)
+    born = _born_tensor(_protocol_bases(n))
+    m = (u_eve >= born[a, b, e, 0]).astype(np.intp)
+    return int(np.count_nonzero((u_bob >= born[a, 0, e, m]) != b))
 
 
 def record_ranges(monkeypatch):
@@ -609,6 +650,100 @@ def record_ranges(monkeypatch):
 
     monkeypatch.setattr(attack, "_intercept_resend_range", recorded)
     return ranges
+
+
+def plant_zeros(monkeypatch, places):
+    """Make every _Halves read find 0 at these places of its stream, as a
+    Philox output with a zero half there would give."""
+    read = attack._Halves.read
+
+    def planted(self, n):
+        start, x = self.at, read(self, n).copy()
+        for place in places:
+            if start <= place < start + n:
+                x[place - start] = 0
+        return x
+
+    monkeypatch.setattr(attack._Halves, "read", planted)
+
+
+HALF_CUTS = [
+    0, 1, 2**31 - 1, 2**31, -(-2**32 // 3) - 1, -(-2**32 // 3),
+    -(-2**33 // 3) - 1, -(-2**33 // 3), 2**32 - 1,
+]
+
+
+class TestCodes:
+    """The intercept-resend kernel reads a, b and e from raw 32-bit halves
+    and maps each as numpy's integers(0, n) does."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_code_map_at_its_cut_points(self, n):
+        out = np.empty(len(HALF_CUTS), dtype=np.uint8)
+        attack._codes(np.array(HALF_CUTS, dtype=np.uint32), n, out)
+        assert out.tolist() == [x * n >> 32 for x in HALF_CUTS]
+        # numpy's own code for each half, from a generator holding it in
+        # its buffer; for three bases it rejects the half 0.
+        for x in HALF_CUTS[n == 3:]:
+            bg = np.random.Philox(key=np.array([1, 2], dtype=np.uint64))
+            bg.state = {**bg.state, "has_uint32": 1, "uinteger": x}
+            assert np.random.Generator(bg).integers(0, n, 1)[0] == x * n >> 32, x
+
+    def test_the_halves_are_the_stream_read_low_half_first(self):
+        key = np.array([3, 4], dtype=np.uint64)
+        stream = np.random.Philox(key=key).random_raw(200).view(np.uint32)
+        for steps in ([(0, 5), (1, 1), (0, 2), (3, 0), (7, 9)], [(1, 0), (0, 1), (2, 6)],
+                      [(9, 0), (8, 0), (0, 3), (50, 1), (1, 7), (0, 0), (1, 64)]):
+            halves, at = attack._Halves(np.random.Philox(key=key)), 0
+            for skip, read in steps:
+                halves.skip(skip)
+                assert halves.read(read).tolist() == stream[at + skip:at + skip + read].tolist()
+                at += skip + read
+            assert halves.at == at
+            # The generator has drawn the raw outputs that hold those halves.
+            drawn = np.random.Philox(key=key)
+            drawn.random_raw(-(-at // 2))
+            assert philox_state(halves.bitgen) == philox_state(drawn)
+
+    def test_the_reference_is_numpy(self):
+        # Seeds 127939 and 1344 hold a zero half in a and in e.
+        for seed, size, n in ((127939, 10**5, 3), (1344, 10**5, 3), (5, 777, 2), (5, 777, 3)):
+            cfg = AttackConfig(n, size, seed)
+            assert block_by_numpy_rules(seed, size, n) / size == whole_block_intercept_resend(cfg)[0]
+
+    @pytest.mark.parametrize(
+        "places, n, redrawn",
+        [
+            ((70000,), 3, True),  # a of the second range
+            ((2 * 10**5 + 10,), 3, True),  # e of the first range
+            ((10**5 - 1,), 3, True),  # a's last half: b starts at an odd half
+            ((32767, 32768), 3, True),  # a chunk's last half, and the one read for it
+            ((150003,), 3, False),  # b, whose code of 2 never rejects
+            ((70000, 2 * 10**5 + 10), 2, False),
+        ],
+    )
+    def test_a_planted_zero_half(self, monkeypatch, places, n, redrawn):
+        seed, size = 12345, 10**5
+        want = block_by_numpy_rules(seed, size, n, places) / size
+        assert want != block_by_numpy_rules(seed, size, n) / size
+        plant_zeros(monkeypatch, places)
+        cfg = AttackConfig(n, size, seed)
+        monkeypatch.setattr(attack, "_usable_cpus", lambda: 1)
+        ranges = record_ranges(monkeypatch)
+        assert intercept_resend_qber_montecarlo(cfg)[0] == want
+        assert ranges == [(0, size, True)]
+        monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
+        ranges.clear()
+        assert intercept_resend_qber_montecarlo(cfg)[0] == want
+        cut = [(0, 50000, False), (50000, size, False)]
+        assert sorted(ranges) == sorted(cut + [(0, size, True)] * redrawn)
+
+    def test_a_cut_range_that_meets_a_zero_half_returns_none(self, monkeypatch):
+        plant_zeros(monkeypatch, [70000])
+        kernel = partial(attack._intercept_resend_range, 12345, 0, 10**5, 3, 0.5)
+        assert kernel(0, 50000) is not None
+        assert kernel(50000, 10**5) is None
+        assert kernel(0, 10**5) == block_by_numpy_rules(12345, 10**5, 3, [70000])
 
 
 class TestRanges:
@@ -628,13 +763,7 @@ class TestRanges:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_the_usable_cpus_do_not_change_the_result(self, monkeypatch, cpus):
         monkeypatch.setattr(attack, "_usable_cpus", lambda: cpus)
-        check, tiled = attack._tiled, []
-
-        def recorded(marks, size):
-            tiled.append(check(marks, size))
-            return tiled[-1]
-
-        monkeypatch.setattr(attack, "_tiled", recorded)
+        ranges, cut = record_ranges(monkeypatch), 0
         p = PauliDistribution((0.6, 0.2, 0.0, 0.2))
         cases = [(t, bs, seeds_for(t, bs)[0]) for t, bs in GRID]
         cases += [(10**5, DEFAULT_BLOCK_SIZE, 12345), (10**6, DEFAULT_BLOCK_SIZE, 31)]
@@ -643,38 +772,21 @@ class TestRanges:
                 cfg = AttackConfig(mub, trials, seed, block_size)
                 assert intercept_resend_qber_montecarlo(cfg) == whole_block_intercept_resend(cfg)
                 assert pauli_channel_qber_montecarlo(p, mub, cfg) == whole_block_pauli(p, mub, cfg)
+                cut += sum(len(attack._ranges(s, cpus)) for s in _block_sizes(trials, block_size))
         # No draw on this grid is rejected, so no block is drawn twice.
-        assert all(tiled) and bool(tiled) == (cpus > 1)
+        assert len(ranges) == cut
+        assert any(not caller for *_, caller in ranges) == (cpus > 1)
 
-    @pytest.mark.parametrize("seed", [127939, 1344])
-    def test_a_rejected_draw_redraws_the_block_as_one_range(self, monkeypatch, seed):
-        # A 32-bit draw of 0 is the one Lemire's method rejects for a
+    @pytest.mark.parametrize("seed, zero", [(127939, 96807), (1344, 228079)])
+    def test_a_rejected_draw_redraws_the_block_as_one_range(self, monkeypatch, seed, zero):
+        # A 32-bit half of 0 is the one Lemire's method rejects for a
         # range of 3; these seeds hold one among a (127939) or e (1344).
-        assert halves_of_a_b_e(seed, 10**5) == 3 * 10**5 + 1
+        assert zero_halves(seed, 10**5) == [zero]
         monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
         ranges = record_ranges(monkeypatch)
         cfg = AttackConfig(3, 10**5, seed)
         assert intercept_resend_qber_montecarlo(cfg) == whole_block_intercept_resend(cfg)
         assert sorted(ranges) == [(0, 50000, False), (0, 10**5, True), (50000, 10**5, False)]
-
-    def test_a_segment_that_ends_late_redraws_the_block(self, monkeypatch):
-        # As a rejection would, every segment of a and b takes one half more.
-        draw = attack._draw_codes
-
-        def late(rng, high, size):
-            codes = draw(rng, high, size)
-            rng.integers(0, 2, 1)
-            return codes
-
-        cfg = AttackConfig(2, 10**5, 12345)
-        monkeypatch.setattr(attack, "_draw_codes", late)
-        monkeypatch.setattr(attack, "_usable_cpus", lambda: 1)
-        one_range = intercept_resend_qber_montecarlo(cfg)
-        monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
-        ranges = record_ranges(monkeypatch)
-        assert intercept_resend_qber_montecarlo(cfg) == one_range
-        assert sorted(ranges) == [(0, 50000, False), (0, 10**5, True), (50000, 10**5, False)]
-        assert one_range[0] != 0.25217
 
     def test_the_usable_cpus_are_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -798,7 +910,7 @@ class TestThreads:
     def test_peak_memory_of_a_threaded_million_trial_call(self, monkeypatch):
         # The whole-block kernel peaked at 16.25 MiB here: about 16 MiB of
         # int64/float64 arrays per block.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
         cfg = AttackConfig(mub_count=3, trials=10**6, seed=20240811)
         tracemalloc.start()
         try:
