@@ -7,9 +7,10 @@ checks the distance and evaluates the formula. The public functions
 evaluate a kernel built for the call. ScenarioLink pairs a link kind with
 its parameter objects and builds its kind's kernel once, in km, with the
 atmosphere or satellite factor of a composite beam link folded in, so
-the solver's evaluations make no further call. A beam whose Rayleigh
-range rounds to 0.0 is rejected; one whose spot size squared overflows a
-float passes nothing, 0.0, the limit of the aperture formula.
+the solver's evaluations make no further call. A fiber whose 10/alpha
+overflows a float is rejected, as is a beam whose Rayleigh range rounds
+to 0.0 or overflows; a beam whose spot size squared overflows a float
+passes nothing, 0.0, the limit of the aperture formula.
 """
 
 from __future__ import annotations
@@ -47,6 +48,14 @@ class FiberLink:
     def __post_init__(self):
         if not (math.isfinite(self.alpha_db_per_km) and self.alpha_db_per_km > 0.0):
             raise ValidationError(f"alpha={self.alpha_db_per_km!r} must be positive")
+        if math.isinf(10.0 / self.alpha_db_per_km):
+            raise _field_error(self, "alpha_db_per_km", "small: 10/alpha overflows a float")
+
+
+def _field_error(obj, name: str, problem: str) -> ValidationError:
+    err = ValidationError(f"{name}={getattr(obj, name)!r} is too {problem}")
+    err.field = name  # parse_scenario puts the field's path in front
+    return err
 
 
 def _fiber_kernel(link: FiberLink) -> Callable[[float], float]:
@@ -174,15 +183,14 @@ class BeamGeometry:
             try:
                 getattr(self, name) ** 2
             except OverflowError:
-                raise self._field_error(name, "large: its square overflows a float") from None
+                raise _field_error(self, name, "large: its square overflows a float") from None
         if self.rayleigh_range_m == 0.0:
             name, size = ("w0_m", "small") if self.w0_m**2 == 0.0 else ("wavelength_m", "large")
-            raise self._field_error(name, f"{size}: the Rayleigh range rounds to 0.0")
-
-    def _field_error(self, name: str, problem: str) -> ValidationError:
-        err = ValidationError(f"{name}={getattr(self, name)!r} is too {problem}")
-        err.field = name  # parse_scenario puts the field's path in front
-        return err
+            raise _field_error(self, name, f"{size}: the Rayleigh range rounds to 0.0")
+        if math.isinf(self.rayleigh_range_m):
+            big_w0 = math.isinf(math.pi * self.w0_m**2)
+            name, size = ("w0_m", "large") if big_w0 else ("wavelength_m", "small")
+            raise _field_error(self, name, f"{size}: the Rayleigh range overflows a float")
 
     @cached_property
     def rayleigh_range_m(self) -> float:

@@ -370,12 +370,10 @@ class TestMaxDistance:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["fiber", "--alpha", "5e-324"],
-            ["deepspace", "--w0", "1", "--wavelength", "1e-320", "--aperture", "1"],
             # A finite Rayleigh range: only the closed form overflows.
             ["deepspace", "--w0", "1e150", "--wavelength", "1e-6", "--aperture", "1e150"],
         ],
-        ids=["fiber", "deepspace-wavelength", "deepspace-w0-aperture"],
+        ids=["deepspace-w0-aperture"],
     )
     def test_an_overflowing_closed_form_is_unbounded(self, capsys, argv):
         code, rec, _ = run_json(
@@ -384,6 +382,30 @@ class TestMaxDistance:
         results = rec["results"]
         assert (code, results["method"], results["status"]) == (0, "closed-form", "unbounded")
         assert (results["d_max_km"], results["feasible"]) == (None, True)
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["fiber", "--alpha", "5e-324"], "link.alpha_db_per_km"),
+            (["deepspace", "--w0", "1", "--wavelength", "1e-320", "--aperture", "1"],
+             "link.wavelength_m"),
+            (["satellite", "--w0", "1e154", "--wavelength", "1e-6", "--aperture", "1"],
+             "link.beam.w0_m"),
+        ],
+        ids=["fiber", "deepspace-wavelength", "satellite-w0"],
+    )
+    def test_an_overflowing_link_constant_is_an_input_error(self, capsys, argv, field):
+        # Each was accepted once. The fiber and the deepspace beam were
+        # unbounded by the k = 1 closed form and feasible everywhere by the
+        # k = 2 bisection: the route decided the verdict.
+        for k in ("1", "2"):
+            code, out, err = run_cli(
+                capsys,
+                ["max-distance", *argv, "--mub", "2", "--y0", "1e-6", "--e-det", "0.01", "--k", k],
+            )
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: scenario field {field}: ")
+            assert err.rstrip().endswith("overflows a float")
 
     @pytest.mark.parametrize(
         "model, flag, value",

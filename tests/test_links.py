@@ -58,6 +58,16 @@ class TestFiber:
         with pytest.raises(ValidationError):
             fiber_transmissivity(self.LINK, -1.0)
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-308])
+    def test_an_alpha_whose_10_over_alpha_overflows_is_rejected(self, alpha):
+        # The closed form's 10/alpha would be inf, and the route would
+        # decide the verdict: unbounded closed form, bisected to a bracket.
+        with pytest.raises(ValidationError) as exc:
+            FiberLink(alpha_db_per_km=alpha)
+        assert str(exc.value) == f"alpha_db_per_km={alpha!r} is too small: 10/alpha overflows a float"
+        assert exc.value.field == "alpha_db_per_km"
+        assert math.isfinite(10.0 / FiberLink(alpha_db_per_km=5.6e-308).alpha_db_per_km)
+
 
 class TestGroundAtmosphere:
     def test_sea_level_frozen_value(self):
@@ -174,7 +184,11 @@ class TestBeamGeometry:
         with pytest.raises(ValidationError, match=f"{name}=1e\\+200 is too large"):
             BeamGeometry(**fields)
         fields[name] = 1e154  # its square, 1e308, is still a float
-        assert BeamGeometry(**fields).w0_m > 0.0
+        if name == "aperture_radius_m":
+            assert BeamGeometry(**fields).w0_m > 0.0
+        else:  # but pi w0^2 is not, so the Rayleigh range overflows
+            with pytest.raises(ValidationError, match="w0_m=1e\\+154 is too large: the Rayleigh"):
+                BeamGeometry(**fields)
 
     @pytest.mark.parametrize(
         "link, path",
@@ -195,6 +209,45 @@ class TestBeamGeometry:
         }
         with pytest.raises(ValidationError, match=f"^scenario field {path}: "):
             scenario.parse_scenario(doc)
+
+    @pytest.mark.parametrize(
+        "link, path",
+        [
+            ({"kind": "fiber", "alpha_db_per_km": 5e-324}, "link.alpha_db_per_km"),
+            ({"kind": "diffraction", "w0_m": 1.0, "wavelength_m": 1e-320,
+              "aperture_radius_m": 1.0}, "link.wavelength_m"),
+            ({"kind": "satellite", "beam": {"w0_m": 1e154, "wavelength_m": 8e-7,
+              "aperture_radius_m": 0.5}}, "link.beam.w0_m"),
+        ],
+    )
+    def test_a_scenario_names_the_field_of_an_overflowing_constant(self, link, path):
+        doc = {
+            "schema_version": 1,
+            "protocol": {"mub_count": 2},
+            "source": {"kind": "single_photon"},
+            "detector": {"y0": 1e-6, "e_det": 0.01},
+            "link": link,
+        }
+        with pytest.raises(ValidationError, match=f"^scenario field {path}: .* overflows a float$"):
+            scenario.parse_scenario(doc)
+
+    @pytest.mark.parametrize(
+        "w0, wavelength, name, message",
+        [
+            (1.0, 1e-320, "wavelength_m", "wavelength_m=1e-320 is too small"),
+            (1e150, 1e-300, "wavelength_m", "wavelength_m=1e-300 is too small"),
+            (1e154, 8e-7, "w0_m", "w0_m=1e+154 is too large"),
+        ],
+    )
+    def test_a_rayleigh_range_that_overflows_is_rejected(self, w0, wavelength, name, message):
+        # An infinite Rayleigh range is a beam that never spreads, and the
+        # route would decide the verdict, as for a fiber's 10/alpha.
+        with pytest.raises(ValidationError) as exc:
+            BeamGeometry(w0_m=w0, wavelength_m=wavelength, aperture_radius_m=0.5)
+        assert str(exc.value) == f"{message}: the Rayleigh range overflows a float"
+        assert exc.value.field == name
+        beam = BeamGeometry(w0_m=1e150, wavelength_m=1e-6, aperture_radius_m=0.5)
+        assert math.isfinite(beam.rayleigh_range_m)
 
     @pytest.mark.parametrize(
         "w0, wavelength, name, message",
