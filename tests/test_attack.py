@@ -9,7 +9,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -737,13 +736,6 @@ class TestCodes:
         assert intercept_resend_qber_montecarlo(cfg)[0] == want
         cut = [(0, 50000, False), (50000, size, False)]
         assert sorted(ranges) == sorted(cut + [(0, size, True)] * redrawn)
-
-    def test_a_cut_range_that_meets_a_zero_half_returns_none(self, monkeypatch):
-        plant_zeros(monkeypatch, [70000])
-        kernel = partial(attack._intercept_resend_range, 12345, 0, 10**5, 3, 0.5)
-        assert kernel(0, 50000) is not None
-        assert kernel(50000, 10**5) is None
-        assert kernel(0, 10**5) == block_by_numpy_rules(12345, 10**5, 3, [70000])
 
 
 class TestRanges:
