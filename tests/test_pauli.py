@@ -1,5 +1,7 @@
 """Channel-to-Choi plumbing and the capacity verdict's two routes."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -475,3 +477,60 @@ class TestCapacityVerdicts:
 
     def test_an_empty_batch_has_no_verdicts(self):
         assert capacity_verdicts(()) == ()
+
+
+def pinned_channels():
+    """10^4 seeded Dirichlet draws, then the edge cases: the four vertices,
+    every placement of three points on the p_max = 1/2 faces, each
+    subnormal weight beside 1, and each pair of subnormal weights beside
+    two halves, in every pair of slots. Halving a subnormal weight rounds,
+    so those are the channels whose matrices depend on when the 1/2 of a
+    Bell projector is applied."""
+    draws = np.random.default_rng(20261020).dirichlet(np.ones(4), size=10**4)
+    points = [tuple(row.tolist()) for row in draws]
+    for face in ((1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0), (0.5, 0.25, 0.25, 0.0),
+                 (0.5, 1 / 6, 1 / 6, 1 / 6)):
+        points += sorted(set(itertools.permutations(face)))
+    # 1, 2 and 3 units of the last place, and a larger one.
+    subnormals = (5e-324, 1e-323, 1.5e-323, 1e-310)
+    for (i, j), v in itertools.product(itertools.permutations(range(4), 2), subnormals):
+        beside_one = [0.0] * 4
+        beside_one[i], beside_one[j] = v, 1.0
+        points.append(tuple(beside_one))
+    for (i, j), (v, w) in itertools.product(
+        itertools.combinations(range(4), 2), itertools.product(subnormals, repeat=2)
+    ):
+        beside_halves = [0.5] * 4
+        beside_halves[i], beside_halves[j] = v, w
+        points.append(tuple(beside_halves))
+    return [PauliDistribution(t) for t in points]
+
+
+def pinned_choi_bits():
+    """One line per channel: its batch, its probabilities as hex, the
+    verdict's bits, and the bytes of its Choi matrix and of that matrix's
+    partial transpose. The channels go to capacity_verdicts in batches
+    of 1, 2, ..., 8, 1, 2, ..."""
+    ps = pinned_channels()
+    lines = []
+    start, size = 0, 1
+    while start < len(ps):
+        batch = ps[start:start + size]
+        for p, v in zip(batch, capacity_verdicts(batch)):
+            choi = choi_state(p)
+            lines.append(" ".join([
+                str(start), *(x.hex() for x in p.p), repr(verdict_bits(v)),
+                choi.matrix.tobytes().hex(), partial_transpose(choi).tobytes().hex(),
+            ]))
+        start, size = start + size, size % 8 + 1
+    return lines
+
+
+def test_every_choi_matrix_and_verdict_keeps_its_bits():
+    # The sha256 of pinned_choi_bits(), captured from the per-k sum
+    # m += p_k * P_k of each Choi matrix and the partial transpose of
+    # that stack.
+    lines = pinned_choi_bits()
+    assert len(lines) == 10_170
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1cf9146b76a3d2f23d19ec41a6a4e103e6057b75596ddfc43dba6b428ef5ab86"
