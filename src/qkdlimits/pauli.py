@@ -4,9 +4,9 @@ A Pauli channel applies I, X, Y or Z with probabilities (p0, p1, p2, p3).
 Its two-way assisted secret-key capacity is zero exactly when the largest
 probability is at most 1/2, which is also when the Choi state stays PPT.
 When the largest probability exceeds 1/2, 1 - H2(p_max) upper-bounds the
-capacity. ``capacity_verdicts`` decides a batch of channels with one Choi
-stack, one partial transpose and one eigensolve; ``capacity_verdict`` is
-a batch of one. All functions here are pure.
+capacity. ``capacity_verdicts`` decides a batch of channels with one
+product against the transposed Bell projectors and one eigensolve;
+``capacity_verdict`` is a batch of one. All functions here are pure.
 """
 
 from __future__ import annotations
@@ -114,11 +114,20 @@ def depolarizing(strength: float) -> PauliDistribution:
     return PauliDistribution((1.0 - 0.75 * s, s / 4.0, s / 4.0, s / 4.0))
 
 
+def _partial_transpose(stack: np.ndarray) -> np.ndarray:
+    """Partial transpose over the output qubit of each 4x4 matrix of a stack."""
+    n = len(stack)
+    return stack.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
+
+
 # (I tensor P_k) |phi+> for k = 0..3; the projectors are all real.
 _BELL_KETS = [np.kron(np.eye(2), sigma) @ np.array([1, 0, 0, 1]) for sigma in PAULI_MATRICES]
 BELL_PROJECTORS = tuple(np.real(np.outer(v, v.conj())) / 2.0 for v in _BELL_KETS)
 _BELL_STACK = np.array(BELL_PROJECTORS)
-_BELL_STACK.flags.writeable = False
+# 2 |bell_k><bell_k| and its partial transpose, a read-only row of 16 per k.
+_BELL_ROWS = 2.0 * _BELL_STACK.reshape(4, 16)
+_PT_BELL_ROWS = 2.0 * _partial_transpose(_BELL_STACK).reshape(4, 16)
+_BELL_ROWS.flags.writeable = _PT_BELL_ROWS.flags.writeable = False
 
 
 class ChoiState:
@@ -137,34 +146,22 @@ class ChoiState:
         self.matrix.flags.writeable = False
 
 
-def _choi_stack(ps) -> np.ndarray:
-    """(n, 4, 4) stack of the Choi matrices sum_k p_k |bell_k><bell_k|.
-
-    The products p_k * P_k are taken in one multiply, then summed in k
-    order, m += p_k * P_k, exactly as one matrix at a time would be, so
-    every entry is bit-identical to it.
-    """
-    terms = np.array([p.p for p in ps], dtype=float).reshape(-1, 4, 1, 1) * _BELL_STACK
-    m = np.zeros((len(ps), 4, 4))
-    for k in range(4):
-        m += terms[:, k]
-    return m
-
-
-def _partial_transpose(stack: np.ndarray) -> np.ndarray:
-    """Partial transpose over the output qubit of each 4x4 matrix of a stack."""
-    n = len(stack)
-    return stack.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
+def _choi_stack(ps, rows: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) stack of sum_k p_k M_k, where rows holds the 2 M_k: each
+    entry sums at most two nonzero terms (p_k / 2) * +-1, each exact, so it
+    rounds once, as m += p_k * M_k in k order does, on any BLAS, FMA or not.
+    Halving first rounds a subnormal p_k as p_k * M_k does."""
+    halves = np.array([p.p for p in ps], dtype=float).reshape(-1, 4) * 0.5
+    return (halves @ rows).reshape(-1, 4, 4)
 
 
 def choi_state(p: PauliDistribution) -> ChoiState:
     """Choi state sum_k p_k |bell_k><bell_k| of the channel, built without
     ChoiState's checks: it is exactly symmetric, with unit trace and
     spectrum p."""
-    stack = _choi_stack((p,))
-    stack.flags.writeable = False
     choi = object.__new__(ChoiState)
-    choi.matrix = stack[0]
+    choi.matrix = _choi_stack((p,), _BELL_ROWS)[0]
+    choi.matrix.flags.writeable = False
     return choi
 
 
@@ -188,6 +185,11 @@ def symmetric_eigenvalues(matrix):
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     _check_self_adjoint(m, 1e-10, "matrix is not symmetric within 1e-10")
+    return _eigvalsh(m)
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh, unchecked; a solver failure is a NumericError."""
     try:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
@@ -225,9 +227,9 @@ def capacity_verdicts(ps) -> tuple[CapacityVerdict, ...]:
     """Decide zero two-way capacity of each channel by both routes, in order.
 
     The analytic route reads p_max off each distribution; the numeric
-    route diagonalizes the partially transposed Choi states, all in one
-    eigensolve. For each channel the two must agree to 1e-10 (min
-    eigenvalue = 1/2 - p_max) or a NumericError is raised.
+    route builds the partially transposed Choi states in one product and
+    solves them in one eigensolve. For each channel the two must agree to
+    1e-10 (min eigenvalue = 1/2 - p_max) or a NumericError is raised.
     """
     ps = tuple(ps)
     for i, p in enumerate(ps):
@@ -235,7 +237,7 @@ def capacity_verdicts(ps) -> tuple[CapacityVerdict, ...]:
             raise ValidationError(
                 f"channel {i} must be a PauliDistribution, not {type(p).__name__}"
             )
-    eigs = symmetric_eigenvalues(_partial_transpose(_choi_stack(ps)))
+    eigs = _eigvalsh(_choi_stack(ps, _PT_BELL_ROWS))
     verdicts = []
     for p, min_eig in zip(ps, eigs[:, 0].tolist()):
         p_max = p.p_max
