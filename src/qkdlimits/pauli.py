@@ -37,6 +37,13 @@ def _check_self_adjoint(m: np.ndarray, tol: float, message: str) -> None:
         raise ValidationError(message)
 
 
+def _probability(x) -> float:
+    # float() reads a numeric str and a bool too; neither is a probability.
+    if isinstance(x, (str, bytes, bool, np.bool_)):
+        raise ValidationError(f"probability {x!r} is not a number")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class PauliDistribution:
     """Probability 4-vector over the Pauli operators (I, X, Y, Z).
@@ -48,7 +55,9 @@ class PauliDistribution:
     p: tuple[float, float, float, float]
 
     def __init__(self, p) -> None:
-        vals = [float(x) for x in p]
+        if isinstance(p, (str, bytes, bytearray)):
+            raise ValidationError(f"Pauli probabilities must be numbers, not {type(p).__name__}")
+        vals = [x if type(x) is float else _probability(x) for x in p]
         if len(vals) != 4:
             raise ValidationError(f"need 4 Pauli probabilities, got {len(vals)}")
         for x in vals:

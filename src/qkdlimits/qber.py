@@ -34,7 +34,9 @@ class QberSet:
             v = getattr(self, name)
             if v is None:
                 continue
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0):
+            if isinstance(v, bool) or not (
+                isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0
+            ):
                 raise ValidationError(f"{name}={v!r} is not a rate in [0, 1]")
 
     @property

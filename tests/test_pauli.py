@@ -78,6 +78,37 @@ class TestPauliDistribution:
         p = PauliDistribution((1.0, -1e-13, 5e-14, 5e-14))
         assert all(v >= 0.0 for v in p.p)
 
+    @pytest.mark.parametrize("text", ["1000", b"\x01\x00\x00\x00", bytearray(b"\x01\x00\x00\x00")],
+                             ids=repr)
+    def test_rejects_text(self, text):
+        # Read one item at a time, "1000" was the identity channel.
+        message = f"^Pauli probabilities must be numbers, not {type(text).__name__}$"
+        with pytest.raises(ValidationError, match=message):
+            PauliDistribution(text)
+
+    @pytest.mark.parametrize("p", [
+        (True, 0.0, 0.0, 0.0), (1.0, False, 0.0, 0.0), (np.True_, 0, 0, 0), ("1", 0, 0, 0),
+        (b"1", 0, 0, 0), (np.str_("1"), 0, 0, 0),
+    ], ids=repr)
+    def test_rejects_entries_that_are_not_numbers(self, p):
+        # float() reads each of these as 0 or 1, so each was accepted.
+        with pytest.raises(ValidationError, match=r"^probability .* is not a number$"):
+            PauliDistribution(p)
+
+    def test_rejects_a_boolean_array(self):
+        with pytest.raises(ValidationError, match=r"^probability np\.True_ is not a number$"):
+            PauliDistribution(np.array([True, False, False, False]))
+
+    @pytest.mark.parametrize("p", [
+        [0.5, 0.5, 0, 0], (0.5, 0.5, 0.0, 0.0), np.array([0.5, 0.5, 0.0, 0.0]),
+        np.array([0.5, 0.5, 0.0, 0.0], dtype=np.float32),
+        (np.float64(0.5), np.float32(0.5), np.int64(0), 0), iter([0.5, 0.5, 0.0, 0.0]),
+    ], ids=["list", "tuple", "float64-array", "float32-array", "numpy-scalars", "iterator"])
+    def test_accepts_numbers_in_any_sequence(self, p):
+        dist = PauliDistribution(p)
+        assert dist.p == (0.5, 0.5, 0.0, 0.0)
+        assert all(type(x) is float for x in dist.p)
+
 
 class TestDepolarizing:
     def test_zero_strength_is_identity(self):

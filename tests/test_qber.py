@@ -1,7 +1,9 @@
 """Error-rate bookkeeping: channel to QBERs, reconstructions, verdicts."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,21 @@ def test_qber_set_validation():
         QberSet(e_x=0.1, e_z=0.1, e_y=float("nan"))
     assert QberSet(0.1, 0.2).mub_count == 2
     assert QberSet(0.1, 0.2, 0.3).mub_count == 3
+
+
+@pytest.mark.parametrize("field", ["e_x", "e_z", "e_y"])
+@pytest.mark.parametrize("bad", [True, False, "0.1", b"0.1"], ids=repr)
+def test_a_rate_that_is_not_a_number_is_refused(field, bad):
+    # The scenario parser refuses these; a bool rate was kept as is, so
+    # QberSet(True, 0.1).qber_sum was 1.1.
+    rates = {"e_x": 0.1, "e_z": 0.1, "e_y": 0.1, field: bad}
+    with pytest.raises(ValidationError, match=f"^{field}={re.escape(repr(bad))} is not a rate"):
+        QberSet(**rates)
+
+
+def test_numpy_float_rates_are_accepted():
+    q = QberSet(np.float64(0.1), np.float64(0.2))
+    assert q.qber_sum == 0.1 + 0.2
 
 
 def test_identity_channel_has_no_errors():
