@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -415,6 +416,23 @@ def _cmd_scenario(args) -> ResultRecord:
         return ResultRecord(command=args.command, inputs=sc.raw, results=results)
 
 
+def _print(text: str) -> int:
+    """Print text to stdout: 0, or 1 if the reader has closed the pipe.
+
+    A closed pipe points stdout at devnull, so that the flush at exit
+    raises no second BrokenPipeError.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(argv)
@@ -422,8 +440,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             sc = scenario_from_file(args.scenario)
             rows = sweep_scenario(sc, args.param, args.start, args.stop, args.points, args.scale)
-            print(_csv(["param", "value", "d_max_km", "feasible"], rows))
-            return 0
+            return _print(_csv(["param", "value", "d_max_km", "feasible"], rows))
         if args.command == "thresholds":
             record = _cmd_thresholds(args)
         elif args.command == "channel":
@@ -446,7 +463,8 @@ def main(argv=None) -> int:
         record = dataclasses.replace(
             record, timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds")
         )
-    print(_emit_record(record, args.format))
+    if _print(_emit_record(record, args.format)):
+        return 1
 
     if record.results.get("status") == "infeasible":
         return 2

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -794,3 +798,27 @@ class TestSweep:
         )
         assert code == 1
         assert "mu" in err
+
+    def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback(self, scenario_dir):
+        # About 225 KB of CSV, more than a pipe holds: the CLI is still
+        # writing when the reader closes its end after one line.
+        src = pathlib.Path(cli.__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        argv = [
+            sys.executable, "-m", "qkdlimits",
+            "sweep", str(scenario_dir / "fiber_2mub_single_photon.json"),
+            "--param", "y0", "--from", "1e-9", "--to", "0.5", "--points", "5000",
+        ]
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path}
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert first == b"param,value,d_max_km,feasible\n"
+        assert err == b""
+        assert proc.returncode == 1
