@@ -4,7 +4,8 @@ Subcommands: thresholds, channel, qber, max-distance, repeater, sweep,
 run. Output is a human table by default, or JSON / CSV via --format;
 identical invocations produce byte-identical output once timestamps are
 suppressed with --no-timestamp. Exit codes: 0 success, 1 input error,
-2 infeasible configuration, 3 numeric failure.
+2 infeasible configuration, 3 numeric failure. An output pipe closed by
+its reader also ends in exit 1, with nothing on stderr.
 """
 
 from __future__ import annotations
