@@ -168,9 +168,11 @@ def choi_state(p: PauliDistribution) -> ChoiState:
     """Choi state sum_k p_k |bell_k><bell_k| of the channel, built without
     ChoiState's checks: it is exactly symmetric, with unit trace and
     spectrum p."""
+    # Own the data read-only, so that the view cannot be made writeable again.
+    stack = _choi_stack((p,), _BELL_ROWS).copy()
+    stack.flags.writeable = False
     choi = object.__new__(ChoiState)
-    choi.matrix = _choi_stack((p,), _BELL_ROWS)[0]
-    choi.matrix.flags.writeable = False
+    choi.matrix = stack[0]
     return choi
 
 

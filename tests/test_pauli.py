@@ -246,6 +246,8 @@ class TestChoi:
         choi = choi_state(PauliDistribution((0.4, 0.3, 0.2, 0.1)))
         assert isinstance(choi, ChoiState)
         assert not choi.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            choi.matrix.flags.writeable = True
         np.testing.assert_array_equal(choi.matrix, ChoiState(choi.matrix).matrix)
 
 
