@@ -809,9 +809,8 @@ class TestSweep:
             "sweep", str(scenario_dir / "fiber_2mub_single_photon.json"),
             "--param", "y0", "--from", "1e-9", "--to", "0.5", "--points", "5000",
         ]
-        proc = subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path}
-        )
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         try:
             first = proc.stdout.readline()
             proc.stdout.close()
