@@ -60,7 +60,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, integer
 from .pauli import PAULI_MATRICES, PauliDistribution
 from .qber import QberSet, check_mub_count
 
@@ -89,16 +89,9 @@ class AttackConfig:
 
     def __post_init__(self):
         check_mub_count(self.mub_count)
-        if not (_is_int(self.trials) and self.trials >= 1):
-            raise ValidationError(f"trials={self.trials!r} must be an integer >= 1")
-        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
-            raise ValidationError(f"seed={self.seed!r} must fit in 64 bits")
-        if not (_is_int(self.block_size) and self.block_size >= 1):
-            raise ValidationError(f"block_size={self.block_size!r} must be >= 1")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+        integer(self.trials, "trials", 1)
+        integer(self.seed, "seed", 0, 2**64 - 1)
+        integer(self.block_size, "block_size", 1)
 
 
 def _check_config(cfg) -> None:

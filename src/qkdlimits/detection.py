@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import UndefinedQberError, ValidationError
+from .errors import UndefinedQberError, ValidationError, field_error, integer, real
 
 PROB_SUM_TOL = 1e-12
 
@@ -29,12 +29,9 @@ class DetectorModel:
     eta_eff: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.y0) and 0.0 <= self.y0 < 1.0):
-            raise ValidationError(f"y0={self.y0!r} outside [0, 1)")
-        if not (math.isfinite(self.e_det) and 0.0 <= self.e_det < 0.5):
-            raise ValidationError(f"e_det={self.e_det!r} outside [0, 1/2)")
-        if not (math.isfinite(self.eta_eff) and 0.0 < self.eta_eff <= 1.0):
-            raise ValidationError(f"eta_eff={self.eta_eff!r} outside (0, 1]")
+        object.__setattr__(self, "y0", real(self.y0, "y0", 0.0, 1.0, "[)"))
+        object.__setattr__(self, "e_det", real(self.e_det, "e_det", 0.0, 0.5, "[)"))
+        object.__setattr__(self, "eta_eff", real(self.eta_eff, "eta_eff", 0.0, 1.0, "(]"))
 
 
 @dataclass(frozen=True)
@@ -44,8 +41,7 @@ class SinglePhoton:
     k: int = 1
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not (isinstance(self.k, int) and self.k >= 1):
-            raise ValidationError(f"photon number k={self.k!r} must be an integer >= 1")
+        integer(self.k, "k", 1)
 
     def gamma(self, eta: float) -> float:
         """Detection probability 1 - (1 - eta)^k at transmissivity eta."""
@@ -66,8 +62,7 @@ class Attenuated:
     mu: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise ValidationError(f"mu={self.mu!r} must be positive")
+        object.__setattr__(self, "mu", real(self.mu, "mu", 0.0, ends="()"))
 
     def gamma(self, eta: float) -> float:
         """Detection probability 1 - exp(-eta mu) at transmissivity eta."""
@@ -88,27 +83,20 @@ class Decoy:
     dead_time_s: float = 0.0
 
     def __post_init__(self):
-        mus = tuple(float(m) for m in self.intensities)
-        qs = tuple(float(q) for q in self.probabilities)
+        mus, qs = self.intensities, self.probabilities
+        mus = tuple(real(m, f"intensities[{i}]", 0.0, ends="[)") for i, m in enumerate(mus))
+        qs = tuple(real(q, f"probabilities[{i}]", 0.0, ends="()") for i, q in enumerate(qs))
         if len(mus) == 0:
             raise ValidationError("decoy source needs at least one intensity")
         if len(mus) != len(qs):
             raise ValidationError(
                 f"{len(mus)} intensities but {len(qs)} probabilities"
             )
-        for m in mus:
-            if not (math.isfinite(m) and m >= 0.0):
-                raise ValidationError(f"intensity {m!r} must be >= 0")
-        for q in qs:
-            if not (math.isfinite(q) and q > 0.0):
-                raise ValidationError(f"intensity probability {q!r} must be > 0")
         total = sum(qs)
         if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"intensity probabilities sum to {total!r}, not 1")
-        if not (math.isfinite(self.rep_rate_hz) and self.rep_rate_hz >= 0.0):
-            raise ValidationError(f"rep_rate_hz={self.rep_rate_hz!r} must be >= 0")
-        if not (math.isfinite(self.dead_time_s) and self.dead_time_s >= 0.0):
-            raise ValidationError(f"dead_time_s={self.dead_time_s!r} must be >= 0")
+            raise field_error("probabilities", qs, f"sum to {total!r}, not 1")
+        for name in ("rep_rate_hz", "dead_time_s"):
+            object.__setattr__(self, name, real(getattr(self, name), name, 0.0, ends="[)"))
         object.__setattr__(self, "intensities", mus)
         object.__setattr__(self, "probabilities", tuple(q / total for q in qs))
 
@@ -145,19 +133,11 @@ class QberBreakdown:
     weights: tuple[float, ...] | None = field(default=None)
 
 
-def _check_eta(eta: float) -> None:
-    """Raise ValidationError unless eta is a transmissivity in [0, 1]."""
-    if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
-        raise ValidationError(f"eta={eta!r} outside [0, 1]")
-
-
 def k_photon_transmissivity(eta: float, k: int) -> float:
     """Probability 1 - (1 - eta)^k that at least one of k photons survives."""
-    _check_eta(eta)
-    if isinstance(k, bool) or not (isinstance(k, int) and k >= 0):
-        raise ValidationError(f"photon number k={k!r} must be an integer >= 0")
+    eta = real(eta, "eta", 0.0, 1.0)
     # A pulse with no photon is never detected, even over a lossless channel.
-    return SinglePhoton(k).gamma(eta) if k else 0.0
+    return SinglePhoton(k).gamma(eta) if integer(k, "k", 0) else 0.0
 
 
 def _breakdown(gamma: float, det: DetectorModel) -> QberBreakdown:
@@ -182,7 +162,7 @@ def qber_attenuated(eta: float, mu: float, det: DetectorModel) -> QberBreakdown:
 
 
 def _per_intensity(eta: float, src: Decoy, det: DetectorModel) -> list[QberBreakdown]:
-    _check_eta(eta)
+    eta = real(eta, "eta", 0.0, 1.0)
     out = []
     for mu in src.intensities:
         gamma = -math.expm1(-eta * mu)
@@ -244,7 +224,7 @@ def detection_probability(src: SourceModel, eta: float) -> float:
 
     Decoy sources evaluate at their largest intensity, mu.
     """
-    _check_eta(eta)
+    eta = real(eta, "eta", 0.0, 1.0)
     if not isinstance(src, SourceModel):
         raise ValidationError(f"unknown source model {src!r}")
     return src.gamma(eta)

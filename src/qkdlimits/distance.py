@@ -532,7 +532,8 @@ def dark_count_sweep(
     boundary. Misalignment infeasibility does raise, since it kills
     every row at once.
     """
-    values = [float(y0) for y0 in y0_values]
+    # Each DetectorModel checks its y0 as the engine reaches the point.
+    values = list(y0_values)
     if not values:
         return []
     e_det, eta_eff = det_template.e_det, det_template.eta_eff
@@ -542,4 +543,4 @@ def dark_count_sweep(
     fiber = ScenarioLink("fiber", fiber=link)
     points = ((src, DetectorModel(y0, e_det, eta_eff), fiber) for y0 in values)
     bounds = distance_bounds(points, mub_count)
-    return [SweepRow(y0, b.d_max_km, b.feasible) for y0, b in zip(values, bounds)]
+    return [SweepRow(float(y0), b.d_max_km, b.feasible) for y0, b in zip(values, bounds)]

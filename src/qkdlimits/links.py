@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .errors import ValidationError
+from .errors import ValidationError, field_error, real
 
 # Clear-sky extinction at ground level near 800 nm and the atmosphere's
 # effective scale height.
@@ -46,16 +46,10 @@ class FiberLink:
     alpha_db_per_km: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha_db_per_km) and self.alpha_db_per_km > 0.0):
-            raise ValidationError(f"alpha={self.alpha_db_per_km!r} must be positive")
-        if math.isinf(10.0 / self.alpha_db_per_km):
-            raise _field_error(self, "alpha_db_per_km", "small: 10/alpha overflows a float")
-
-
-def _field_error(obj, name: str, problem: str) -> ValidationError:
-    err = ValidationError(f"{name}={getattr(obj, name)!r} is too {problem}")
-    err.field = name  # parse_scenario puts the field's path in front
-    return err
+        alpha = real(self.alpha_db_per_km, "alpha_db_per_km", 0.0, ends="()")
+        if math.isinf(10.0 / alpha):
+            raise field_error("alpha_db_per_km", alpha, "is too small: 10/alpha overflows a float")
+        object.__setattr__(self, "alpha_db_per_km", alpha)
 
 
 def _fiber_kernel(link: FiberLink) -> Callable[[float], float]:
@@ -86,14 +80,9 @@ class GroundAtmosphere:
     altitude_km: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha0_per_km) and self.alpha0_per_km > 0.0):
-            raise ValidationError(f"alpha0={self.alpha0_per_km!r} must be positive")
-        if not (math.isfinite(self.scale_height_km) and self.scale_height_km > 0.0):
-            raise ValidationError(
-                f"scale height {self.scale_height_km!r} must be positive"
-            )
-        if not (math.isfinite(self.altitude_km) and self.altitude_km >= 0.0):
-            raise ValidationError(f"altitude {self.altitude_km!r} must be >= 0")
+        for name in ("alpha0_per_km", "scale_height_km", "altitude_km"):
+            ends = "[)" if name == "altitude_km" else "()"
+            object.__setattr__(self, name, real(getattr(self, name), name, 0.0, ends=ends))
 
     @cached_property
     def extinction_per_km(self) -> float:
@@ -128,12 +117,9 @@ class SatellitePath:
     eta_zenith: float = DEFAULT_ETA_ZENITH
 
     def __post_init__(self):
-        if not (math.isfinite(self.zenith_angle_rad) and 0.0 <= self.zenith_angle_rad <= 1.0):
-            raise ValidationError(
-                f"zenith angle {self.zenith_angle_rad!r} outside [0, 1] rad"
-            )
-        if not (math.isfinite(self.eta_zenith) and 0.0 < self.eta_zenith <= 1.0):
-            raise ValidationError(f"eta_zenith={self.eta_zenith!r} outside (0, 1]")
+        zenith = real(self.zenith_angle_rad, "zenith_angle_rad", 0.0, 1.0)
+        object.__setattr__(self, "zenith_angle_rad", zenith)
+        object.__setattr__(self, "eta_zenith", real(self.eta_zenith, "eta_zenith", 0.0, 1.0, "(]"))
 
 
 def satellite_transmissivity(sat: SatellitePath) -> float:
@@ -147,11 +133,8 @@ def satellite_slant_distance_km(altitude_km: float, zenith_angle_rad: float) -> 
     Flat-atmosphere approximation; it ignores Earth's curvature, which
     is acceptable within the 1 rad zenith-angle domain.
     """
-    if not (math.isfinite(altitude_km) and altitude_km > 0.0):
-        raise ValidationError(f"altitude {altitude_km!r} must be positive")
-    if not (math.isfinite(zenith_angle_rad) and 0.0 <= zenith_angle_rad <= 1.0):
-        raise ValidationError(f"zenith angle {zenith_angle_rad!r} outside [0, 1] rad")
-    return altitude_km / math.cos(zenith_angle_rad)
+    altitude_km = real(altitude_km, "altitude_km", 0.0, ends="()")
+    return altitude_km / math.cos(real(zenith_angle_rad, "zenith_angle_rad", 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -169,28 +152,27 @@ class BeamGeometry:
     curvature_m: float = math.inf
 
     def __post_init__(self):
-        if not (math.isfinite(self.w0_m) and self.w0_m > 0.0):
-            raise ValidationError(f"w0={self.w0_m!r} must be positive")
-        if not (math.isfinite(self.wavelength_m) and self.wavelength_m > 0.0):
-            raise ValidationError(f"wavelength {self.wavelength_m!r} must be positive")
-        if not (math.isfinite(self.aperture_radius_m) and self.aperture_radius_m > 0.0):
-            raise ValidationError(
-                f"aperture radius {self.aperture_radius_m!r} must be positive"
-            )
-        if math.isnan(self.curvature_m) or self.curvature_m == 0.0:
-            raise ValidationError(f"curvature {self.curvature_m!r} must be nonzero")
+        for name in ("w0_m", "wavelength_m", "aperture_radius_m"):
+            object.__setattr__(self, name, real(getattr(self, name), name, 0.0, ends="()"))
+        r0 = self.curvature_m  # an infinite radius, of either sign, is a collimated beam
+        if not (isinstance(r0, float) and math.isinf(r0)):
+            if real(r0, "curvature_m", -math.inf, math.inf, "()") == 0.0:
+                raise field_error("curvature_m", r0, "must be nonzero")
+            object.__setattr__(self, "curvature_m", float(r0))
         for name in ("w0_m", "aperture_radius_m"):
-            try:
-                getattr(self, name) ** 2
-            except OverflowError:
-                raise _field_error(self, name, "large: its square overflows a float") from None
+            x = getattr(self, name)
+            if math.isinf(x * x):
+                raise field_error(name, x, "is too large: its square overflows a float")
+        problem = None
         if self.rayleigh_range_m == 0.0:
             name, size = ("w0_m", "small") if self.w0_m**2 == 0.0 else ("wavelength_m", "large")
-            raise _field_error(self, name, f"{size}: the Rayleigh range rounds to 0.0")
-        if math.isinf(self.rayleigh_range_m):
+            problem = f"is too {size}: the Rayleigh range rounds to 0.0"
+        elif math.isinf(self.rayleigh_range_m):
             big_w0 = math.isinf(math.pi * self.w0_m**2)
             name, size = ("w0_m", "large") if big_w0 else ("wavelength_m", "small")
-            raise _field_error(self, name, f"{size}: the Rayleigh range overflows a float")
+            problem = f"is too {size}: the Rayleigh range overflows a float"
+        if problem:
+            raise field_error(name, getattr(self, name), problem)
 
     @cached_property
     def rayleigh_range_m(self) -> float:

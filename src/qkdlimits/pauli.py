@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, real
 
 SIMPLEX_TOL = 1e-12
 NPT_TOL = 1e-12
@@ -117,9 +117,7 @@ def depolarizing(strength: float) -> PauliDistribution:
     The channel maps rho to (1 - p) rho + p I/2; p may run up to 4/3,
     past which the distribution leaves the simplex.
     """
-    s = float(strength)
-    if not 0.0 <= s <= 4.0 / 3.0:
-        raise ValidationError(f"depolarizing strength {s!r} outside [0, 4/3]")
+    s = real(strength, "strength", 0.0, 4.0 / 3.0)
     return PauliDistribution((1.0 - 0.75 * s, s / 4.0, s / 4.0, s / 4.0))
 
 
@@ -209,9 +207,7 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
 
 def binary_entropy(x: float) -> float:
     """Binary entropy H2(x) in bits, with H2(0) = H2(1) = 0."""
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"binary entropy argument {x!r} outside [0, 1]")
+    x = real(x, "x", 0.0, 1.0)
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)

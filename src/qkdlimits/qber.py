@@ -9,10 +9,9 @@ E_X + E_Z < 1/2 or E_X + E_Z + E_Y < 1. Boundaries are insecure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import InconsistentQberError, ValidationError
+from .errors import InconsistentQberError, ValidationError, real
 from .pauli import PauliDistribution
 
 CONSISTENCY_TOL = 1e-12
@@ -32,12 +31,8 @@ class QberSet:
     def __post_init__(self):
         for name in ("e_x", "e_z", "e_y"):
             v = getattr(self, name)
-            if v is None:
-                continue
-            if isinstance(v, bool) or not (
-                isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0
-            ):
-                raise ValidationError(f"{name}={v!r} is not a rate in [0, 1]")
+            if v is not None:
+                object.__setattr__(self, name, real(v, name, 0.0, 1.0))
 
     @property
     def mub_count(self) -> int:
@@ -100,9 +95,7 @@ def pauli_from_qbers_2mub_worstcase(q: QberSet, assumed_p2: float = 0.0) -> Paul
     """
     if q.mub_count != 2:
         raise ValidationError("two-basis reconstruction must not carry e_y")
-    p2 = float(assumed_p2)
-    if not 0.0 <= p2 <= min(q.e_x, q.e_z):
-        raise ValidationError(f"assumed_p2={p2!r} outside [0, min(e_x, e_z)]")
+    p2 = real(assumed_p2, "assumed_p2", 0.0, min(q.e_x, q.e_z))
     p0 = 1.0 - q.e_x - q.e_z + p2
     if p0 < -CONSISTENCY_TOL:
         raise InconsistentQberError(
@@ -151,8 +144,7 @@ def security_verdict(q: QberSet, assumed_p2: float = 0.0) -> SecurityVerdict:
     """
     if q.e_y is not None and assumed_p2 != 0.0:
         raise ValidationError("assumed_p2 applies only to two-basis sets")
-    if not 0.0 <= assumed_p2 <= 0.5:
-        raise ValidationError(f"assumed_p2={assumed_p2!r} outside [0, 1/2]")
+    assumed_p2 = real(assumed_p2, "assumed_p2", 0.0, 0.5)
     threshold = (q.mub_count - 1) / 2 + assumed_p2
     total = q.qber_sum
     margin = threshold - total

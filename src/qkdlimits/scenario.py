@@ -13,10 +13,8 @@ schemas/result_record.schema.json.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
-import reprlib
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -24,7 +22,7 @@ from importlib import resources
 from . import __version__
 from .detection import Attenuated, Decoy, DetectorModel, SinglePhoton, SourceModel
 from .distance import DistanceBound, distance_bounds, gamma_threshold
-from .errors import ValidationError
+from .errors import VALUE_REPR, ValidationError, integer
 from .links import (
     LINK_PARTS,
     BeamGeometry,
@@ -99,36 +97,17 @@ def result_record_schema() -> dict:
     return json.loads(text)
 
 
-class _ValueRepr(reprlib.Repr):
-    """Abbreviates the wrong input value a ValidationError quotes. A value
-    within the limits prints as repr prints it, dict key order included."""
-
-    def repr_dict(self, x, level):
-        if not x or level <= 0:
-            return "{...}" if x else "{}"
-        pieces = [
-            f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}"
-            for k, v in itertools.islice(x.items(), self.maxdict)
-        ]
-        if len(x) > self.maxdict:
-            pieces.append("...")
-        return "{" + ", ".join(pieces) + "}"
-
-
-_REPR = _ValueRepr()
-_REPR.maxlevel = 3
-_REPR.maxstring = _REPR.maxother = 40
-
-
 def _object(v, path: str) -> dict:
     if not isinstance(v, dict):
-        raise ValidationError(f"scenario field {path}: expected an object, got {_REPR.repr(v)}")
+        raise ValidationError(
+            f"scenario field {path}: expected an object, got {VALUE_REPR.repr(v)}"
+        )
     return v
 
 
 def _list(v, path: str) -> list:
     if not isinstance(v, list):
-        raise ValidationError(f"scenario field {path}: expected a list, got {_REPR.repr(v)}")
+        raise ValidationError(f"scenario field {path}: expected a list, got {VALUE_REPR.repr(v)}")
     return v
 
 
@@ -150,7 +129,7 @@ def _number(obj, key, path: str, default=dataclasses.MISSING) -> float:
     v = obj[key]
     name = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"scenario field {name}: expected a number, got {_REPR.repr(v)}")
+        raise ValidationError(f"scenario field {name}: expected a number, got {VALUE_REPR.repr(v)}")
     try:
         return float(v)
     except OverflowError:
@@ -160,9 +139,9 @@ def _number(obj, key, path: str, default=dataclasses.MISSING) -> float:
 def _check_keys(obj, allowed, path: str):
     unknown = sorted(_object(obj, path).keys() - allowed)
     if unknown:
-        shown = [_REPR.repr(k) for k in unknown[: _REPR.maxlist]]
-        if len(unknown) > _REPR.maxlist:
-            shown.append(f"... and {len(unknown) - _REPR.maxlist} more")
+        shown = [VALUE_REPR.repr(k) for k in unknown[: VALUE_REPR.maxlist]]
+        if len(unknown) > VALUE_REPR.maxlist:
+            shown.append(f"... and {len(unknown) - VALUE_REPR.maxlist} more")
         raise ValidationError(f"scenario field {path}: unknown keys [{', '.join(shown)}]")
 
 
@@ -171,7 +150,7 @@ def _build(path: str, cls, fields: dict):
     try:
         return cls(**fields)
     except ValidationError as exc:
-        name = path if getattr(exc, "field", None) is None else f"{path}.{exc.field}"
+        name = path if exc.field is None else f"{path}.{exc.field}"
         raise ValidationError(f"scenario field {name}: {exc}") from None
 
 
@@ -191,7 +170,7 @@ def _kind(obj, kinds: tuple[str, ...], path: str) -> tuple[str, dict]:
     kind = _require(_object(obj, path), "kind", path)
     if kind not in kinds:
         raise ValidationError(
-            f"scenario field {path}.kind: unknown {path} {_REPR.repr(kind)}, "
+            f"scenario field {path}.kind: unknown {path} {VALUE_REPR.repr(kind)}, "
             f"expected one of {kinds}"
         )
     return kind, {k: v for k, v in obj.items() if k != "kind"}
@@ -201,13 +180,7 @@ def _parse_source(obj) -> SourceModel:
     kind, params = _kind(obj, ("single_photon", "attenuated", "decoy"), "source")
     if kind == "single_photon":
         _check_keys(params, {"k"}, "source")
-        k = params.get("k", 1)
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise ValidationError(
-                f"scenario field source.k: expected an integer, got {_REPR.repr(k)}"
-            )
-        _number(params, "k", "source", 1)  # k enters the models as a float
-        return _build("source", SinglePhoton, {"k": k})
+        return _build("source", SinglePhoton, {"k": params.get("k", 1)})
     if kind == "attenuated":
         return _record(Attenuated, params, "source")
     lists = {}
@@ -289,7 +262,7 @@ def parse_scenario(doc: dict) -> Scenario:
     version = _require(doc, "schema_version", "<root>")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValidationError(
-            f"scenario field schema_version: got {_REPR.repr(version)}, "
+            f"scenario field schema_version: got {VALUE_REPR.repr(version)}, "
             f"this build reads {SCHEMA_VERSION}"
         )
     protocol = _require(doc, "protocol", "<root>")
@@ -298,7 +271,7 @@ def parse_scenario(doc: dict) -> Scenario:
     if type(mub_count) is not int or mub_count not in MUB_COUNTS:
         raise ValidationError(
             "scenario field protocol.mub_count: must be the integer 2 or 3, "
-            f"got {_REPR.repr(mub_count)}"
+            f"got {VALUE_REPR.repr(mub_count)}"
         )
 
     source = _parse_source(doc["source"]) if doc.get("source") is not None else None
@@ -461,13 +434,12 @@ def sweep_scenario(
         raise ValidationError("sweep needs a scenario with a link")
     if param not in _SWEEP_PARAMS:
         raise ValidationError(f"unknown sweep parameter {param!r}, expected one of {_SWEEP_PARAMS}")
-    if isinstance(points, bool) or not (isinstance(points, int) and points >= 1):
-        raise ValidationError(f"points={points!r} must be an integer >= 1")
+    integer(points, "points", 1)
     for name, v in (("start", start), ("stop", stop)):
         # NaN, inf and ints beyond float range all fail the comparison.
         finite = isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
         if isinstance(v, bool) or not finite:
-            raise ValidationError(f"{name}={_REPR.repr(v)} must be a finite number")
+            raise ValidationError(f"{name}={VALUE_REPR.repr(v)} must be a finite number")
     if scale == "log":
         if start <= 0 or stop <= 0:
             raise ValidationError("log scale needs positive endpoints")

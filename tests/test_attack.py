@@ -167,21 +167,31 @@ class TestPauliChannelSampling:
 
 
 def test_attack_config_validation():
-    for fields, message in (
-        (dict(mub_count=4, trials=100, seed=0), "mub_count must be 2 or 3"),
-        (dict(mub_count=2.0, trials=100, seed=0), "mub_count must be 2 or 3, got 2.0"),
-        (dict(mub_count=True, trials=100, seed=0), "mub_count must be 2 or 3"),
-        (dict(mub_count=2, trials=0, seed=0), "trials=0 must be an integer >= 1"),
-        (dict(mub_count=2, trials=100.5, seed=0), "trials=100.5 must be an integer"),
-        (dict(mub_count=2, trials=True, seed=0), "trials=True must be an integer >= 1"),
-        (dict(mub_count=2, trials=100, seed=-1), "seed=-1 must fit in 64 bits"),
-        (dict(mub_count=2, trials=100, seed=2**64), "must fit in 64 bits"),
-        (dict(mub_count=2, trials=100, seed=True), "seed=True must fit in 64 bits"),
-        (dict(mub_count=2, trials=100, seed=0, block_size=0), "block_size=0 must be >= 1"),
-        (dict(mub_count=2, trials=100, seed=0, block_size=True), "block_size=True must be >= 1"),
+    seeds = f"must be an integer in [0, {2**64 - 1}]"
+    for fields, message, field in (
+        (dict(mub_count=4, trials=100, seed=0), "mub_count must be 2 or 3", None),
+        (dict(mub_count=2.0, trials=100, seed=0), "mub_count must be 2 or 3, got 2.0", None),
+        (dict(mub_count=True, trials=100, seed=0), "mub_count must be 2 or 3", None),
+        (dict(mub_count=2, trials=0, seed=0), "trials=0 must be an integer >= 1", "trials"),
+        (dict(mub_count=2, trials=100.5, seed=0), "trials=100.5 must be an integer", "trials"),
+        (dict(mub_count=2, trials=True, seed=0), "trials=True must be an integer >= 1", "trials"),
+        (dict(mub_count=2, trials=100, seed=-1), f"seed=-1 {seeds}", "seed"),
+        (dict(mub_count=2, trials=100, seed=2**64), f"seed={2**64} {seeds}", "seed"),
+        (dict(mub_count=2, trials=100, seed=True), f"seed=True {seeds}", "seed"),
+        (
+            dict(mub_count=2, trials=100, seed=0, block_size=0),
+            "block_size=0 must be an integer >= 1",
+            "block_size",
+        ),
+        (
+            dict(mub_count=2, trials=100, seed=0, block_size=True),
+            "block_size=True must be an integer >= 1",
+            "block_size",
+        ),
     ):
-        with pytest.raises(ValidationError, match=re.escape(message)):
+        with pytest.raises(ValidationError, match=re.escape(message)) as exc:
             AttackConfig(**fields)
+        assert exc.value.field == field
 
 
 class TestEstimatorArguments:

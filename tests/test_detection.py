@@ -1,6 +1,7 @@
 """Click statistics: yields, error yields, expected QBER per source model."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -274,6 +275,15 @@ def test_single_photon_validation():
 def test_a_bool_is_not_a_single_photon_count():
     with pytest.raises(ValidationError, match="k=True must be an integer >= 1"):
         SinglePhoton(k=True)
+
+
+def test_a_photon_number_past_float_range_is_refused():
+    # k enters gamma as a float; such a k built, and gamma raised OverflowError.
+    for build in (SinglePhoton, lambda k: k_photon_transmissivity(0.5, k)):
+        with pytest.raises(ValidationError, match=r"^k=1000.*0 is beyond float range$") as exc:
+            build(10**400)
+        assert exc.value.field == "k"
+    assert SinglePhoton(int(sys.float_info.max)).gamma(0.5) == 1.0
 
 
 def test_attenuated_validation():

@@ -1,6 +1,7 @@
 """Module structure: the relative imports between the package's modules
 form no cycle, each module uses every name it imports, no module calls
-numpy's closeness tests, and importing the CLI loads no thread pool.
+numpy's closeness tests, no __post_init__ calls math.isfinite, and
+importing the CLI loads no thread pool.
 
 An AST scan of the source files, since no linter is a test dependency.
 """
@@ -109,6 +110,45 @@ def test_no_numpy_closeness_test(path):
     # non-finite input through; compare elementwise instead.
     lines = numpy_closeness_calls(parse(path))
     assert not lines, f"{path.name}: np.allclose/np.isclose on lines {lines}"
+
+
+def post_init_isfinite_calls(tree: ast.AST) -> list[int]:
+    """Lines where a __post_init__ names math.isfinite, or calls an
+    isfinite imported from math."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and sub.attr == "isfinite"
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "math"
+                ) or (
+                    isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Name)
+                    and sub.func.id == "isfinite"
+                ):
+                    lines.append(sub.lineno)
+    return lines
+
+
+def test_the_post_init_scan_sees_a_call():
+    code = "class A:\n    def __post_init__(self):\n        math.isfinite(self.x)\n"
+    assert post_init_isfinite_calls(ast.parse(code)) == [3]
+    code = "class A:\n    def __post_init__(self):\n        ok = isfinite(self.x)\n"
+    assert post_init_isfinite_calls(ast.parse(code)) == [3]
+    assert post_init_isfinite_calls(ast.parse("def f(x):\n    return math.isfinite(x)")) == []
+    assert post_init_isfinite_calls(ast.parse("np.isfinite(m).all()")) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_post_init_checks_a_number_by_hand(path):
+    # Model fields are read through errors.real and errors.integer, the
+    # one rule for a number: a hand-written isfinite range test lets a
+    # bool or a numeric str through, or fails on one with a TypeError.
+    lines = post_init_isfinite_calls(parse(path))
+    assert not lines, f"{path.name}: math.isfinite in __post_init__ on lines {lines}"
 
 
 def test_importing_the_cli_loads_no_thread_pool():

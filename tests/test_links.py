@@ -127,8 +127,10 @@ class TestSatellitePath:
 
     @pytest.mark.parametrize("zenith", [-0.1, 1.01, math.nan])
     def test_slant_distance_checks_the_zenith_angle(self, zenith):
-        with pytest.raises(ValidationError, match=r"zenith angle .* outside \[0, 1\] rad"):
+        message = rf"^zenith_angle_rad={zenith!r} outside \[0, 1\]$"
+        with pytest.raises(ValidationError, match=message) as exc:
             satellite_slant_distance_km(500.0, zenith)
+        assert exc.value.field == "zenith_angle_rad"
 
 
 class TestBeamGeometry:

@@ -6,6 +6,10 @@ run never exits 3 or lets an exception through. A value of the wrong
 type is a ValidationError (exit 1) that names the field. Validity is
 settled at parse time, so a malformed link is reported even when the
 detector is infeasible, by run and by sweep alike.
+
+Called directly, every model field and public scalar argument refuses a
+value that is not a finite number of its kind with a ValidationError
+whose .field names it, and takes a numpy number as it takes a float.
 """
 
 import contextlib
@@ -15,9 +19,36 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from qkdlimits import QkdLimitError, ValidationError, parse_scenario, run_scenario
+from qkdlimits import (
+    AttackConfig,
+    Attenuated,
+    BeamGeometry,
+    Decoy,
+    DetectorModel,
+    FiberLink,
+    GroundAtmosphere,
+    QberSet,
+    QkdLimitError,
+    SatellitePath,
+    SinglePhoton,
+    ValidationError,
+    best_case_intensity,
+    binary_entropy,
+    dark_count_sweep,
+    decoy_expected_qber,
+    depolarizing,
+    detection_probability,
+    k_photon_transmissivity,
+    parse_scenario,
+    pauli_from_qbers_2mub_worstcase,
+    run_scenario,
+    satellite_slant_distance_km,
+    security_verdict,
+    sweep_scenario,
+)
 from qkdlimits.cli import main
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -121,15 +152,20 @@ def test_every_field_set_to_every_wrong_value(tmp_path):
 
 
 # A value of the right type that its model rejects, and the path of the
-# object that holds it: the model's message follows that path.
+# field that holds it (of the object, where no one field is at fault):
+# the model's message follows that path.
 _MODEL_ERRORS = [
-    ("fiber_2mub_single_photon.json", ("link", "alpha_db_per_km"), -1, "link"),
-    ("freespace_ground_2mub.json", ("link", "beam", "w0_m"), -1, "link.beam"),
-    ("fiber_2mub_single_photon.json", ("detector", "y0"), 2, "detector"),
-    ("fiber_2mub_attenuated_mu03.json", ("source", "mu"), -1, "source"),
-    ("fiber_2mub_single_photon.json", ("source", "k"), 0, "source"),
-    ("satellite_2mub.json", ("link", "zenith_angle_rad"), 2, "link"),
-    ("fiber_2mub_decoy.json", ("source", "probabilities"), [1.0, 0.5, 0.5], "source"),
+    ("fiber_2mub_single_photon.json", ("link", "alpha_db_per_km"), -1, "link.alpha_db_per_km"),
+    ("freespace_ground_2mub.json", ("link", "beam", "w0_m"), -1, "link.beam.w0_m"),
+    ("fiber_2mub_single_photon.json", ("detector", "y0"), 2, "detector.y0"),
+    ("fiber_2mub_attenuated_mu03.json", ("source", "mu"), -1, "source.mu"),
+    ("fiber_2mub_single_photon.json", ("source", "k"), 0, "source.k"),
+    ("satellite_2mub.json", ("link", "zenith_angle_rad"), 2, "link.zenith_angle_rad"),
+    (
+        "fiber_2mub_decoy.json", ("source", "probabilities"), [1.0, 0.5, 0.5],
+        "source.probabilities",
+    ),
+    ("fiber_2mub_decoy.json", ("source", "intensities", 1), -1, "source.intensities[1]"),
     ("repeater_chain.json", ("chain", "links", 0), [1.0, 1.0, 0.0, 0.0], "chain.links[0]"),
     ("repeater_chain.json", ("chain", "links"), [], "chain"),
 ]
@@ -146,3 +182,100 @@ def test_a_value_its_model_rejects_names_its_path(tmp_path, capsys, name, path, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: scenario field {where}: "), err
     assert err.count("scenario field") == 1
+
+
+def _decoy(**fields):
+    return Decoy(**{"intensities": (0.5,), "probabilities": (1.0,), **fields})
+
+
+_FIBER = parse_scenario(json.loads((SCENARIOS / "fiber_2mub_single_photon.json").read_text()))
+_BEAM = dict(w0_m=1.0, wavelength_m=1.0, aperture_radius_m=1.0)
+_DET = DetectorModel(0.0, 0.0)
+
+# Every number a model field or a public scalar argument takes: a label,
+# a call that puts the value there, the name its ValidationError gives,
+# and a valid value that np.float32 and np.int64 hold exactly (None for
+# an integer, which must be an int).
+_NUMBER_SITES = [
+    ("DetectorModel.y0", lambda v: DetectorModel(v, 0.0), "y0", 0.0),
+    ("DetectorModel.e_det", lambda v: DetectorModel(0.0, v), "e_det", 0.0),
+    ("DetectorModel.eta_eff", lambda v: DetectorModel(0.0, 0.0, v), "eta_eff", 1.0),
+    ("SinglePhoton.k", lambda v: SinglePhoton(v), "k", None),
+    ("Attenuated.mu", lambda v: Attenuated(v), "mu", 1.0),
+    ("Decoy.intensities", lambda v: _decoy(intensities=(0.5, v), probabilities=(0.5, 0.5)),
+     "intensities[1]", 0.0),
+    ("Decoy.probabilities", lambda v: _decoy(probabilities=(v,)), "probabilities[0]", 1.0),
+    ("Decoy.rep_rate_hz", lambda v: _decoy(rep_rate_hz=v), "rep_rate_hz", 0.0),
+    ("Decoy.dead_time_s", lambda v: _decoy(dead_time_s=v), "dead_time_s", 0.0),
+    ("FiberLink.alpha_db_per_km", lambda v: FiberLink(v), "alpha_db_per_km", 1.0),
+    ("GroundAtmosphere.alpha0_per_km", lambda v: GroundAtmosphere(v), "alpha0_per_km", 1.0),
+    ("GroundAtmosphere.scale_height_km", lambda v: GroundAtmosphere(scale_height_km=v),
+     "scale_height_km", 1.0),
+    ("GroundAtmosphere.altitude_km", lambda v: GroundAtmosphere(altitude_km=v),
+     "altitude_km", 0.0),
+    ("SatellitePath.zenith_angle_rad", lambda v: SatellitePath(v), "zenith_angle_rad", 1.0),
+    ("SatellitePath.eta_zenith", lambda v: SatellitePath(eta_zenith=v), "eta_zenith", 1.0),
+    ("BeamGeometry.w0_m", lambda v: BeamGeometry(**{**_BEAM, "w0_m": v}), "w0_m", 1.0),
+    ("BeamGeometry.wavelength_m", lambda v: BeamGeometry(**{**_BEAM, "wavelength_m": v}),
+     "wavelength_m", 1.0),
+    ("BeamGeometry.aperture_radius_m",
+     lambda v: BeamGeometry(**{**_BEAM, "aperture_radius_m": v}), "aperture_radius_m", 1.0),
+    ("BeamGeometry.curvature_m", lambda v: BeamGeometry(**_BEAM, curvature_m=v),
+     "curvature_m", -1.0),
+    ("QberSet.e_x", lambda v: QberSet(v, 0.0), "e_x", 0.0),
+    ("QberSet.e_z", lambda v: QberSet(0.0, v), "e_z", 1.0),
+    ("QberSet.e_y", lambda v: QberSet(0.0, 0.0, v), "e_y", 0.0),
+    ("AttackConfig.trials", lambda v: AttackConfig(2, v, 0), "trials", None),
+    ("AttackConfig.seed", lambda v: AttackConfig(2, 1, v), "seed", None),
+    ("AttackConfig.block_size", lambda v: AttackConfig(2, 1, 0, v), "block_size", None),
+    ("k_photon_transmissivity.eta", lambda v: k_photon_transmissivity(v, 2), "eta", 1.0),
+    ("k_photon_transmissivity.k", lambda v: k_photon_transmissivity(0.5, v), "k", None),
+    ("detection_probability.eta", lambda v: detection_probability(SinglePhoton(), v), "eta", 0.0),
+    ("decoy_expected_qber.eta", lambda v: decoy_expected_qber(v, _decoy(), _DET), "eta", 1.0),
+    ("best_case_intensity.eta", lambda v: best_case_intensity(_decoy(), v, _DET), "eta", 1.0),
+    ("dark_count_sweep.y0_values",
+     lambda v: dark_count_sweep([v], _DET, SinglePhoton(), FiberLink(0.2), 2), "y0", 0.0),
+    ("satellite_slant_distance_km.altitude_km", lambda v: satellite_slant_distance_km(v, 0.0),
+     "altitude_km", 1.0),
+    ("satellite_slant_distance_km.zenith_angle_rad",
+     lambda v: satellite_slant_distance_km(1.0, v), "zenith_angle_rad", 0.0),
+    ("depolarizing.strength", lambda v: depolarizing(v), "strength", 1.0),
+    ("binary_entropy.x", lambda v: binary_entropy(v), "x", 1.0),
+    ("security_verdict.assumed_p2", lambda v: security_verdict(QberSet(0.1, 0.1), v),
+     "assumed_p2", 0.0),
+    ("pauli_from_qbers_2mub_worstcase.assumed_p2",
+     lambda v: pauli_from_qbers_2mub_worstcase(QberSet(0.1, 0.1), v), "assumed_p2", 0.0),
+    # The scale is checked after the points: a sweep that took 10**400
+    # points would build its values without end, and this one builds none.
+    ("sweep_scenario.points", lambda v: sweep_scenario(_FIBER, "y0", 1e-9, 1e-6, v, "none"),
+     "points", None),
+]
+_NOT_NUMBERS = {
+    "True": True, "np.True_": np.True_, "'0.1'": "0.1", "b'0.1'": b"0.1",
+    "10**400": 10**400, "nan": math.nan, "inf": math.inf,
+}
+_REFUSALS = [
+    pytest.param(call, field, value, id=f"{label}-{shown}")
+    for label, call, field, _ in _NUMBER_SITES
+    for shown, value in _NOT_NUMBERS.items()
+    # An infinite curvature_m is a collimated beam.
+    if (field, shown) != ("curvature_m", "inf")
+]
+
+
+@pytest.mark.parametrize("call, field, value", _REFUSALS)
+def test_a_number_outside_its_rule_names_its_field(call, field, value):
+    with pytest.raises(ValidationError) as exc:
+        call(value)
+    assert exc.value.field == field, exc.value
+    assert str(exc.value).startswith(f"{field}="), exc.value
+
+
+@pytest.mark.parametrize(
+    "call, valid",
+    [(s[1], s[3]) for s in _NUMBER_SITES if s[3] is not None],
+    ids=[s[0] for s in _NUMBER_SITES if s[3] is not None],
+)
+@pytest.mark.parametrize("kind", [np.float32, np.int64])
+def test_a_numpy_number_stands_where_a_float_does(call, valid, kind):
+    assert call(kind(valid)) == call(valid)

@@ -51,8 +51,10 @@ def test_a_rate_that_is_not_a_number_is_refused(field, bad):
     # The scenario parser refuses these; a bool rate was kept as is, so
     # QberSet(True, 0.1).qber_sum was 1.1.
     rates = {"e_x": 0.1, "e_z": 0.1, "e_y": 0.1, field: bad}
-    with pytest.raises(ValidationError, match=f"^{field}={re.escape(repr(bad))} is not a rate"):
+    message = f"^{field}={re.escape(repr(bad))} is not a number$"
+    with pytest.raises(ValidationError, match=message) as exc:
         QberSet(**rates)
+    assert exc.value.field == field
 
 
 def test_numpy_float_rates_are_accepted():
