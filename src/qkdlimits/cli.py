@@ -30,9 +30,10 @@ from .errors import (
     InfeasibleConfigurationError,
     NumericError,
     ValidationError,
+    real,
 )
 from .links import DEFAULT_ALPHA0_PER_KM, DEFAULT_ETA_ZENITH, DEFAULT_SCALE_HEIGHT_KM
-from .pauli import PauliDistribution, capacity_verdict
+from .pauli import WEIGHT_NAMES, PauliDistribution, capacity_verdict
 from .qber import (
     MUB_COUNTS,
     QberSet,
@@ -266,10 +267,8 @@ def _cmd_thresholds(args) -> ResultRecord:
 
 
 def _cmd_channel(args) -> ResultRecord:
-    p = [float(x) for x in args.p]
-    for x in p:
-        if not (math.isfinite(x) and -CLI_SIMPLEX_TOL <= x <= 1.0 + CLI_SIMPLEX_TOL):
-            raise ValidationError(f"probability {x!r} outside [0, 1]")
+    lo, hi = -CLI_SIMPLEX_TOL, 1.0 + CLI_SIMPLEX_TOL
+    p = [real(x, name, lo, hi) for x, name in zip(args.p, WEIGHT_NAMES)]
     total = math.fsum(p)
     if abs(total - 1.0) > CLI_SIMPLEX_TOL:
         raise ValidationError(f"probabilities sum to {total!r}, more than {CLI_SIMPLEX_TOL} from 1")

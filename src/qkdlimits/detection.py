@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import UndefinedQberError, ValidationError, field_error, integer, real
+from .errors import UndefinedQberError, ValidationError, field_error, integer, real, sequence
 
 PROB_SUM_TOL = 1e-12
 
@@ -83,7 +83,8 @@ class Decoy:
     dead_time_s: float = 0.0
 
     def __post_init__(self):
-        mus, qs = self.intensities, self.probabilities
+        mus = sequence(self.intensities, "intensities")
+        qs = sequence(self.probabilities, "probabilities")
         mus = tuple(real(m, f"intensities[{i}]", 0.0, ends="[)") for i, m in enumerate(mus))
         qs = tuple(real(q, f"probabilities[{i}]", 0.0, ends="()") for i, q in enumerate(qs))
         if len(mus) == 0:

@@ -52,6 +52,7 @@ from .errors import (
     InfeasibleConfigurationError,
     NonMonotonicModelError,
     ValidationError,
+    sequence,
 )
 from .links import BeamGeometry, FiberLink, ScenarioLink, _never_rises
 from .qber import MUB_COUNTS, MUB_NAMES, check_mub_count, symmetric_threshold
@@ -533,7 +534,7 @@ def dark_count_sweep(
     every row at once.
     """
     # Each DetectorModel checks its y0 as the engine reaches the point.
-    values = list(y0_values)
+    values = sequence(y0_values, "y0_values")
     if not values:
         return []
     e_det, eta_eff = det_template.e_det, det_template.eta_eff

@@ -4,11 +4,11 @@ Three families matter to callers: bad input (ValidationError and
 subclasses), physically infeasible configurations, and numeric failures.
 The CLI maps them to exit codes 1, 2 and 3 respectively.
 
-One rule reads every model field and public scalar argument: real takes
-a finite numbers.Real but a bool (a numpy number through float()) in the
-quantity's interval, integer an int but a bool; neither passes float range.
-Their ValidationError names the quantity in .field, which the scenario
-parser turns into the field's path.
+One rule reads every number of a model, a public argument or a scenario
+file: real takes a finite numbers.Real but a bool (a numpy number through
+float()) in the quantity's interval, integer an int but a bool; neither
+passes float range. Their ValidationError names the quantity in .field,
+which the scenario parser, checking only structure, puts under its path.
 """
 
 import itertools
@@ -16,6 +16,7 @@ import math
 import numbers
 import reprlib
 import sys
+from collections.abc import Iterable
 
 
 class QkdLimitError(Exception):
@@ -25,7 +26,9 @@ class QkdLimitError(Exception):
 class ValidationError(QkdLimitError, ValueError):
     """Input violates a documented precondition; .field names the quantity at fault, if any."""
 
-    field: str | None = None
+    def __init__(self, message: str = "", field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class InconsistentQberError(ValidationError):
@@ -73,24 +76,33 @@ VALUE_REPR.maxlevel = 3
 VALUE_REPR.maxstring = VALUE_REPR.maxother = 40
 
 
-def field_error(name: str, value, problem: str) -> ValidationError:
-    """The ValidationError "name=value problem", value abbreviated, with .field = name."""
+def shown(value) -> str:
+    """repr(value), abbreviated when it is long."""
     try:
         # A float's repr is short; VALUE_REPR takes about a microsecond.
-        shown = repr(value) if type(value) is float else VALUE_REPR.repr(value)
+        return repr(value) if type(value) is float else VALUE_REPR.repr(value)
     except ValueError:  # an int past the int-to-str digit limit
-        shown = f"<int of {value.bit_length()} bits>"
-    err = ValidationError(f"{name}={shown} {problem}")
-    err.field = name
-    return err
+        return f"<int of {value.bit_length()} bits>"
+
+
+def field_error(name: str, value, problem: str) -> ValidationError:
+    """The ValidationError "name=value problem", value abbreviated, with .field = name."""
+    return ValidationError(f"{name}={shown(value)} {problem}", name)
+
+
+def is_number(value) -> bool:
+    """Whether value is a numbers.Real but not a bool (a float is tested
+    first, as an isinstance test against an ABC is slow)."""
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _end(x: float) -> str:
-    """An interval end as a fraction n/d when d is small (0, 1/2, 1), else its repr."""
+    """An interval end as an integer (0, 1), a fraction n/d when d is small
+    and x below 2 in size (1/2, -3/2), else its repr (10.5, not 21/2)."""
     if math.isinf(x):
         return repr(x)
     n, d = float(x).as_integer_ratio()
-    return repr(x) if d > 16 else str(n) if d == 1 else f"{n}/{d}"
+    return str(n) if d == 1 else f"{n}/{d}" if d <= 16 and abs(x) < 2 else repr(x)
 
 
 def real(value, name: str, lo: float, hi: float = math.inf, ends: str = "[]") -> float:
@@ -98,7 +110,7 @@ def real(value, name: str, lo: float, hi: float = math.inf, ends: str = "[]") ->
     or open ("(", ")") as ends says, or a ValidationError naming name."""
     if type(value) is float:
         x = value
-    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+    elif not is_number(value):
         raise field_error(name, value, "is not a number")
     else:
         try:
@@ -118,3 +130,10 @@ def integer(value, name: str, lo: int, hi: float = math.inf) -> int:
     if abs(value) > sys.float_info.max:
         raise field_error(name, value, "is beyond float range")
     return value
+
+
+def sequence(value, name: str) -> tuple:
+    """The items of value, any iterable, as a tuple, or a ValidationError."""
+    if type(value) not in (tuple, list) and not isinstance(value, Iterable):
+        raise field_error(name, value, "is not a sequence")
+    return tuple(value)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, real
+from .errors import NumericError, ValidationError, real, sequence
 
 SIMPLEX_TOL = 1e-12
 NPT_TOL = 1e-12
@@ -37,11 +37,8 @@ def _check_self_adjoint(m: np.ndarray, tol: float, message: str) -> None:
         raise ValidationError(message)
 
 
-def _probability(x) -> float:
-    # float() reads a numeric str and a bool too; neither is a probability.
-    if isinstance(x, (str, bytes, bool, np.bool_)):
-        raise ValidationError(f"probability {x!r} is not a number")
-    return float(x)
+# The names real gives the four weights in its errors.
+WEIGHT_NAMES = ("p[0]", "p[1]", "p[2]", "p[3]")
 
 
 @dataclass(frozen=True)
@@ -55,14 +52,15 @@ class PauliDistribution:
     p: tuple[float, float, float, float]
 
     def __init__(self, p) -> None:
+        # Bytes iterate to ints, and a str of digits would read as one.
         if isinstance(p, (str, bytes, bytearray)):
             raise ValidationError(f"Pauli probabilities must be numbers, not {type(p).__name__}")
-        vals = [x if type(x) is float else _probability(x) for x in p]
-        if len(vals) != 4:
-            raise ValidationError(f"need 4 Pauli probabilities, got {len(vals)}")
-        for x in vals:
-            if not math.isfinite(x) or x < -SIMPLEX_TOL or x > 1.0 + SIMPLEX_TOL:
-                raise ValidationError(f"probability {x!r} outside [0, 1]")
+        # Counted first: zip with the names would drop a fifth weight.
+        p = sequence(p, "p")
+        if len(p) != 4:
+            raise ValidationError(f"need 4 Pauli probabilities, got {len(p)}")
+        lo, hi = -SIMPLEX_TOL, 1.0 + SIMPLEX_TOL
+        vals = [real(x, name, lo, hi) for x, name in zip(p, WEIGHT_NAMES)]
         # fsum: exactly-rounded total, so (0.5, 1/6, 1/6, 1/6) stays on
         # the p_max = 1/2 boundary instead of drifting one ulp past it.
         total = math.fsum(vals)
@@ -238,7 +236,7 @@ def capacity_verdicts(ps) -> tuple[CapacityVerdict, ...]:
     solves them in one eigensolve. For each channel the two must agree to
     1e-10 (min eigenvalue = 1/2 - p_max) or a NumericError is raised.
     """
-    ps = tuple(ps)
+    ps = sequence(ps, "ps")
     for i, p in enumerate(ps):
         if not isinstance(p, PauliDistribution):
             raise ValidationError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InconsistentQberError, ValidationError, real
+from .errors import InconsistentQberError, ValidationError, is_number, real, shown
 from .pauli import PauliDistribution
 
 CONSISTENCY_TOL = 1e-12
@@ -113,11 +113,11 @@ def pauli_from_qbers(q: QberSet, assumed_p2: float = 0.0) -> PauliDistribution:
 
 
 def check_mub_count(mub_count: int) -> None:
-    """Raise ValidationError unless mub_count is an int (not a bool) in
-    MUB_COUNTS: 2.0 is refused here as by the scenario parser."""
+    """Raise ValidationError, .field "mub_count", unless mub_count is an int
+    (not a bool) in MUB_COUNTS: 2.0 is refused at every entry point."""
     is_int = isinstance(mub_count, int) and not isinstance(mub_count, bool)
     if not (is_int and mub_count in MUB_COUNTS):
-        raise ValidationError(f"mub_count must be 2 or 3, got {mub_count!r}")
+        raise ValidationError(f"mub_count must be 2 or 3, got {shown(mub_count)}", "mub_count")
 
 
 def symmetric_threshold(mub_count: int) -> float:
@@ -142,8 +142,9 @@ def security_verdict(q: QberSet, assumed_p2: float = 0.0) -> SecurityVerdict:
     Never raises for in-range rates; sets that fall outside the
     identity-dominant regime only get regime_warning.
     """
-    if q.e_y is not None and assumed_p2 != 0.0:
-        raise ValidationError("assumed_p2 applies only to two-basis sets")
+    # A number but 0, NaN too, is refused for the basis count; a non-number by real.
+    if q.e_y is not None and is_number(assumed_p2) and assumed_p2 != 0.0:
+        raise ValidationError("assumed_p2 applies only to two-basis sets", "assumed_p2")
     assumed_p2 = real(assumed_p2, "assumed_p2", 0.0, 0.5)
     threshold = (q.mub_count - 1) / 2 + assumed_p2
     total = q.qber_sum

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, sequence
 from .pauli import PauliDistribution, binary_entropy, capacity_verdicts
 from .qber import QberSet, SecurityVerdict, security_verdict
 
@@ -31,6 +31,9 @@ class ChainSpec:
     qbers: tuple[QberSet, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "links", sequence(self.links, "links"))
+        if self.qbers is not None:
+            object.__setattr__(self, "qbers", sequence(self.qbers, "qbers"))
         if len(self.links) == 0:
             raise ValidationError("chain needs at least one link")
         if self.qbers is not None and len(self.qbers) != len(self.links):

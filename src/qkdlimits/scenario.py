@@ -1,8 +1,10 @@
 """Scenario files: a single JSON document describing protocol, source,
 detector and link, plus an optional repeater chain.
 
-parse_scenario checks every field once and builds typed objects,
-including the link's transmissivity model. run_scenario and
+parse_scenario checks the document's structure and builds typed objects,
+including the link's transmissivity model. It hands each number as given
+to its model, which checks it by the rule of qkdlimits.errors, and puts
+the model's error under the field's path. run_scenario and
 sweep_scenario hand their (source, detector, link) points and the
 scenario's solver bracket, if it has one, to distance.distance_bounds,
 which chooses between the closed forms and the guarded bisection.
@@ -15,14 +17,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 from dataclasses import dataclass
 from importlib import resources
 
 from . import __version__
 from .detection import Attenuated, Decoy, DetectorModel, SinglePhoton, SourceModel
 from .distance import DistanceBound, distance_bounds, gamma_threshold
-from .errors import VALUE_REPR, ValidationError, integer
+from .errors import VALUE_REPR, ValidationError, integer, real
 from .links import (
     LINK_PARTS,
     BeamGeometry,
@@ -33,12 +34,13 @@ from .links import (
     satellite_transmissivity,
 )
 from .pauli import PauliDistribution
-from .qber import MUB_COUNTS, QberSet, symmetric_threshold
+from .qber import QberSet, check_mub_count, symmetric_threshold
 from .repeater import ChainSpec, chain_qber_verdict, chain_verdict
 
 SCHEMA_VERSION = 1
 
 _LINK_KINDS = tuple(LINK_PARTS)
+_SOURCES = {"single_photon": SinglePhoton, "attenuated": Attenuated, "decoy": Decoy}
 _SWEEP_PARAMS = ("y0", "e_det", "eta_eff", "mu", "alpha")
 
 
@@ -97,47 +99,33 @@ def result_record_schema() -> dict:
     return json.loads(text)
 
 
-def _object(v, path: str) -> dict:
-    if not isinstance(v, dict):
-        raise ValidationError(
-            f"scenario field {path}: expected an object, got {VALUE_REPR.repr(v)}"
-        )
+def _expect(v, cls: type, path: str):
+    """v, a JSON object (cls dict) or list (cls list), or an error."""
+    if not isinstance(v, cls):
+        what = "an object" if cls is dict else "a list"
+        raise ValidationError(f"scenario field {path}: expected {what}, got {VALUE_REPR.repr(v)}")
     return v
 
 
-def _list(v, path: str) -> list:
-    if not isinstance(v, list):
-        raise ValidationError(f"scenario field {path}: expected a list, got {VALUE_REPR.repr(v)}")
-    return v
-
-
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
+def _require(obj: dict, key: str, path: str, default=dataclasses.MISSING):
+    """obj[key]; a missing key takes the default, or is an error without one."""
+    if key in obj:
+        return obj[key]
+    if default is dataclasses.MISSING:
         raise ValidationError(f"scenario field {path}: missing required key {key!r}")
-    return obj[key]
+    return default
 
 
-def _number(obj, key, path: str, default=dataclasses.MISSING) -> float:
-    """obj[key] as a float, key being an object key or a list index.
-
-    A missing object key takes the default, or is an error without one.
-    """
-    if isinstance(obj, dict) and key not in obj:
-        if default is dataclasses.MISSING:
-            raise ValidationError(f"scenario field {path}: missing required key {key!r}")
-        return default
-    v = obj[key]
-    name = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"scenario field {name}: expected a number, got {VALUE_REPR.repr(v)}")
-    try:
-        return float(v)
-    except OverflowError:
-        raise ValidationError(f"scenario field {name}: integer beyond float range") from None
+def _number(obj: dict, key: str, path: str, default=dataclasses.MISSING):
+    """_require's obj[key], for its model to check as a number. A present
+    null is refused here: a model may read None as absent (QberSet's e_y)."""
+    if key in obj and obj[key] is None:
+        raise ValidationError(f"scenario field {path}.{key}: expected a number, got None")
+    return _require(obj, key, path, default)
 
 
 def _check_keys(obj, allowed, path: str):
-    unknown = sorted(_object(obj, path).keys() - allowed)
+    unknown = sorted(_expect(obj, dict, path).keys() - allowed)
     if unknown:
         shown = [VALUE_REPR.repr(k) for k in unknown[: VALUE_REPR.maxlist]]
         if len(unknown) > VALUE_REPR.maxlist:
@@ -145,12 +133,17 @@ def _check_keys(obj, allowed, path: str):
         raise ValidationError(f"scenario field {path}: unknown keys [{', '.join(shown)}]")
 
 
-def _build(path: str, cls, fields: dict):
-    """cls(**fields), a ValidationError it raises put under path (path.field if it has one)."""
+def _build(path: str, cls, fields: dict, whole: str = ""):
+    """cls(**fields), a ValidationError it raises put under path: under
+    path.field if it names a field, and under path[i] for the entry
+    whole[i] of the field named whole, a list that path itself holds."""
     try:
         return cls(**fields)
     except ValidationError as exc:
-        name = path if exc.field is None else f"{path}.{exc.field}"
+        name = path
+        if exc.field is not None:
+            entry = whole and exc.field.startswith(f"{whole}[")
+            name += exc.field[len(whole):] if entry else f".{exc.field}"
         raise ValidationError(f"scenario field {name}: {exc}") from None
 
 
@@ -167,7 +160,7 @@ def _record(cls, obj, path: str, **given):
 
 def _kind(obj, kinds: tuple[str, ...], path: str) -> tuple[str, dict]:
     """A tagged object's kind, one of kinds, and its other fields."""
-    kind = _require(_object(obj, path), "kind", path)
+    kind = _require(_expect(obj, dict, path), "kind", path)
     if kind not in kinds:
         raise ValidationError(
             f"scenario field {path}.kind: unknown {path} {VALUE_REPR.repr(kind)}, "
@@ -177,23 +170,20 @@ def _kind(obj, kinds: tuple[str, ...], path: str) -> tuple[str, dict]:
 
 
 def _parse_source(obj) -> SourceModel:
-    kind, params = _kind(obj, ("single_photon", "attenuated", "decoy"), "source")
-    if kind == "single_photon":
-        _check_keys(params, {"k"}, "source")
-        return _build("source", SinglePhoton, {"k": params.get("k", 1)})
-    if kind == "attenuated":
-        return _record(Attenuated, params, "source")
-    lists = {}
-    for key in ("intensities", "probabilities"):
-        xs = _list(_require(params, key, "source"), f"source.{key}")
-        lists[key] = tuple(_number(xs, i, f"source.{key}") for i in range(len(xs)))
-    return _record(Decoy, params, "source", **lists)
+    kind, params = _kind(obj, tuple(_SOURCES), "source")
+    # A decoy source's lists are checked as lists here, entry by entry by Decoy.
+    lists = {
+        key: _expect(_require(params, key, "source"), list, f"source.{key}")
+        for key in ("intensities", "probabilities")
+        if kind == "decoy"
+    }
+    return _record(_SOURCES[kind], params, "source", **lists)
 
 
 def _parse_beam(obj, path: str) -> BeamGeometry:
     # curvature_m is the one field where null is a value: absent, which
     # is a collimated beam (R = inf).
-    obj = {k: v for k, v in _object(obj, path).items() if not (k == "curvature_m" and v is None)}
+    obj = {k: v for k, v in _expect(obj, dict, path).items() if (k, v) != ("curvature_m", None)}
     return _record(BeamGeometry, obj, path)
 
 
@@ -218,16 +208,14 @@ def _parse_link(obj) -> ScenarioLink:
 def _parse_chain(obj, mub_count: int) -> ChainSpec:
     _check_keys(obj, {"links", "qbers"}, "chain")
     links = []
-    for i, p in enumerate(_list(_require(obj, "links", "chain"), "chain.links")):
+    for i, p in enumerate(_expect(_require(obj, "links", "chain"), list, "chain.links")):
         path = f"chain.links[{i}]"
-        p = _list(p, path)
-        weights = [_number(p, j, path) for j in range(len(p))]
-        links.append(_build(path, PauliDistribution, {"p": weights}))
+        links.append(_build(path, PauliDistribution, {"p": _expect(p, list, path)}, "p"))
     qbers = obj.get("qbers")
     if qbers is not None:
         qbers = tuple(
             _record(QberSet, q, f"chain.qbers[{i}]")
-            for i, q in enumerate(_list(qbers, "chain.qbers"))
+            for i, q in enumerate(_expect(qbers, list, "chain.qbers"))
         )
         for i, q in enumerate(qbers):
             if q.mub_count != mub_count:
@@ -235,17 +223,19 @@ def _parse_chain(obj, mub_count: int) -> ChainSpec:
                     f"scenario field chain.qbers[{i}]: a {q.mub_count}-basis QBER set "
                     f"under protocol.mub_count {mub_count}; e_y is present iff three bases"
                 )
-    return _build("chain", ChainSpec, {"links": tuple(links), "qbers": qbers})
+    return _build("chain", ChainSpec, {"links": links, "qbers": qbers})
+
+
+def _bracket(d_lo_km, d_hi_km) -> tuple[float, float]:
+    """The solver bracket: finite, 0 <= d_lo_km < d_hi_km."""
+    lo = real(d_lo_km, "d_lo_km", 0.0, ends="[)")
+    return lo, real(d_hi_km, "d_hi_km", lo, ends="()")
 
 
 def _parse_solver(obj) -> tuple[float, float]:
     _check_keys(obj, {"d_lo_km", "d_hi_km"}, "solver")
-    lo, hi = _number(obj, "d_lo_km", "solver"), _number(obj, "d_hi_km", "solver")
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
-        raise ValidationError(
-            f"scenario field solver: need finite 0 <= d_lo_km < d_hi_km, got [{lo!r}, {hi!r}]"
-        )
-    return lo, hi
+    ends = {key: _number(obj, key, "solver") for key in ("d_lo_km", "d_hi_km")}
+    return _build("solver", _bracket, ends)
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -268,11 +258,7 @@ def parse_scenario(doc: dict) -> Scenario:
     protocol = _require(doc, "protocol", "<root>")
     _check_keys(protocol, {"mub_count"}, "protocol")
     mub_count = _require(protocol, "mub_count", "protocol")
-    if type(mub_count) is not int or mub_count not in MUB_COUNTS:
-        raise ValidationError(
-            "scenario field protocol.mub_count: must be the integer 2 or 3, "
-            f"got {VALUE_REPR.repr(mub_count)}"
-        )
+    _build("protocol", check_mub_count, {"mub_count": mub_count})
 
     source = _parse_source(doc["source"]) if doc.get("source") is not None else None
     detector = None
@@ -301,15 +287,12 @@ def scenario_from_file(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read scenario {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}:{exc.lineno}:{exc.colno}: not valid JSON ({exc.msg})"
-        ) from exc
-    except (RecursionError, ValueError) as exc:
-        # Bytes that are not UTF-8, nesting past the recursion limit, an
-        # integer literal past the int conversion limit.
+        where = f"{path}:{exc.lineno}:{exc.colno}"
+        raise ValidationError(f"{where}: not valid JSON ({exc.msg})") from exc
+    except (OSError, RecursionError, ValueError) as exc:
+        # A file that cannot be read, bytes that are not UTF-8, nesting past
+        # the recursion limit, an integer literal past the int conversion limit.
         raise ValidationError(f"cannot read scenario {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: scenario must be a JSON object")
@@ -435,25 +418,17 @@ def sweep_scenario(
     if param not in _SWEEP_PARAMS:
         raise ValidationError(f"unknown sweep parameter {param!r}, expected one of {_SWEEP_PARAMS}")
     integer(points, "points", 1)
-    for name, v in (("start", start), ("stop", stop)):
-        # NaN, inf and ints beyond float range all fail the comparison.
-        finite = isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
-        if isinstance(v, bool) or not finite:
-            raise ValidationError(f"{name}={VALUE_REPR.repr(v)} must be a finite number")
-    if scale == "log":
-        if start <= 0 or stop <= 0:
-            raise ValidationError("log scale needs positive endpoints")
-        values = [
-            start * (stop / start) ** (i / (points - 1)) if points > 1 else start
-            for i in range(points)
-        ]
-    elif scale == "linear":
-        values = [
-            start + (stop - start) * i / (points - 1) if points > 1 else start
-            for i in range(points)
-        ]
-    else:
+    start = real(start, "start", -math.inf, ends="()")
+    stop = real(stop, "stop", -math.inf, ends="()")
+    if scale not in ("log", "linear"):
         raise ValidationError(f"scale must be 'log' or 'linear', got {scale!r}")
+    if scale == "log" and (start <= 0 or stop <= 0):
+        raise ValidationError("log scale needs positive endpoints")
+    n = points - 1
+    if scale == "log":
+        values = [start * (stop / start) ** (i / n) if n else start for i in range(points)]
+    else:
+        values = [start + (stop - start) * i / n if n else start for i in range(points)]
     points = (_with_param(sc, param, v) for v in values)
     bounds = distance_bounds(points, sc.mub_count, sc.solver)
     # A point whose misalignment is hopeless is a flagged row.

@@ -169,9 +169,9 @@ class TestPauliChannelSampling:
 def test_attack_config_validation():
     seeds = f"must be an integer in [0, {2**64 - 1}]"
     for fields, message, field in (
-        (dict(mub_count=4, trials=100, seed=0), "mub_count must be 2 or 3", None),
-        (dict(mub_count=2.0, trials=100, seed=0), "mub_count must be 2 or 3, got 2.0", None),
-        (dict(mub_count=True, trials=100, seed=0), "mub_count must be 2 or 3", None),
+        (dict(mub_count=4, trials=100, seed=0), "mub_count must be 2 or 3", "mub_count"),
+        (dict(mub_count=2.0, trials=100, seed=0), "mub_count must be 2 or 3, got 2.0", "mub_count"),
+        (dict(mub_count=True, trials=100, seed=0), "mub_count must be 2 or 3", "mub_count"),
         (dict(mub_count=2, trials=0, seed=0), "trials=0 must be an integer >= 1", "trials"),
         (dict(mub_count=2, trials=100.5, seed=0), "trials=100.5 must be an integer", "trials"),
         (dict(mub_count=2, trials=True, seed=0), "trials=True must be an integer >= 1", "trials"),

@@ -534,7 +534,8 @@ class TestNegativeValuesWithAnExponent:
         weights = ["0.5", "0.3", "0.202"]
         weights.insert(position, "-2e-3")
         code, out, err = run_cli(capsys, ["channel", "--p", *weights])
-        assert (code, out, err) == (1, "", "error: probability -0.002 outside [0, 1]\n")
+        want = f"error: p[{position}]=-0.002 outside [-0.001, 1.001]\n"
+        assert (code, out, err) == (1, "", want)
 
 
 class TestRepeater:

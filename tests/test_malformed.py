@@ -9,9 +9,12 @@ detector is infeasible, by run and by sweep alike.
 
 Called directly, every model field and public scalar argument refuses a
 value that is not a finite number of its kind with a ValidationError
-whose .field names it, and takes a numpy number as it takes a float.
+whose .field names it, and takes a numpy number as it takes a float. An
+argument that must be a sequence refuses a value that is not iterable
+the same way.
 """
 
+import argparse
 import contextlib
 import copy
 import io
@@ -26,10 +29,12 @@ from qkdlimits import (
     AttackConfig,
     Attenuated,
     BeamGeometry,
+    ChainSpec,
     Decoy,
     DetectorModel,
     FiberLink,
     GroundAtmosphere,
+    PauliDistribution,
     QberSet,
     QkdLimitError,
     SatellitePath,
@@ -37,6 +42,7 @@ from qkdlimits import (
     ValidationError,
     best_case_intensity,
     binary_entropy,
+    capacity_verdicts,
     dark_count_sweep,
     decoy_expected_qber,
     depolarizing,
@@ -49,7 +55,7 @@ from qkdlimits import (
     security_verdict,
     sweep_scenario,
 )
-from qkdlimits.cli import main
+from qkdlimits.cli import _cmd_channel, main
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 VALUES = (None, "x", -1.0, math.nan, [], {}, True, 2.5, 10**400)
@@ -168,6 +174,14 @@ _MODEL_ERRORS = [
     ("fiber_2mub_decoy.json", ("source", "intensities", 1), -1, "source.intensities[1]"),
     ("repeater_chain.json", ("chain", "links", 0), [1.0, 1.0, 0.0, 0.0], "chain.links[0]"),
     ("repeater_chain.json", ("chain", "links"), [], "chain"),
+    ("fiber_2mub_single_photon.json", ("protocol", "mub_count"), 2.0, "protocol.mub_count"),
+    (
+        "fiber_2mub_single_photon.json", ("solver",), {"d_lo_km": 10.0, "d_hi_km": 1.0},
+        "solver.d_hi_km",
+    ),
+    ("repeater_chain.json", ("chain", "links", 0, 1), 1.5, "chain.links[0][1]"),
+    # QberSet reads e_y=None as a two-basis set; in a document it is a null number.
+    ("repeater_chain.json", ("chain", "qbers", 0, "e_y"), None, "chain.qbers[0].e_y"),
 ]
 
 
@@ -243,12 +257,19 @@ _NUMBER_SITES = [
     ("binary_entropy.x", lambda v: binary_entropy(v), "x", 1.0),
     ("security_verdict.assumed_p2", lambda v: security_verdict(QberSet(0.1, 0.1), v),
      "assumed_p2", 0.0),
+    ("PauliDistribution.p", lambda v: PauliDistribution((0.5, v, 0.5, 0.0)), "p[1]", 0.0),
     ("pauli_from_qbers_2mub_worstcase.assumed_p2",
      lambda v: pauli_from_qbers_2mub_worstcase(QberSet(0.1, 0.1), v), "assumed_p2", 0.0),
     # The scale is checked after the points: a sweep that took 10**400
     # points would build its values without end, and this one builds none.
     ("sweep_scenario.points", lambda v: sweep_scenario(_FIBER, "y0", 1e-9, 1e-6, v, "none"),
      "points", None),
+    ("sweep_scenario.start", lambda v: sweep_scenario(_FIBER, "y0", v, 1e-6, 2, "linear"),
+     "start", 0.0),
+    ("sweep_scenario.stop", lambda v: sweep_scenario(_FIBER, "y0", 0.0, v, 2, "linear"),
+     "stop", 0.0),
+    ("qkdlimits channel --p", lambda v: _cmd_channel(argparse.Namespace(p=[0.5, 0.5, v, 0.0])),
+     "p[2]", 0.0),
 ]
 _NOT_NUMBERS = {
     "True": True, "np.True_": np.True_, "'0.1'": "0.1", "b'0.1'": b"0.1",
@@ -279,3 +300,48 @@ def test_a_number_outside_its_rule_names_its_field(call, field, value):
 @pytest.mark.parametrize("kind", [np.float32, np.int64])
 def test_a_numpy_number_stands_where_a_float_does(call, valid, kind):
     assert call(kind(valid)) == call(valid)
+
+
+_THREE_BASES = QberSet(0.1, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("value", ["0.1", np.array([0.1, 0.2])], ids=repr)
+def test_assumed_p2_that_is_not_a_number_is_refused_on_three_bases(value):
+    # A number other than 0 gets the two-basis-only message; this is not one.
+    with pytest.raises(ValidationError, match=r"^assumed_p2=.* is not a number$") as exc:
+        security_verdict(_THREE_BASES, value)
+    assert exc.value.field == "assumed_p2"
+
+
+@pytest.mark.parametrize("value", [0.1, math.nan], ids=repr)
+def test_assumed_p2_on_three_bases_names_its_field(value):
+    with pytest.raises(ValidationError, match="^assumed_p2 applies only to two-basis sets$") as exc:
+        security_verdict(_THREE_BASES, value)
+    assert exc.value.field == "assumed_p2"
+
+
+# A call that takes a sequence, given a value that is none, and the name
+# of the argument its ValidationError gives.
+_NOT_SEQUENCES = [
+    pytest.param(lambda: PauliDistribution(5), "p", id="PauliDistribution(5)"),
+    pytest.param(lambda: PauliDistribution(None), "p", id="PauliDistribution(None)"),
+    pytest.param(lambda: Decoy(0.5, 1.0), "intensities", id="Decoy(0.5, 1.0)"),
+    pytest.param(lambda: Decoy((0.5,), 1.0), "probabilities", id="Decoy((0.5,), 1.0)"),
+    pytest.param(lambda: ChainSpec(links=5), "links", id="ChainSpec(links=5)"),
+    pytest.param(
+        lambda: ChainSpec(links=(PauliDistribution((1.0, 0.0, 0.0, 0.0)),), qbers=5),
+        "qbers", id="ChainSpec(qbers=5)",
+    ),
+    pytest.param(lambda: capacity_verdicts(5), "ps", id="capacity_verdicts(5)"),
+    pytest.param(
+        lambda: dark_count_sweep(5, _DET, SinglePhoton(), FiberLink(0.2), 2), "y0_values",
+        id="dark_count_sweep(5)",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, field", _NOT_SEQUENCES)
+def test_a_sequence_argument_that_is_none_names_its_field(call, field):
+    with pytest.raises(ValidationError, match=f"^{field}=.* is not a sequence$") as exc:
+        call()
+    assert exc.value.field == field

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,11 @@ class TestPauliDistribution:
         with pytest.raises(ValidationError):
             PauliDistribution((0.2, 0.2, 0.2, 0.2, 0.2))
 
+    def test_counts_the_weights_before_reading_them(self):
+        # The first four sum to 1: a fifth weight must not be dropped.
+        with pytest.raises(ValidationError, match=r"^need 4 Pauli probabilities, got 5$"):
+            PauliDistribution((0.25, 0.25, 0.25, 0.25, "x"))
+
     def test_rejects_bad_entries(self):
         with pytest.raises(ValidationError):
             PauliDistribution((1.5, -0.5, 0.0, 0.0))
@@ -92,12 +98,16 @@ class TestPauliDistribution:
     ], ids=repr)
     def test_rejects_entries_that_are_not_numbers(self, p):
         # float() reads each of these as 0 or 1, so each was accepted.
-        with pytest.raises(ValidationError, match=r"^probability .* is not a number$"):
+        field = "p[1]" if p[1] is False else "p[0]"
+        message = rf"^{re.escape(field)}=.* is not a number$"
+        with pytest.raises(ValidationError, match=message) as exc:
             PauliDistribution(p)
+        assert exc.value.field == field
 
     def test_rejects_a_boolean_array(self):
-        with pytest.raises(ValidationError, match=r"^probability np\.True_ is not a number$"):
+        with pytest.raises(ValidationError, match=r"^p\[0\]=np\.True_ is not a number$") as exc:
             PauliDistribution(np.array([True, False, False, False]))
+        assert exc.value.field == "p[0]"
 
     @pytest.mark.parametrize("p", [
         [0.5, 0.5, 0, 0], (0.5, 0.5, 0.0, 0.0), np.array([0.5, 0.5, 0.0, 0.0]),

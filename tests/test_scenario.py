@@ -425,6 +425,16 @@ class TestParsing:
         with pytest.raises(ValidationError, match="solver"):
             parse_scenario(make(solver=solver))
 
+    @pytest.mark.parametrize("solver, message", [
+        ({"d_lo_km": -1, "d_hi_km": 10.0}, "solver.d_lo_km: d_lo_km=-1 outside [0, inf)"),
+        ({"d_lo_km": 10.5, "d_hi_km": 3}, "solver.d_hi_km: d_hi_km=3 outside (10.5, inf)"),
+        ({"d_lo_km": 1.0, "d_hi_km": 1.0}, "solver.d_hi_km: d_hi_km=1.0 outside (1, inf)"),
+    ])
+    def test_a_solver_bracket_end_is_named_by_its_path(self, solver, message):
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(make(solver=solver))
+        assert str(exc.value) == f"scenario field {message}"
+
     def test_null_means_infinity_only_for_curvature(self):
         beam = {"w0_m": 2.0, "wavelength_m": 8e-7, "aperture_radius_m": 0.5}
         sc = parse_scenario(make(link={"kind": "diffraction", **beam, "curvature_m": None}))
@@ -602,8 +612,10 @@ class TestSweep:
     def test_endpoints_must_be_finite_numbers(self, bad, field, scale):
         sc = parse_scenario(FIBER_SINGLE)
         ends = {"start": 1e-9, "stop": 1e-4, field: bad}
-        with pytest.raises(ValidationError, match=f"^{field}=.* must be a finite number$"):
+        problem = r"(is not a number|outside \(-inf, inf\)|is beyond float range)"
+        with pytest.raises(ValidationError, match=f"^{field}=.* {problem}$") as exc:
             sweep_scenario(sc, "y0", ends["start"], ends["stop"], 3, scale)
+        assert exc.value.field == field
 
 
 def pointwise(sc, param, values):
