@@ -75,6 +75,51 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
+_BEAM_MODELS = ("freespace", "deepspace", "satellite")
+_NEEDED = ...  # the default of a flag that its models must be given
+# Each max-distance model flag, by dest: the models that take it (any other
+# model refuses it), its key in the scenario's link ("part.key" for a key
+# of a part), its default and its help.
+_MODEL_FLAGS = {
+    "alpha": (("fiber",), "alpha_db_per_km", 0.17, "fiber loss in dB/km (fiber)"),
+    "w0": (_BEAM_MODELS, "beam.w0_m", _NEEDED, "beam waist in m"),
+    "wavelength": (_BEAM_MODELS, "beam.wavelength_m", _NEEDED, "wavelength in m"),
+    "aperture": (_BEAM_MODELS, "beam.aperture_radius_m", _NEEDED, "receiver aperture radius in m"),
+    "curvature": (_BEAM_MODELS, "beam.curvature_m", None, "phase-front radius in m"),
+    "alpha0": (
+        ("freespace",),
+        "atmosphere.alpha0_per_km",
+        DEFAULT_ALPHA0_PER_KM,
+        "ground extinction per km (freespace)",
+    ),
+    "scale_height": (
+        ("freespace",),
+        "atmosphere.scale_height_km",
+        DEFAULT_SCALE_HEIGHT_KM,
+        "atmosphere scale height in km (freespace)",
+    ),
+    "altitude": (("freespace",), "atmosphere.altitude_km", 0.0, "path altitude in km (freespace)"),
+    "zenith_angle": (("satellite",), "zenith_angle_rad", 0.0, "zenith angle in rad (satellite)"),
+    "eta_zenith": (
+        ("satellite",),
+        "eta_zenith",
+        DEFAULT_ETA_ZENITH,
+        "zenith transmissivity (satellite)",
+    ),
+}
+# The scenario link kind of each max-distance model.
+_LINK_KINDS = {
+    "fiber": "fiber",
+    "freespace": "freespace",
+    "deepspace": "diffraction",
+    "satellite": "satellite",
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -116,23 +161,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("max-distance", help="maximum secure distance for a link model")
-    p.add_argument("model", choices=("fiber", "freespace", "deepspace", "satellite"))
+    p.add_argument("model", choices=tuple(_LINK_KINDS))
     p.add_argument("--mub", type=int, choices=MUB_COUNTS, required=True)
     detector_flags(p, required=True)
     p.add_argument("--k", type=int, default=None, help="photon number (single-photon source)")
     p.add_argument("--mu", type=float, default=None, help="mean photon number (attenuated source)")
     # The model flags default to None, so that a flag given to a model it
     # does not belong to is seen; _MODEL_FLAGS holds the models and defaults.
-    p.add_argument("--alpha", type=float, help="fiber loss in dB/km (fiber)")
-    p.add_argument("--w0", type=float, help="beam waist in m")
-    p.add_argument("--wavelength", type=float, help="wavelength in m")
-    p.add_argument("--aperture", type=float, help="receiver aperture radius in m")
-    p.add_argument("--curvature", type=float, help="phase-front radius in m")
-    p.add_argument("--alpha0", type=float, help="ground extinction per km (freespace)")
-    p.add_argument("--scale-height", type=float, help="atmosphere scale height in km (freespace)")
-    p.add_argument("--altitude", type=float, help="path altitude in km (freespace)")
-    p.add_argument("--zenith-angle", type=float, help="zenith angle in rad (satellite)")
-    p.add_argument("--eta-zenith", type=float, help="zenith transmissivity (satellite)")
+    for dest, (_, _, _, text) in _MODEL_FLAGS.items():
+        p.add_argument(_flag(dest), type=float, help=text)
     p.add_argument("--d-lo", type=float, default=None, help="solver bracket lower end in km")
     p.add_argument("--d-hi", type=float, default=None, help="solver bracket upper end in km")
     common(p)
@@ -315,70 +352,27 @@ def _given(value, default):
     return default if value is None else value
 
 
-_BEAM_MODELS = ("freespace", "deepspace", "satellite")
-# Each model-specific max-distance flag: the models it belongs to and its
-# default. Any other model rejects it.
-_MODEL_FLAGS = {
-    "alpha": (("fiber",), 0.17),
-    "w0": (_BEAM_MODELS, None),
-    "wavelength": (_BEAM_MODELS, None),
-    "aperture": (_BEAM_MODELS, None),
-    "curvature": (_BEAM_MODELS, None),
-    "alpha0": (("freespace",), DEFAULT_ALPHA0_PER_KM),
-    "scale_height": (("freespace",), DEFAULT_SCALE_HEIGHT_KM),
-    "altitude": (("freespace",), 0.0),
-    "zenith_angle": (("satellite",), 0.0),
-    "eta_zenith": (("satellite",), DEFAULT_ETA_ZENITH),
-}
-
-
 def _scenario_from_max_distance_args(args) -> Scenario:
     if args.k is not None and args.mu is not None:
         raise ValidationError("--k and --mu are mutually exclusive")
-    flags = {}
-    for dest, (models, default) in _MODEL_FLAGS.items():
-        value = getattr(args, dest)
-        if value is not None and args.model not in models:
-            flag = "--" + dest.replace("_", "-")
-            raise ValidationError(f"the {args.model} model does not take {flag}")
-        flags[dest] = _given(value, default)
+    for dest, (models, _, _, _) in _MODEL_FLAGS.items():
+        if getattr(args, dest) is not None and args.model not in models:
+            raise ValidationError(f"the {args.model} model does not take {_flag(dest)}")
     if args.mu is not None:
         source = {"kind": "attenuated", "mu": args.mu}
     else:
         source = {"kind": "single_photon", "k": args.k if args.k is not None else 1}
-
-    def beam() -> dict:
-        for dest in ("w0", "wavelength", "aperture"):
-            if flags[dest] is None:
-                raise ValidationError(f"{args.model} model needs --{dest}")
-        return {
-            "w0_m": flags["w0"],
-            "wavelength_m": flags["wavelength"],
-            "aperture_radius_m": flags["aperture"],
-            "curvature_m": flags["curvature"],
-        }
-
-    if args.model == "fiber":
-        link = {"kind": "fiber", "alpha_db_per_km": flags["alpha"]}
-    elif args.model == "deepspace":
-        link = {"kind": "diffraction", **beam()}
-    elif args.model == "freespace":
-        link = {
-            "kind": "freespace",
-            "beam": beam(),
-            "atmosphere": {
-                "alpha0_per_km": flags["alpha0"],
-                "scale_height_km": flags["scale_height"],
-                "altitude_km": flags["altitude"],
-            },
-        }
-    else:
-        link = {
-            "kind": "satellite",
-            "beam": beam(),
-            "zenith_angle_rad": flags["zenith_angle"],
-            "eta_zenith": flags["eta_zenith"],
-        }
+    kind = _LINK_KINDS[args.model]
+    link = {"kind": kind}
+    for dest, (models, key, default, _) in _MODEL_FLAGS.items():
+        if args.model in models:
+            value = _given(getattr(args, dest), default)
+            if value is _NEEDED:
+                raise ValidationError(f"{args.model} model needs {_flag(dest)}")
+            part, _, name = key.rpartition(".")
+            # A diffraction link is a beam alone: its beam keys sit at its top.
+            place = link.setdefault(part, {}) if part and kind != "diffraction" else link
+            place[name] = value
     doc = {
         "schema_version": 1,
         "protocol": {"mub_count": args.mub},

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .errors import ValidationError, field_error, real
+from .errors import ValidationError, field_error, is_number, real
 
 # Clear-sky extinction at ground level near 800 nm and the atmosphere's
 # effective scale height.
@@ -52,12 +52,26 @@ class FiberLink:
         object.__setattr__(self, "alpha_db_per_km", alpha)
 
 
+def _check_distance(d, name: str) -> None:
+    """Refuse a distance d that is not a float unless it is a number within
+    float range; the kernels then take it as it is, so an int is quoted as
+    given."""
+    if not is_number(d):
+        raise field_error(name, d, "is not a number")
+    try:
+        float(d)
+    except OverflowError:
+        raise field_error(name, d, "is beyond float range") from None
+
+
 def _fiber_kernel(link: FiberLink) -> Callable[[float], float]:
     isfinite, neg_alpha = math.isfinite, -link.alpha_db_per_km
 
     def fiber(d):
+        if type(d) is not float:
+            _check_distance(d, "d_km")
         if not (isfinite(d) and d >= 0.0):
-            raise ValidationError(f"distance {d!r} must be >= 0")
+            raise ValidationError(f"distance {d!r} must be >= 0", "d_km")
         return 10.0 ** (neg_alpha * d / 10.0)
 
     return fiber
@@ -93,8 +107,10 @@ def _ground_kernel(atm: GroundAtmosphere) -> Callable[[float], float]:
     isfinite, exp, neg_alpha_h = math.isfinite, math.exp, -atm.extinction_per_km
 
     def ground(d):
+        if type(d) is not float:
+            _check_distance(d, "d_km")
         if not (isfinite(d) and d >= 0.0):
-            raise ValidationError(f"distance {d!r} must be >= 0")
+            raise ValidationError(f"distance {d!r} must be >= 0", "d_km")
         return exp(neg_alpha_h * d)
 
     return ground
@@ -184,8 +200,10 @@ def beam_spot_size(beam: BeamGeometry, d_m: float) -> float:
 
     Never smaller than the far-field envelope w0 d / d_R.
     """
+    if type(d_m) is not float:
+        _check_distance(d_m, "d_m")
     if not (math.isfinite(d_m) and d_m >= 0.0):
-        raise ValidationError(f"distance {d_m!r} must be >= 0")
+        raise ValidationError(f"distance {d_m!r} must be >= 0", "d_m")
     focus = 0.0 if math.isinf(beam.curvature_m) else d_m / beam.curvature_m
     spread = d_m / beam.rayleigh_range_m
     return beam.w0_m * math.hypot(1.0 - focus, spread)
@@ -196,18 +214,22 @@ def _beam_kernel(
 ) -> Callable[[float], float]:
     """The aperture's catch at d * scale meters, times exp(-alpha(h) d)
     along the atmosphere if one is given, else times factor. It checks
-    d * scale; w_d is beam_spot_size's, written out so that no
-    evaluation calls it."""
+    d as a number, then d * scale as a distance; w_d is beam_spot_size's,
+    written out so that no evaluation calls it."""
     isfinite, exp, hypot, expm1 = math.isfinite, math.exp, math.hypot, math.expm1
     w0, z_r, r0 = beam.w0_m, beam.rayleigh_range_m, beam.curvature_m
     neg_2a2 = -2.0 * beam.aperture_radius_m**2
     collimated, freespace = math.isinf(r0), atmosphere is not None
     neg_alpha_h = -atmosphere.extinction_per_km if freespace else 0.0
+    name = "d_m" if scale == 1 else "d_km"
 
     def beam_link(d):
+        # Before the scaling, which would pass True * 1000.0.
+        if type(d) is not float:
+            _check_distance(d, name)
         d_m = d * scale
         if not (isfinite(d_m) and d_m >= 0.0):
-            raise ValidationError(f"distance {d_m!r} must be >= 0")
+            raise ValidationError(f"distance {d_m!r} must be >= 0", name)
         w = w0 * hypot(1.0 if collimated else 1.0 - d_m / r0, d_m / z_r)
         try:
             eta = -expm1(neg_2a2 / w**2)

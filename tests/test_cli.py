@@ -233,6 +233,25 @@ class TestMaxDistance:
         cells = dict(zip(header.split(","), row.split(",")))
         assert (cells["d_max_km"], cells["status"]) == ("", "unbounded")
 
+    def test_a_required_omega_at_or_above_1_is_the_infeasible_reason(self, capsys):
+        # Y0 = 0.5 puts gamma_min at 1/3, so the single-photon source needs
+        # a channel transmissivity omega = gamma_min / eta_eff = 10/9.
+        code, rec, _ = run_json(
+            capsys,
+            [
+                "max-distance", "fiber", "--mub", "2", "--y0", "0.5", "--e-det", "0",
+                "--eta-eff", "0.3",
+            ],
+        )
+        assert code == 2
+        results = rec["results"]
+        assert (results["status"], results["d_max_km"]) == ("infeasible", 0.0)
+        assert (results["omega"], results["omega_prime"]) == (1.1111111111111112, None)
+        assert results["infeasible_reason"] == (
+            "required channel transmissivity omega=1.1111111111111112 is at or above 1; "
+            "even a lossless channel cannot bring the QBER under the threshold"
+        )
+
     def test_fiber_attenuated(self, capsys):
         code, rec, _ = run_json(
             capsys,

@@ -486,3 +486,58 @@ class TestFlatModels:
             scale = 1 if link.kind in ("fiber", "ground_atmosphere") else 1000.0
             with pytest.raises(ValidationError, match=f"^distance {-2.0 * scale!r} must be >= 0$"):
                 link.transmissivity(-2.0)
+
+
+_BEAM = BeamGeometry(0.1, 8e-7, 0.5)
+# Each function of a distance, and the name its ValidationError gives.
+_DISTANCE_TAKERS = [
+    pytest.param(functools.partial(fiber_transmissivity, FiberLink(0.2)), "d_km", id="fiber"),
+    pytest.param(
+        functools.partial(atmospheric_transmissivity, GroundAtmosphere()), "d_km", id="atmosphere"
+    ),
+    pytest.param(functools.partial(diffraction_transmissivity, _BEAM), "d_m", id="diffraction"),
+    pytest.param(functools.partial(beam_spot_size, _BEAM), "d_m", id="spot_size"),
+    *(
+        pytest.param(link.transmissivity, "d_km", id=f"ScenarioLink-{link.kind}")
+        for link in (
+            ScenarioLink("fiber", fiber=FiberLink(0.2)),
+            ScenarioLink("ground_atmosphere", atmosphere=GroundAtmosphere()),
+            ScenarioLink("diffraction", beam=_BEAM),
+            ScenarioLink("freespace", beam=_BEAM, atmosphere=GroundAtmosphere()),
+            ScenarioLink("satellite", beam=_BEAM, satellite=SatellitePath()),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("model, field", _DISTANCE_TAKERS)
+@pytest.mark.parametrize(
+    "d, problem",
+    [
+        ("x", "is not a number"),
+        (b"0.1", "is not a number"),
+        (True, "is not a number"),
+        (np.True_, "is not a number"),
+        (10**400, "is beyond float range"),
+    ],
+    ids=["str", "bytes", "True", "np.True_", "10**400"],
+)
+def test_a_distance_that_is_not_a_number_names_its_argument(model, field, d, problem):
+    with pytest.raises(ValidationError) as exc:
+        model(d)
+    assert exc.value.field == field
+    assert str(exc.value).startswith(f"{field}=") and str(exc.value).endswith(problem), exc.value
+
+
+@pytest.mark.parametrize("model, field", _DISTANCE_TAKERS)
+@pytest.mark.parametrize("d", [-1.0, -1, math.nan, np.float64(-1.0)], ids=repr)
+def test_a_negative_distance_names_its_argument(model, field, d):
+    with pytest.raises(ValidationError, match=r"^distance .* must be >= 0$") as exc:
+        model(d)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("model, field", _DISTANCE_TAKERS)
+@pytest.mark.parametrize("d", [np.float64(2.5), np.int64(3)], ids=repr)
+def test_a_numpy_distance_reads_as_its_float(model, field, d):
+    assert model(d) == model(float(d))

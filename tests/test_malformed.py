@@ -21,6 +21,7 @@ import io
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -274,6 +275,8 @@ _NUMBER_SITES = [
 _NOT_NUMBERS = {
     "True": True, "np.True_": np.True_, "'0.1'": "0.1", "b'0.1'": b"0.1",
     "10**400": 10**400, "nan": math.nan, "inf": math.inf,
+    # Past Python's int-to-str digit limit, so its message gives its size.
+    "10**5000": 10**5000,
 }
 _REFUSALS = [
     pytest.param(call, field, value, id=f"{label}-{shown}")
@@ -290,6 +293,17 @@ def test_a_number_outside_its_rule_names_its_field(call, field, value):
         call(value)
     assert exc.value.field == field, exc.value
     assert str(exc.value).startswith(f"{field}="), exc.value
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001,
+    reason="10**5000 has a repr without an int-to-str digit limit below 5001 digits",
+)
+def test_an_int_too_long_for_repr_is_shown_by_its_bits():
+    with pytest.raises(ValidationError) as exc:
+        SinglePhoton(10**5000)
+    assert str(exc.value) == "k=<int of 16610 bits> is beyond float range"
+    assert exc.value.field == "k"
 
 
 @pytest.mark.parametrize(
