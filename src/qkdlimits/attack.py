@@ -60,7 +60,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, integer
+from .errors import NumericError, ValidationError, integer, shown
 from .pauli import PAULI_MATRICES, PauliDistribution
 from .qber import QberSet, check_mub_count
 
@@ -514,7 +514,7 @@ def pauli_channel_qber_montecarlo(
     _check_config(cfg)
     if mub_count != cfg.mub_count:
         raise ValidationError(
-            f"mub_count={mub_count!r} differs from cfg.mub_count={cfg.mub_count!r}"
+            f"mub_count={shown(mub_count)} differs from cfg.mub_count={shown(cfg.mub_count)}"
         )
     bases = _protocol_bases(mub_count)
     flip = _flip_probabilities(bases)

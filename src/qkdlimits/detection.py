@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import UndefinedQberError, ValidationError, field_error, integer, real, sequence
+from .errors import UndefinedQberError, ValidationError, field_error, integer, real, sequence, shown
 
 PROB_SUM_TOL = 1e-12
 
@@ -182,12 +182,19 @@ def decoy_expected_qber(eta: float, src: Decoy, det: DetectorModel) -> QberBreak
     Each intensity i contributes with weight c_i q_i Q_i where
     c_i = 1 / (1 + r_s Q_i tau_dt) accounts for detector dead time. The
     result is the convex combination sum_i lambda_i E_i of the
-    per-intensity QBERs; the weights are returned and sum to 1.
+    per-intensity QBERs; the weights are returned and sum to 1. Weights
+    c_i q_i Q_i that all round to 0.0 (a dead time r_s tau_dt past float
+    range) count no detection: UndefinedQberError.
     """
     parts = _per_intensity(eta, src, det)
     c = [1.0 / (1.0 + src.rep_rate_hz * b.total_yield * src.dead_time_s) for b in parts]
     wq = [ci * qi * b.total_yield for ci, qi, b in zip(c, src.probabilities, parts)]
     denom = sum(wq)
+    if denom == 0.0:
+        raise UndefinedQberError(
+            f"dead-time weights of rep_rate_hz={src.rep_rate_hz} and "
+            f"dead_time_s={src.dead_time_s} all round to 0: no detection is counted"
+        )
     lam = tuple(w / denom for w in wq)
     if abs(sum(lam) - 1.0) > 1e-9:
         raise ValidationError(f"convex weights sum to {sum(lam)!r}")
@@ -227,5 +234,5 @@ def detection_probability(src: SourceModel, eta: float) -> float:
     """
     eta = real(eta, "eta", 0.0, 1.0)
     if not isinstance(src, SourceModel):
-        raise ValidationError(f"unknown source model {src!r}")
+        raise ValidationError(f"unknown source model {shown(src)}")
     return src.gamma(eta)

@@ -52,7 +52,9 @@ from .errors import (
     InfeasibleConfigurationError,
     NonMonotonicModelError,
     ValidationError,
+    number,
     sequence,
+    shown,
 )
 from .links import BeamGeometry, FiberLink, ScenarioLink, _never_rises
 from .qber import MUB_COUNTS, MUB_NAMES, check_mub_count, symmetric_threshold
@@ -148,7 +150,8 @@ def omega(det: DetectorModel, src: SourceModel, g: GammaThreshold) -> OmegaValue
 
     Single-photon sources need eta_ch > Gamma / eta_eff; attenuated and
     decoy (best-case intensity) sources need
-    eta_ch > -ln(1 - Gamma) / (eta_eff mu).
+    eta_ch > -ln(1 - Gamma) / (eta_eff mu). A product eta_eff mu that
+    rounds to 0.0 needs Omega = inf (infeasible), or 0 when Gamma = 0.
     """
     if isinstance(src, SinglePhoton):
         if src.k != 1:
@@ -159,10 +162,11 @@ def omega(det: DetectorModel, src: SourceModel, g: GammaThreshold) -> OmegaValue
         om = g.gamma_min / det.eta_eff
         kind = "single-photon"
     elif isinstance(src, (Attenuated, Decoy)):
-        om = -math.log1p(-g.gamma_min) / (det.eta_eff * src.mu)
+        need, scale = -math.log1p(-g.gamma_min), det.eta_eff * src.mu
+        om = need / scale if scale else math.inf if need else 0.0
         kind = "attenuated"
     else:
-        raise ValidationError(f"unknown source model {src!r}")
+        raise ValidationError(f"unknown source model {shown(src)}")
     prime = -math.log1p(-om) if om < 1.0 else math.inf
     return OmegaValue(omega=om, omega_prime=prime, source_kind=kind, gamma=g)
 
@@ -215,6 +219,7 @@ def max_distance_numeric(
     one-point entry for a model of the caller's own; distance_bounds
     solves many points.
     """
+    _check_bracket(d_lo_km, d_hi_km)
     return _bisect(model, src, det, g, d_lo_km, d_hi_km, {})
 
 
@@ -231,12 +236,21 @@ def _guard_grid(d_lo_km: float, d_hi_km: float) -> tuple[float, ...]:
     Python floats, not numpy scalars: the models are scalar math. A bad
     bracket raises on every call, since lru_cache keeps no exception."""
     if not (math.isfinite(d_lo_km) and math.isfinite(d_hi_km)) or d_lo_km < 0.0:
-        raise BracketError(f"bad interval [{d_lo_km!r}, {d_hi_km!r}]")
+        raise BracketError(f"bad interval [{shown(d_lo_km)}, {shown(d_hi_km)}]")
     if d_lo_km >= d_hi_km:
         raise BracketError(f"empty interval [{d_lo_km}, {d_hi_km}]")
     grid = np.geomspace(max(d_lo_km, d_hi_km * 1e-12), d_hi_km, MONOTONE_SAMPLES).tolist()
     grid[0] = float(d_lo_km)
     return tuple(grid)
+
+
+def _check_bracket(d_lo_km, d_hi_km) -> None:
+    """A public entry's bracket check: each end read by errors.number, so
+    that _guard_grid's cache and math raise no bare exception, then the
+    ends, as given, checked by _guard_grid."""
+    number(d_lo_km, "d_lo_km")
+    number(d_hi_km, "d_hi_km")
+    _guard_grid(d_lo_km, d_hi_km)
 
 
 # The package's own detection functions, by source type. Each is monotone
@@ -289,7 +303,7 @@ def _guard(model, src: SourceModel, eta_eff: float, grid, guards: dict, monotone
     for i in range(n - 1 if monotone else 0, n):
         eta(i)
     if not isinstance(src, SourceModel):
-        raise ValidationError(f"unknown source model {src!r}")
+        raise ValidationError(f"unknown source model {shown(src)}")
     gamma = src.gamma
     if not monotone:
         vals[:] = [gamma(eta_eff * eta_ch) for eta_ch in etas]
@@ -485,7 +499,7 @@ def distance_bounds(
     gives, bit for bit.
     """
     if bracket is not None:
-        _guard_grid(*bracket)  # raises BracketError on a bad bracket
+        _check_bracket(*bracket)
     bounds: list = []
     guards: dict = {}
     for src, det, link in points:

@@ -9,13 +9,15 @@ file: real takes a finite numbers.Real but a bool (a numpy number through
 float()) in the quantity's interval, integer an int but a bool; neither
 passes float range. Their ValidationError names the quantity in .field,
 which the scenario parser, checking only structure, puts under its path.
+number is the one test of a number's type and float range: real, integer,
+the link kernels and the solver bracket read through it. shown is the one
+quote of a caller's value in an error text.
 """
 
 import itertools
 import math
 import numbers
 import reprlib
-import sys
 from collections.abc import Iterable
 
 
@@ -91,9 +93,12 @@ def field_error(name: str, value, problem: str) -> ValidationError:
 
 
 def is_number(value) -> bool:
-    """Whether value is a numbers.Real but not a bool (a float is tested
-    first, as an isinstance test against an ABC is slow)."""
-    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether value is a numbers.Real but not a bool. A float or an int
+    (numpy's float64 too) is tested first: an isinstance test against an
+    ABC is slow."""
+    if isinstance(value, (float, int)):
+        return type(value) is not bool
+    return isinstance(value, numbers.Real)
 
 
 def _end(x: float) -> str:
@@ -105,18 +110,21 @@ def _end(x: float) -> str:
     return str(n) if d == 1 else f"{n}/{d}" if d <= 16 and abs(x) < 2 else repr(x)
 
 
+def number(value, name: str) -> float:
+    """value as a float, or a ValidationError naming name: it is not a
+    number (is_number), or it is beyond float range."""
+    if not is_number(value):
+        raise field_error(name, value, "is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise field_error(name, value, "is beyond float range") from None
+
+
 def real(value, name: str, lo: float, hi: float = math.inf, ends: str = "[]") -> float:
     """value as a finite float from lo to hi, each end closed ("[", "]")
     or open ("(", ")") as ends says, or a ValidationError naming name."""
-    if type(value) is float:
-        x = value
-    elif not is_number(value):
-        raise field_error(name, value, "is not a number")
-    else:
-        try:
-            x = float(value)
-        except OverflowError:
-            raise field_error(name, value, "is beyond float range") from None
+    x = value if type(value) is float else number(value, name)
     if lo < x < hi or math.isfinite(x) and (x == lo and ends[0] == "[" or x == hi and ends[1] == "]"):
         return x
     raise field_error(name, value, f"outside {ends[0]}{_end(lo)}, {_end(hi)}{ends[1]}")
@@ -127,8 +135,7 @@ def integer(value, name: str, lo: int, hi: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
         span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
         raise field_error(name, value, f"must be an integer {span}")
-    if abs(value) > sys.float_info.max:
-        raise field_error(name, value, "is beyond float range")
+    number(value, name)  # an int past float range
     return value
 
 

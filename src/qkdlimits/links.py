@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .errors import ValidationError, field_error, is_number, real
+from .errors import ValidationError, field_error, number, real, shown
 
 # Clear-sky extinction at ground level near 800 nm and the atmosphere's
 # effective scale height.
@@ -52,26 +52,21 @@ class FiberLink:
         object.__setattr__(self, "alpha_db_per_km", alpha)
 
 
-def _check_distance(d, name: str) -> None:
-    """Refuse a distance d that is not a float unless it is a number within
-    float range; the kernels then take it as it is, so an int is quoted as
-    given."""
-    if not is_number(d):
-        raise field_error(name, d, "is not a number")
-    try:
-        float(d)
-    except OverflowError:
-        raise field_error(name, d, "is beyond float range") from None
+def _distance(d, name: str) -> None:
+    """Refuse d, a distance that failed a kernel's float test, unless it is
+    a number (errors.number) that is finite and >= 0. The kernels then take
+    it as it is, so an int is quoted as given."""
+    x = number(d, name)
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValidationError(f"distance {shown(d)} must be >= 0", name)
 
 
 def _fiber_kernel(link: FiberLink) -> Callable[[float], float]:
     isfinite, neg_alpha = math.isfinite, -link.alpha_db_per_km
 
     def fiber(d):
-        if type(d) is not float:
-            _check_distance(d, "d_km")
-        if not (isfinite(d) and d >= 0.0):
-            raise ValidationError(f"distance {d!r} must be >= 0", "d_km")
+        if not (type(d) is float and isfinite(d) and d >= 0.0):
+            _distance(d, "d_km")
         return 10.0 ** (neg_alpha * d / 10.0)
 
     return fiber
@@ -107,10 +102,8 @@ def _ground_kernel(atm: GroundAtmosphere) -> Callable[[float], float]:
     isfinite, exp, neg_alpha_h = math.isfinite, math.exp, -atm.extinction_per_km
 
     def ground(d):
-        if type(d) is not float:
-            _check_distance(d, "d_km")
-        if not (isfinite(d) and d >= 0.0):
-            raise ValidationError(f"distance {d!r} must be >= 0", "d_km")
+        if not (type(d) is float and isfinite(d) and d >= 0.0):
+            _distance(d, "d_km")
         return exp(neg_alpha_h * d)
 
     return ground
@@ -200,10 +193,8 @@ def beam_spot_size(beam: BeamGeometry, d_m: float) -> float:
 
     Never smaller than the far-field envelope w0 d / d_R.
     """
-    if type(d_m) is not float:
-        _check_distance(d_m, "d_m")
-    if not (math.isfinite(d_m) and d_m >= 0.0):
-        raise ValidationError(f"distance {d_m!r} must be >= 0", "d_m")
+    if not (type(d_m) is float and math.isfinite(d_m) and d_m >= 0.0):
+        _distance(d_m, "d_m")
     focus = 0.0 if math.isinf(beam.curvature_m) else d_m / beam.curvature_m
     spread = d_m / beam.rayleigh_range_m
     return beam.w0_m * math.hypot(1.0 - focus, spread)
@@ -213,9 +204,9 @@ def _beam_kernel(
     beam: BeamGeometry, scale: float, atmosphere: GroundAtmosphere | None = None, factor=1.0
 ) -> Callable[[float], float]:
     """The aperture's catch at d * scale meters, times exp(-alpha(h) d)
-    along the atmosphere if one is given, else times factor. It checks
-    d as a number, then d * scale as a distance; w_d is beam_spot_size's,
-    written out so that no evaluation calls it."""
+    along the atmosphere if one is given, else times factor. It reads d
+    with errors.number, then checks d * scale with _distance; w_d is
+    beam_spot_size's, written out so that no evaluation calls it."""
     isfinite, exp, hypot, expm1 = math.isfinite, math.exp, math.hypot, math.expm1
     w0, z_r, r0 = beam.w0_m, beam.rayleigh_range_m, beam.curvature_m
     neg_2a2 = -2.0 * beam.aperture_radius_m**2
@@ -226,10 +217,10 @@ def _beam_kernel(
     def beam_link(d):
         # Before the scaling, which would pass True * 1000.0.
         if type(d) is not float:
-            _check_distance(d, name)
+            number(d, name)
         d_m = d * scale
         if not (isfinite(d_m) and d_m >= 0.0):
-            raise ValidationError(f"distance {d_m!r} must be >= 0", name)
+            _distance(d_m, name)
         w = w0 * hypot(1.0 if collimated else 1.0 - d_m / r0, d_m / z_r)
         try:
             eta = -expm1(neg_2a2 / w**2)
@@ -276,7 +267,7 @@ class ScenarioLink:
         parts = LINK_PARTS.get(self.kind) if isinstance(self.kind, str) else None
         if parts is None:
             raise ValidationError(
-                f"unknown link kind {self.kind!r}, expected one of {tuple(LINK_PARTS)}"
+                f"unknown link kind {shown(self.kind)}, expected one of {tuple(LINK_PARTS)}"
             )
         for name in _PART_CLASSES:
             if (getattr(self, name) is None) == (name in parts):

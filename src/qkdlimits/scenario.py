@@ -23,7 +23,7 @@ from importlib import resources
 from . import __version__
 from .detection import Attenuated, Decoy, DetectorModel, SinglePhoton, SourceModel
 from .distance import DistanceBound, distance_bounds, gamma_threshold
-from .errors import VALUE_REPR, ValidationError, integer, real
+from .errors import VALUE_REPR, ValidationError, integer, real, shown
 from .links import (
     LINK_PARTS,
     BeamGeometry,
@@ -103,7 +103,7 @@ def _expect(v, cls: type, path: str):
     """v, a JSON object (cls dict) or list (cls list), or an error."""
     if not isinstance(v, cls):
         what = "an object" if cls is dict else "a list"
-        raise ValidationError(f"scenario field {path}: expected {what}, got {VALUE_REPR.repr(v)}")
+        raise ValidationError(f"scenario field {path}: expected {what}, got {shown(v)}")
     return v
 
 
@@ -127,10 +127,10 @@ def _number(obj: dict, key: str, path: str, default=dataclasses.MISSING):
 def _check_keys(obj, allowed, path: str):
     unknown = sorted(_expect(obj, dict, path).keys() - allowed)
     if unknown:
-        shown = [VALUE_REPR.repr(k) for k in unknown[: VALUE_REPR.maxlist]]
+        keys = [shown(k) for k in unknown[: VALUE_REPR.maxlist]]
         if len(unknown) > VALUE_REPR.maxlist:
-            shown.append(f"... and {len(unknown) - VALUE_REPR.maxlist} more")
-        raise ValidationError(f"scenario field {path}: unknown keys [{', '.join(shown)}]")
+            keys.append(f"... and {len(unknown) - VALUE_REPR.maxlist} more")
+        raise ValidationError(f"scenario field {path}: unknown keys [{', '.join(keys)}]")
 
 
 def _build(path: str, cls, fields: dict, whole: str = ""):
@@ -163,7 +163,7 @@ def _kind(obj, kinds: tuple[str, ...], path: str) -> tuple[str, dict]:
     kind = _require(_expect(obj, dict, path), "kind", path)
     if kind not in kinds:
         raise ValidationError(
-            f"scenario field {path}.kind: unknown {path} {VALUE_REPR.repr(kind)}, "
+            f"scenario field {path}.kind: unknown {path} {shown(kind)}, "
             f"expected one of {kinds}"
         )
     return kind, {k: v for k, v in obj.items() if k != "kind"}
@@ -252,7 +252,7 @@ def parse_scenario(doc: dict) -> Scenario:
     version = _require(doc, "schema_version", "<root>")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValidationError(
-            f"scenario field schema_version: got {VALUE_REPR.repr(version)}, "
+            f"scenario field schema_version: got {shown(version)}, "
             f"this build reads {SCHEMA_VERSION}"
         )
     protocol = _require(doc, "protocol", "<root>")
@@ -329,7 +329,7 @@ def distance_analysis(sc: Scenario) -> dict:
         "gamma_min": g.gamma_min,
     }
     if o is not None:
-        results["omega"] = o.omega
+        results["omega"] = None if math.isinf(o.omega) else o.omega
         results["omega_prime"] = None if math.isinf(o.omega_prime) else o.omega_prime
         results["source_kind"] = o.source_kind
     results.update(_bound_to_results(bound))
@@ -416,12 +416,12 @@ def sweep_scenario(
     if sc.link is None:
         raise ValidationError("sweep needs a scenario with a link")
     if param not in _SWEEP_PARAMS:
-        raise ValidationError(f"unknown sweep parameter {param!r}, expected one of {_SWEEP_PARAMS}")
+        raise ValidationError(f"unknown sweep parameter {shown(param)}, expected one of {_SWEEP_PARAMS}")
     integer(points, "points", 1)
     start = real(start, "start", -math.inf, ends="()")
     stop = real(stop, "stop", -math.inf, ends="()")
     if scale not in ("log", "linear"):
-        raise ValidationError(f"scale must be 'log' or 'linear', got {scale!r}")
+        raise ValidationError(f"scale must be 'log' or 'linear', got {shown(scale)}")
     if scale == "log" and (start <= 0 or stop <= 0):
         raise ValidationError("log scale needs positive endpoints")
     n = points - 1

@@ -252,6 +252,26 @@ class TestMaxDistance:
             "even a lossless channel cannot bring the QBER under the threshold"
         )
 
+    @pytest.mark.parametrize("source", [[], ["--mu", "0.5"]], ids=["single-photon", "attenuated"])
+    def test_an_infinite_omega_is_null_in_strict_json(self, capsys, source):
+        # eta_eff = 5e-324 needs omega = inf on both routes (eta_eff * mu
+        # rounds to 0.0 on the attenuated one): null, as omega_prime.
+        argv = ["max-distance", "fiber", "--mub", "2", "--y0", "1e-6", "--e-det", "0.01",
+                "--eta-eff", "5e-324", *source, "--format", "json", "--no-timestamp"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (2, "")
+
+        def refuse(token):
+            raise AssertionError(f"not JSON: {token}")
+
+        rec = json.loads(out, parse_constant=refuse)
+        jsonschema.validate(rec, result_record_schema())
+        results = rec["results"]
+        assert (results["omega"], results["omega_prime"], results["status"]) == (
+            None, None, "infeasible"
+        )
+        assert "omega=inf is at or above 1" in results["infeasible_reason"]
+
     def test_fiber_attenuated(self, capsys):
         code, rec, _ = run_json(
             capsys,

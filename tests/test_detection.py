@@ -177,6 +177,13 @@ class TestDecoyQber:
         with pytest.raises(UndefinedQberError):
             decoy_expected_qber(0.1, Decoy((0.0,), (1.0,)), det)
 
+    def test_dead_time_weights_that_underflow_count_no_detection(self):
+        # Each c_i = 1 / (1 + r Q_i tau) is 0.0 at r = tau = 1e200.
+        det = DetectorModel(y0=1e-6, e_det=0.01)
+        src = Decoy((0.5, 0.1), (0.5, 0.5), rep_rate_hz=1e200, dead_time_s=1e200)
+        with pytest.raises(UndefinedQberError, match="no detection is counted"):
+            decoy_expected_qber(0.99, src, det)
+
     def test_decoy_validation(self):
         with pytest.raises(ValidationError):
             Decoy((0.5, 0.1), (1.0,))

@@ -115,6 +115,24 @@ class TestOmega:
         assert not bound.feasible
         assert bound.d_max_km == 0.0
 
+    @pytest.mark.parametrize("src", [Attenuated(0.5), Decoy((0.5, 0.1), (0.5, 0.5))])
+    def test_an_underflowing_efficiency_times_intensity_needs_an_infinite_omega(self, src):
+        # eta_eff * mu rounds to 0.0: Omega is inf (infeasible), as the
+        # single-photon route reports at the same eta_eff.
+        det = DetectorModel(y0=1e-6, e_det=0.01, eta_eff=5e-324)
+        g = gamma_threshold(det, 2)
+        o = omega(det, src, g)
+        assert (o.omega, o.omega_prime) == (math.inf, math.inf)
+        assert omega(det, SinglePhoton(), g).omega == math.inf
+        bound = max_fiber_distance(FIBER, o)
+        assert (bound.status, bound.feasible, bound.d_max_km) == ("infeasible", False, 0.0)
+
+    def test_an_underflowing_product_without_dark_counts_is_unbounded(self):
+        det = DetectorModel(y0=0.0, e_det=0.01, eta_eff=5e-324)
+        o = omega(det, Attenuated(0.5), gamma_threshold(det, 2))
+        assert (o.omega, o.omega_prime) == (0.0, 0.0)
+        assert max_fiber_distance(FIBER, o).status == "unbounded"
+
     def test_multiphoton_has_no_closed_form(self):
         g = gamma_threshold(DET, 2)
         with pytest.raises(ValidationError, match="k=1"):
@@ -280,6 +298,45 @@ class TestNumericSolver:
             max_distance_numeric(model, SinglePhoton(), DET, g, -1.0, 10.0)
         with pytest.raises(BracketError):
             max_distance_numeric(model, SinglePhoton(), DET, g, 1.0, math.inf)
+
+    @pytest.mark.parametrize(
+        "d_lo, d_hi, field, problem",
+        [
+            (0.0, 10**400, "d_hi_km", "is beyond float range"),
+            ("a", 1.0, "d_lo_km", "is not a number"),
+            ([1], 2.0, "d_lo_km", "is not a number"),
+            (True, 10.0, "d_lo_km", "is not a number"),
+        ],
+        ids=["10**400", "str", "list", "bool"],
+    )
+    def test_a_bracket_end_is_read_as_a_number(self, d_lo, d_hi, field, problem):
+        g = gamma_threshold(DET, 2)
+        model = lambda d: fiber_transmissivity(FIBER, d)
+        with pytest.raises(ValidationError, match=f"^{field}=.* {problem}$") as exc:
+            max_distance_numeric(model, SinglePhoton(), DET, g, d_lo, d_hi)
+        assert exc.value.field == field
+
+    def test_an_int_bracket_is_bisected_as_given(self):
+        g = gamma_threshold(DET, 2)
+        model = lambda d: fiber_transmissivity(FIBER, d)
+        as_int = max_distance_numeric(model, SinglePhoton(), DET, g, 1, 1000)
+        assert as_int == max_distance_numeric(model, SinglePhoton(), DET, g, 1.0, 1000.0)
+
+    def test_a_bisection_that_runs_out_of_floats_stops(self):
+        # The crossing lies at the smallest subnormal, where adjacent floats
+        # are further apart than the 1e-9 tolerance: the midpoint of 5e-324
+        # and 1e-323 rounds to 1e-323, and the loop stops there.
+        calls = []
+
+        def step(d):
+            calls.append(d)
+            if len(calls) > 5000:
+                raise RuntimeError("the bisection did not stop")
+            return 1.0 if d <= 5e-324 else 0.0
+
+        det = DetectorModel(y0=1e-6, e_det=0.01)
+        bound = max_distance_numeric(step, SinglePhoton(), det, gamma_threshold(det, 2), 0.0, 1.0)
+        assert (bound.status, bound.d_max_km) == ("solved", 1e-323)
 
     @pytest.mark.parametrize("d_hi", [1e7, 1e30, 1e100, 1e200])
     def test_a_wide_bracket_still_meets_the_tolerance(self, d_hi):
@@ -504,6 +561,23 @@ class TestDistanceBounds:
             with pytest.raises(BracketError, match=message):
                 distance.distance_bounds(batch, 2, bracket)
         assert distance.distance_bounds(points, 2) == [self.expected(*p) for p in points]
+
+    @pytest.mark.parametrize(
+        "bracket, field, problem",
+        [
+            ((10**400, 10**401), "d_lo_km", "is beyond float range"),
+            ((1.0, 10**400), "d_hi_km", "is beyond float range"),
+            (("a", 1), "d_lo_km", "is not a number"),
+            (([1], 2), "d_lo_km", "is not a number"),
+        ],
+        ids=["10**400", "hi-10**400", "str", "list"],
+    )
+    def test_a_bracket_end_is_read_as_a_number(self, bracket, field, problem):
+        fiber = ScenarioLink("fiber", fiber=FIBER)
+        for batch in ([(SinglePhoton(), DET, fiber)], []):
+            with pytest.raises(ValidationError, match=f"^{field}=.* {problem}$") as exc:
+                distance.distance_bounds(batch, 2, bracket)
+            assert exc.value.field == field
 
     @pytest.mark.parametrize("kind", ["freespace", "satellite", "diffraction"])
     def test_a_bracket_that_overflows_in_metres_raises_first(self, kind):

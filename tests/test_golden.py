@@ -41,6 +41,10 @@ _FLAG_CASES = [
     # take -1e6 for a flag.
     ["max-distance", "deepspace", "--mub", "3", "--y0", "1e-8", "--e-det", "0.01",
      "--w0", "2.0", "--wavelength", "8e-7", "--aperture", "0.5", "--curvature", "-1e6"],
+    # eta_eff * mu rounds to 0.0, so omega is infinite: infeasible, exit 2,
+    # with omega null in the JSON.
+    ["max-distance", "fiber", "--mub", "2", "--y0", "1e-6", "--e-det", "0.01",
+     "--eta-eff", "5e-324", "--mu", "0.5"],
 ]
 # Sweeps whose points change the source or the detector efficiency, so the
 # bisection's guard runs per point; the e_det sweep crosses the 1/4 limit.

@@ -39,6 +39,7 @@ from qkdlimits import (
     QberSet,
     QkdLimitError,
     SatellitePath,
+    ScenarioLink,
     SinglePhoton,
     ValidationError,
     best_case_intensity,
@@ -48,8 +49,11 @@ from qkdlimits import (
     decoy_expected_qber,
     depolarizing,
     detection_probability,
+    gamma_threshold,
     k_photon_transmissivity,
+    omega,
     parse_scenario,
+    pauli_channel_qber_montecarlo,
     pauli_from_qbers_2mub_worstcase,
     run_scenario,
     satellite_slant_distance_km,
@@ -57,6 +61,8 @@ from qkdlimits import (
     sweep_scenario,
 )
 from qkdlimits.cli import _cmd_channel, main
+from qkdlimits.distance import distance_bounds
+from qkdlimits.links import LINK_PARTS
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 VALUES = (None, "x", -1.0, math.nan, [], {}, True, 2.5, 10**400)
@@ -304,6 +310,64 @@ def test_an_int_too_long_for_repr_is_shown_by_its_bits():
         SinglePhoton(10**5000)
     assert str(exc.value) == "k=<int of 16610 bits> is beyond float range"
     assert exc.value.field == "k"
+
+
+_HUGE, _LONG = 10**5000, "x" * 10**6
+_LONG_SHOWN = "'" + "x" * 17 + "..." + "x" * 18 + "'"
+_DOC = json.loads((SCENARIOS / "fiber_2mub_single_photon.json").read_text())
+_FIBER_POINT = (DetectorModel(1e-6, 0.01), ScenarioLink("fiber", fiber=FiberLink(0.2)))
+# Each error text that quotes a value the caller gave, as a call that puts
+# the value there and the text with {} for the quote. Every quote is
+# errors.shown's: 10**5000, past Python's int-to-str digit limit, is
+# given by its size, and a long str is abbreviated. Sites that quote a
+# str with repr take _LONG too.
+_QUOTES = [
+    ("detection_probability", lambda v: detection_probability(v, 0.5),
+     "unknown source model {}", True),
+    ("omega", lambda v: omega(_FIBER_POINT[0], v, gamma_threshold(_FIBER_POINT[0], 2)),
+     "unknown source model {}", True),
+    ("distance_bounds", lambda v: distance_bounds([(v, *_FIBER_POINT)], 2),
+     "unknown source model {}", True),
+    ("ScenarioLink.kind", lambda v: ScenarioLink(v),
+     "unknown link kind {}, expected one of " + str(tuple(LINK_PARTS)), True),
+    ("sweep_scenario.param", lambda v: sweep_scenario(_FIBER, v, 1e-6, 1e-5, 3, "log"),
+     "unknown sweep parameter {}, expected one of ('y0', 'e_det', 'eta_eff', 'mu', 'alpha')",
+     True),
+    ("sweep_scenario.scale", lambda v: sweep_scenario(_FIBER, "y0", 1e-6, 1e-5, 3, v),
+     "scale must be 'log' or 'linear', got {}", True),
+    ("pauli_channel_qber_montecarlo.mub_count",
+     lambda v: pauli_channel_qber_montecarlo(depolarizing(0.1), v, AttackConfig(2, 1, 0)),
+     "mub_count={} differs from cfg.mub_count=2", True),
+    ("schema_version", lambda v: parse_scenario({**_DOC, "schema_version": v}),
+     "scenario field schema_version: got {}, this build reads 1", False),
+    ("a section", lambda v: parse_scenario({**_DOC, "source": v}),
+     "scenario field source: expected an object, got {}", False),
+    ("a kind", lambda v: parse_scenario({**_DOC, "source": {"kind": v}}),
+     "scenario field source.kind: unknown source {}, expected one of "
+     "('single_photon', 'attenuated', 'decoy')", False),
+    ("an unknown key", lambda v: parse_scenario({**_DOC, v: 0}),
+     "scenario field <root>: unknown keys [{}]", False),
+]
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001,
+    reason="10**5000 has a repr without an int-to-str digit limit below 5001 digits",
+)
+@pytest.mark.parametrize("call, text", [q[1:3] for q in _QUOTES], ids=[q[0] for q in _QUOTES])
+def test_an_error_quotes_a_huge_int_by_its_size(call, text):
+    with pytest.raises(ValidationError) as exc:
+        call(_HUGE)
+    assert str(exc.value) == text.format("<int of 16610 bits>")
+
+
+@pytest.mark.parametrize(
+    "call, text", [q[1:3] for q in _QUOTES if q[3]], ids=[q[0] for q in _QUOTES if q[3]]
+)
+def test_an_error_abbreviates_a_long_value(call, text):
+    with pytest.raises(ValidationError) as exc:
+        call(_LONG)
+    assert str(exc.value) == text.format(_LONG_SHOWN)
 
 
 @pytest.mark.parametrize(
